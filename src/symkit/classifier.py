@@ -29,7 +29,7 @@ from .partitions import (
     UnboundedFinite,
     parse_partition,
 )
-from .perm import Permutation, parse_perm
+from .perm import Permutation, parse_perm, parse_points, split_top
 from .trees import FullSymmetricOracle, GroupOracle, PartitionStabilizerOracle
 
 CLASS_ORDER = ("C_1", "C_Q", "C_P", "C_S")
@@ -152,6 +152,13 @@ ORACLE_PLUGINS = {
 }
 
 
+def oracle_plugin(name: str) -> GroupOracle:
+    """A fresh oracle from ORACLE_PLUGINS; ParseError for an unknown name."""
+    if name not in ORACLE_PLUGINS:
+        raise ParseError(f"unknown oracle plugin {name!r}")
+    return ORACLE_PLUGINS[name]()
+
+
 def parse_descriptor(s: str) -> Descriptor:
     s = s.strip()
     if s == "full":
@@ -162,39 +169,22 @@ def parse_descriptor(s: str) -> Descriptor:
         spec = s[len("stab:"):]
         return PartitionStab(parse_partition(spec), spec)
     if s.startswith("fix(") and s.endswith(")"):
-        inner = s[len("fix("):-1]
-        depth = 0
-        split_at = None
-        for i, ch in enumerate(inner):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == ";" and depth == 0:
-                split_at = i
-                break
-        if split_at is None:
+        parts = split_top(s[len("fix("):-1], ";")
+        if len(parts) != 2:
             raise ParseError(f"fix needs ';points' in {s!r}", len("fix("))
-        sub = parse_descriptor(inner[:split_at])
-        pts_text = inner[split_at + 1:].strip()
-        pts = [int(x) for x in pts_text.split(",") if x.strip() != ""]
-        return PointwiseStab(sub, pts)
+        return PointwiseStab(parse_descriptor(parts[0]), parse_points(parts[1]))
     if s.startswith("fn:"):
         spec = s[len("fn:"):]
         return FNGroup(parse_metric(spec), spec)
     if s.startswith("oracle:"):
         name = s[len("oracle:"):]
-        if name not in ORACLE_PLUGINS:
-            raise ParseError(f"unknown oracle plugin {name!r}", len("oracle:"))
-        return OracleG(ORACLE_PLUGINS[name](), name)
+        return OracleG(oracle_plugin(name), name)
     if s.startswith("gens:"):
         body = s[len("gens:"):].strip()
         if not (body.startswith("[") and body.endswith("]")):
             raise ParseError(f"gens needs [...] in {s!r}", len("gens:"))
-        from .perm import _split_top
-
         inner = body[1:-1].strip()
-        gens = [parse_perm(p) for p in _split_top(inner, ",")] if inner else []
+        gens = [parse_perm(p) for p in split_top(inner, ",")] if inner else []
         return FiniteSupportG(gens, inner)
     raise ParseError(f"unknown descriptor {s!r}", 0)
 
@@ -695,11 +685,12 @@ def check_evidence(desc_str: str, evidence: dict) -> bool:
             p["kind"] == "atleast" for p in evidence.get("probes", []))
     if basis == "initial-segment-stabilizer":
         inner = samples.get("inner", {})
-        if not _is_initial_segment(evidence.get("gamma", [])):
+        if not isinstance(desc, PointwiseStab) or \
+                not _is_initial_segment(evidence.get("gamma", [])):
             return False
         if inner.get("label") != label:
             return False
-        return check_evidence(_inner_str(desc_str), inner)
+        return check_evidence(desc.inner.to_string(), inner)
     if basis == "budget-trivial":
         A = _partition_of(desc)
         if A is None or label != "C_1":
@@ -757,17 +748,3 @@ def _partition_of(desc: Descriptor) -> Optional[Partition]:
         return desc.metric.partition
     return None
 
-
-def _inner_str(desc_str: str) -> str:
-    s = desc_str.strip()
-    if s.startswith("fix(") and s.endswith(")"):
-        inner = s[len("fix("):-1]
-        depth = 0
-        for i, ch in enumerate(inner):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == ";" and depth == 0:
-                return inner[:i]
-    return s

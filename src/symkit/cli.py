@@ -24,10 +24,6 @@ def _emit(args, payload: dict, lines=None) -> None:
             print(line)
 
 
-def _parse_points(text: str):
-    return [int(x) for x in text.split(",") if x.strip() != ""]
-
-
 # -- subcommands -------------------------------------------------------------
 
 
@@ -50,7 +46,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_orbit(args) -> int:
     desc = classifier.parse_descriptor(args.descriptor)
-    gamma = _parse_points(args.gamma) if args.gamma else []
+    gamma = perm.parse_points(args.gamma)
     rep = classifier.orbit(desc, gamma, args.alpha, args.budget or 4096)
     payload = rep.to_dict()
     _emit(args, payload, [f"kind: {rep.kind}", f"size: {rep.size}",
@@ -192,15 +188,8 @@ def _cmd_witness(args) -> int:
     raise SymkitError(f"unknown witness action {args.action!r}")
 
 
-_ORACLES = {
-    "full-sym": trees.FullSymmetricOracle,
-    "stab-pairs": lambda: trees.PartitionStabilizerOracle(partitions.pairs()),
-    "stab-a0": lambda: trees.PartitionStabilizerOracle(partitions.a0()),
-}
-
-
 def _tree_from_args(args) -> trees.TreeState:
-    oracle = _ORACLES[args.oracle or "stab-a0"]()
+    oracle = classifier.oracle_plugin(args.oracle or "stab-a0")
     mode = {"inf": "inf", "unbounded": "unbounded", "binary": "binary"}[
         args.mode or "binary"]
     n_seq = None
@@ -239,7 +228,7 @@ def _cmd_tree(args) -> int:
         return 0
     if args.action == "s":
         family = trees.FullTupleFamily()
-        bps = _parse_points(args.breakpoints or "0,1,3,6")
+        bps = perm.parse_points(args.breakpoints or "0,1,3,6")
         etree = trees.build_e_tree(family, bps, depth=args.depth or 3)
         s = trees.build_s(etree)
         _emit(args, {"s": perm.format_perm(s),
@@ -248,7 +237,7 @@ def _cmd_tree(args) -> int:
         return 0
     if args.action == "verify":
         family = trees.FullTupleFamily()
-        bps = _parse_points(args.breakpoints or "0,1,3,6")
+        bps = perm.parse_points(args.breakpoints or "0,1,3,6")
         etree = trees.build_e_tree(family, bps, depth=args.depth or 3)
         s = trees.build_s(etree)
         pi = {}

@@ -67,33 +67,49 @@ def breakpoints(f: Permutation, count: int) -> Breakpoints:
     return Breakpoints(f, count)
 
 
+class UniformBreakpoints:
+    """The breakpoints n*i of a uniform width n, located in O(1)."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def value(self, i: int) -> int:
+        return self.n * i
+
+    def index_of(self, m: int) -> int:
+        return m // self.n
+
+
 class _PairedExchanger(Permutation):
-    """The first local factor: swaps paired crossers inside [a(2i), a(2i+2))."""
+    """The first local factor: swaps paired crossers inside [a(2i), a(2i+2)).
+
+    The breakpoints ``bp`` supply ``value(i)`` = a(i) and ``index_of(m)``,
+    the i with a(i) <= m < a(i+1)."""
 
     form = "local-factor"
 
-    def __init__(self, bp: Breakpoints):
+    def __init__(self, f: Permutation, bp):
         super().__init__()
+        self.f = f
         self.bp = bp
         self._cache: dict = {}
-        if bp.f.support_bound is not None:
+        if f.support_bound is not None:
             i = 0
-            while bp.value(2 * i) < bp.f.support_bound:
+            while bp.value(2 * i) < f.support_bound:
                 i += 1
             self.support_bound = bp.value(2 * i)
 
     def _pairing(self, i: int) -> dict:
         if i in self._cache:
             return self._cache[i]
-        lo, mid = self.bp.interval(2 * i)
-        _, hi = self.bp.interval(2 * i + 1)
-        f = self.bp.f
+        lo, mid, hi = (self.bp.value(2 * i + k) for k in range(3))
+        f = self.f
         ups = [x for x in range(lo, mid) if f.forward(x) >= mid]
         downs = [x for x in range(mid, hi) if f.forward(x) < mid]
         if len(ups) != len(downs):
             raise PreconditionError(
-                f"crossing counts differ at boundary {mid}: this cannot happen "
-                f"for a two-sided permutation if the breakpoints are valid")
+                f"crossing counts differ at boundary {mid}: {len(ups)} up vs "
+                f"{len(downs)} down")
         mapping = {}
         for a, b in zip(ups, downs):
             mapping[a] = b
@@ -111,15 +127,22 @@ class _PairedExchanger(Permutation):
         return self
 
 
-def decompose_local(f: Permutation, count: int = 8) -> Tuple[Permutation, Permutation]:
+def pair_crossers(f: Permutation, bp) -> Tuple[Permutation, Permutation]:
     """f = g . h with g preserving each [a(2i), a(2i+2)) and h = g^-1 f
-    preserving each [a(2i-1), a(2i+1))."""
-    bp = Breakpoints(f, count)
-    g = _PairedExchanger(bp)
+    preserving each [a(2i-1), a(2i+1)), where a(i) = bp.value(i).
+
+    Needs f and f^-1 to map [0, a(i-1)) into [0, a(i)) for every i."""
+    g = _PairedExchanger(f, bp)
     h = WordPermutation([g.inverse(), f])
     if g.support_bound is not None and f.support_bound is not None:
         h.support_bound = max(g.support_bound, f.support_bound)
     return g, h
+
+
+def decompose_local(f: Permutation, count: int = 8) -> Tuple[Permutation, Permutation]:
+    """f = g . h with g preserving each [a(2i), a(2i+2)) and h = g^-1 f
+    preserving each [a(2i-1), a(2i+1)), on the least-choice breakpoints."""
+    return pair_crossers(f, Breakpoints(f, count))
 
 
 @dataclass

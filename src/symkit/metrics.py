@@ -21,6 +21,7 @@ from .errors import (
     PreconditionError,
     UnsupportedMetricError,
 )
+from .localdecomp import UniformBreakpoints, pair_crossers
 from .partitions import Partition, parse_partition
 from .perm import (
     FiniteSupportPermutation,
@@ -30,6 +31,7 @@ from .perm import (
     identity,
     nat_to_z,
     parse_perm,
+    split_top,
     verify_window,
     z_to_nat,
 )
@@ -468,12 +470,6 @@ def metric_from_partition(A: Partition) -> PartitionMetric:
 class BudgetedDistance:
     kind: str  # "exact" | "atleast"
     value: Distance
-
-    def lower(self) -> Distance:
-        return self.value
-
-    def upper(self) -> Distance:
-        return self.value if self.kind == "exact" else INF
 
 
 class RefinedMetric(GeneralizedMetric):
@@ -976,75 +972,13 @@ def net_flow(f: Permutation, cuts: Iterable[int] = range(-4, 5),
 # Factorization of bounded permutations of omega into two interval-local parts.
 
 
-class _CrosserPairing(Permutation):
-    """Exchanges upward and downward crossers at every second interval boundary.
-
-    Intervals are [a_i, a_{i+1}) for a supplied breakpoint function; within
-    each union a_{2i} <= x < a_{2i+2} the upward crossers at the middle
-    boundary are paired with the downward crossers in increasing order and
-    swapped; everything else is fixed.
-    """
-
-    form = "crosser-pairing"
-
-    def __init__(self, f: Permutation, boundary: Callable[[int], int],
-                 uniform_width: Optional[int] = None):
-        super().__init__()
-        self.f = f
-        self.boundary = boundary
-        self.uniform_width = uniform_width
-        self._cache: dict = {}
-        if f.support_bound is not None:
-            self.support_bound = self._support_from(f)
-
-    def _support_from(self, f):
-        b = f.support_bound
-        i = 0
-        while self.boundary(2 * i) < b:
-            i += 1
-        return self.boundary(2 * i)
-
-    def _pairing(self, i: int) -> dict:
-        if i in self._cache:
-            return self._cache[i]
-        lo, mid, hi = self.boundary(2 * i), self.boundary(2 * i + 1), self.boundary(2 * i + 2)
-        ups = [x for x in range(lo, mid) if self.f.forward(x) >= mid]
-        downs = [x for x in range(mid, hi) if self.f.forward(x) < mid]
-        if len(ups) != len(downs):
-            raise PreconditionError(
-                f"crossing counts differ at boundary {mid}: {len(ups)} up vs "
-                f"{len(downs)} down (is the permutation bounded as certified?)")
-        mapping = {}
-        for a, b in zip(ups, downs):
-            mapping[a] = b
-            mapping[b] = a
-        self._cache[i] = mapping
-        return mapping
-
-    def _interval_index(self, m: int) -> int:
-        if self.uniform_width is not None:
-            return m // (2 * self.uniform_width)
-        i = 0
-        while self.boundary(2 * (i + 1)) <= m:
-            i += 1
-        return i
-
-    def _fwd(self, alpha):
-        return self._pairing(self._interval_index(alpha)).get(alpha, alpha)
-
-    _bwd = _fwd  # an involution
-
-    def inverse(self):
-        return self
-
-
 def factor_fn_omega(f: Permutation, d: Optional[GeneralizedMetric] = None,
                     bound: Optional[int] = None) -> Tuple[Permutation, Permutation]:
     """Split a norm-certified permutation of omega into two interval-local parts.
 
     With ||f|| <= n and intervals S_i = [n i, n(i+1)), the first factor
     preserves every S_{2i} u S_{2i+1} and the second every S_{2i-1} u S_{2i},
-    with product f.
+    with product f: localdecomp's crosser pairing on the breakpoints n i.
     """
     if d is None:
         d = StandardOmega()
@@ -1056,11 +990,7 @@ def factor_fn_omega(f: Permutation, d: Optional[GeneralizedMetric] = None,
     n = int(bound)
     if n == 0:
         return identity(), identity()
-    b1 = _CrosserPairing(f, lambda i: n * i, uniform_width=n)
-    b2 = WordPermutation([b1.inverse(), f])
-    if b1.support_bound is not None and f.support_bound is not None:
-        b2.support_bound = max(b1.support_bound, f.support_bound)
-    return b1, b2
+    return pair_crossers(f, UniformBreakpoints(n))
 
 
 # --------------------------------------------------------------------------
@@ -1103,8 +1033,6 @@ def parse_metric(spec: str) -> GeneralizedMetric:
                 raise ParseError(f"U needs [...] in {spec!r}")
             inner_list = body[1:-1].strip()
             if inner_list:
-                from .perm import _split_top
-
-                perms = [parse_perm(p) for p in _split_top(inner_list, ",")]
+                perms = [parse_perm(p) for p in split_top(inner_list, ",")]
         return refine_metric(base, perms)
     raise ParseError(f"unknown metric {spec!r}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Union
 
 from .errors import NotIsomorphicError, ParseError, PreconditionError, ProfileViolationError
-from .perm import Permutation, nat_to_z, z_to_nat
+from .perm import Permutation, z_to_nat
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,6 @@ class Partition:
         self._block_of = block_of
         self._block_members = block_members
         self.profile = profile
-        self.certificate_samples: list = []
 
     def block_of(self, alpha: int) -> int:
         return self._block_of(alpha)
@@ -105,8 +104,6 @@ class Partition:
                     raise ProfileViolationError(
                         f"{self.key}: block {b} has size {s} > declared bound "
                         f"{self.profile.n}")
-        self.certificate_samples.append({"window": window,
-                                         "blocks": len(sizes_seen)})
 
     def sample_growing_blocks(self, count: int, scan_cap: int = 10**6) -> List[int]:
         """Ids of blocks with strictly increasing sizes (UnboundedFinite evidence)."""
@@ -288,12 +285,6 @@ def z_pair_blocks() -> Partition:
     return Partition("z-pair-blocks", block_of, members, BoundedBy(2, "infinite"))
 
 
-def z_block_index(block_id: int) -> int:
-    if block_id % 3 != 0:
-        raise ValueError("not an indexed two-point block")
-    return nat_to_z(block_id // 3)
-
-
 def z_block_id(z: int) -> int:
     return 3 * z_to_nat(z)
 
@@ -381,13 +372,11 @@ def classify_partition(A: Partition) -> PartitionClassTag:
     p = A.profile
     if isinstance(p, UnboundedFinite):
         samples = A.sample_growing_blocks(4)
-        A.certificate_samples.append({"growing-blocks": samples})
         return PartitionClassTag(
             "InP", f"declared unbounded finite sizes; growing blocks {samples}")
     if isinstance(p, BoundedBy):
         if p.n >= 2 and p.nonsingletons == "infinite":
             samples = A.sample_nonsingleton_blocks(4)
-            A.certificate_samples.append({"nonsingleton-blocks": samples})
             return PartitionClassTag(
                 "InQ",
                 f"sizes bounded by {p.n} with infinitely many nonsingletons; "
@@ -426,10 +415,6 @@ def stabilizer_membership(f: Permutation, A: Partition, window: int) -> Membersh
         if image != members:
             return MembershipReport("no", witness_block=b, checked_blocks=checked,
                                     basis="probed block not preserved")
-    cert = getattr(f, "block_cert_keys", frozenset())
-    if A.key in cert:
-        return MembershipReport("yes", checked_blocks=checked,
-                                basis="construction certificate, probes consistent")
     return MembershipReport("unknown", checked_blocks=checked,
                             basis="probes consistent, no certificate")
 
@@ -518,9 +503,6 @@ class ConjugatorPermutation(Permutation):
     def inverse(self):
         inv = ConjugatorPermutation(self.B, self.A, self.scan_cap)
         return inv
-
-    def matched_blocks(self) -> dict:
-        return dict(self._match)
 
 
 def conjugator(A: Partition, B: Partition, depth: int,

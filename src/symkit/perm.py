@@ -561,7 +561,7 @@ def format_perm(p: Permutation) -> str:
     return f"{p.form}:<opaque>"
 
 
-def _split_top(s: str, sep: str) -> list:
+def split_top(s: str, sep: str) -> list:
     parts = []
     depth = 0
     cur = []
@@ -577,6 +577,19 @@ def _split_top(s: str, sep: str) -> list:
             cur.append(ch)
     parts.append("".join(cur))
     return parts
+
+
+def parse_points(text: str) -> list:
+    """Comma-separated natural numbers; empty entries are skipped."""
+    points = []
+    for x in text.split(","):
+        x = x.strip()
+        if not x:
+            continue
+        if not x.isdecimal():
+            raise ParseError(f"expected a natural number, got {x!r}")
+        points.append(int(x))
+    return points
 
 
 def parse_perm(text: str, pos: int = 0) -> Permutation:
@@ -623,7 +636,7 @@ def parse_perm(text: str, pos: int = 0) -> Permutation:
         inner = body[1:-1].strip()
         factors = []
         if inner:
-            for part in _split_top(inner, ","):
+            for part in split_top(inner, ","):
                 factors.append(parse_perm(part, pos))
         p = WordPermutation(factors)
     else:

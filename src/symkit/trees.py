@@ -12,6 +12,7 @@ exactly what a depth-bounded construction can observe.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -589,13 +590,6 @@ def _sym(width: int):
     return [tuple(p) for p in itertools.permutations(range(width))]
 
 
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
-
-
 def build_e_tree(family: DFamily, breakpoints: Sequence[int], depth: int,
                  mode: str = "inf") -> ETree:
     """Grow the tuple tree along the given breakpoint chain.
@@ -613,7 +607,7 @@ def build_e_tree(family: DFamily, breakpoints: Sequence[int], depth: int,
         lo, hi = tree.interval(r)
         width = hi - lo
         prev = tree.levels[r - 1]
-        bound = len(prev) * (width * _factorial(width) + lo)
+        bound = len(prev) * (width * math.factorial(width) + lo)
         jumps: List[int] = []
         if mode == "jump":
             i = next_d_level

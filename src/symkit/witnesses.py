@@ -30,6 +30,7 @@ from .perm import (
     Permutation,
     WordPermutation,
     nat_to_z,
+    parity,
     z_to_nat,
 )
 
@@ -634,56 +635,23 @@ def three_cycle_extract(g: Permutation, s: Permutation) -> FiniteSupportPermutat
     return result
 
 
-def sfinite_class(gens: Sequence[Permutation], cap: int = 400_000) -> str:
+def sfinite_class(gens: Sequence[Permutation]) -> str:
     """Which finite class the generated group falls in: "trivial",
     "even-finite" (nontrivial, all elements even), or "odd-finite".
 
-    Generators must carry finite-support certificates; the group then lives
-    inside the symmetric group on the support union and is enumerated by
-    closure.
+    Generators must carry finite-support certificates.  The even
+    permutations form a subgroup, so the group is all-even iff every
+    generator is even, and trivial iff no generator moves a point; nothing
+    is enumerated.
     """
     for g in gens:
         if g.support_bound is None:
             raise PreconditionError("generators must be certified finite-support")
-    points = sorted({a for g in gens for a in g.moved_points()})
+    points = {a for g in gens for a in g.moved_points()}
     if not points:
         return "trivial"
-    idx = {a: i for i, a in enumerate(points)}
-    tables = []
     for g in gens:
-        images = [g.forward(a) for a in points]
-        if any(b not in idx for b in images):
+        if any(g.forward(a) not in points for a in points):
             raise PreconditionError(
                 "generator moves a support point outside the union")
-        tables.append(tuple(idx[b] for b in images))
-    ident = tuple(range(len(points)))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        state = frontier.pop()
-        for table in tables:
-            new = tuple(table[s] for s in state)
-            if new not in seen:
-                if len(seen) >= cap:
-                    raise EvaluationBudgetError("group closure exceeds the size cap")
-                seen.add(new)
-                frontier.append(new)
-    if len(seen) == 1:
-        return "trivial"
-
-    def is_even(state: tuple) -> bool:
-        visited = [False] * len(state)
-        trans = 0
-        for i in range(len(state)):
-            if visited[i]:
-                continue
-            j = i
-            length = 0
-            while not visited[j]:
-                visited[j] = True
-                j = state[j]
-                length += 1
-            trans += length - 1
-        return trans % 2 == 0
-
-    return "even-finite" if all(is_even(s) for s in seen) else "odd-finite"
+    return "even-finite" if all(parity(g) == "even" for g in gens) else "odd-finite"

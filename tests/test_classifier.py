@@ -215,6 +215,7 @@ class TestParse:
 
     def test_errors(self):
         for bad in ("bogus", "stab:nothing", "fn:metric:wat", "oracle:none",
-                    "fix(full)"):
+                    "fix(full)", "fix(stab:partition:pairs;a,b)",
+                    "fix(stab:partition:pairs;-1)"):
             with pytest.raises(ParseError):
                 parse_descriptor(bad)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from symkit.cli import cli_main
 
 
@@ -7,6 +9,12 @@ def run(capsys, *argv):
     code = cli_main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def assert_error_exit(code, err):
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 class TestClassify:
@@ -40,6 +48,12 @@ class TestOrbit:
                            "--gamma", "1", "--alpha", "0")
         assert code == 0
         assert json.loads(out)["points"] == [0]
+
+    @pytest.mark.parametrize("gamma", ["a", "-1"])
+    def test_non_natural_gamma_exit_1(self, capsys, gamma):
+        code, _, err = run(capsys, "orbit", "stab:partition:pairs",
+                           "--gamma", gamma, "--alpha", "0")
+        assert_error_exit(code, err)
 
 
 class TestMetric:
@@ -145,6 +159,10 @@ class TestTree:
                            "--pi", "1:2,2:1", "--window", "3")
         assert code == 0
         assert json.loads(out)["ok"] is True
+
+    def test_unknown_oracle_exit_1(self, capsys):
+        code, _, err = run(capsys, "tree", "build", "--oracle", "bogus")
+        assert_error_exit(code, err)
 
 
 class TestPerm:
