@@ -5,7 +5,8 @@ a uniform adapter.  Classification searches stabilizing sets over initial
 segments only (enlarging the set can only shrink stabilizers and orbits, and
 every finite set sits inside an initial segment, so the search is sound),
 and it never returns a definite label without machine-checkable evidence:
-``check_evidence`` re-derives every definite label from the evidence alone.
+``check_evidence`` accepts a record only if re-classifying the descriptor at
+the record's budgets gives the same record.
 
 The four labels are totally ordered C_1 < C_Q < C_P < C_S; the least-cardinal
 phrasing is recorded alongside each label.
@@ -15,7 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from .errors import ParseError, PreconditionError
+from .errors import (
+    ParseError,
+    PreconditionError,
+    ProfileViolationError,
+    SymkitError,
+)
 from .metrics import (
     GeneralizedMetric,
     PartitionMetric,
@@ -226,9 +232,29 @@ def _closure_elements(gens: Sequence[Permutation]):
     return points, sorted(seen)
 
 
+def _orbit_oracle(desc: Descriptor) -> Optional[GroupOracle]:
+    """The tree oracle that answers orbit queries for desc, if there is one."""
+    if isinstance(desc, FullS):
+        return FullSymmetricOracle()
+    if isinstance(desc, PartitionStab):
+        return PartitionStabilizerOracle(desc.A)
+    if isinstance(desc, FNGroup):
+        if isinstance(desc.metric, PartitionMetric):
+            return PartitionStabilizerOracle(desc.metric.partition)
+        if desc.metric.all_finite:
+            # finite-support permutations are bounded, so the stabilizer acts
+            # transitively off gamma
+            return FullSymmetricOracle()
+    if isinstance(desc, OracleG):
+        return desc.oracle
+    return None
+
+
 def orbit(desc: Descriptor, gamma: Sequence[int], alpha: int,
           budget: int = 4096) -> OrbitReport:
     """The orbit of alpha under the pointwise stabilizer of gamma."""
+    if alpha < 0:
+        raise PreconditionError(f"alpha must be a natural number, got {alpha}")
     gset = frozenset(gamma)
     glist = sorted(gset)
 
@@ -236,66 +262,20 @@ def orbit(desc: Descriptor, gamma: Sequence[int], alpha: int,
         return OrbitReport(glist, alpha, kind, len(pts), sorted(pts)[:budget],
                            max_observed=len(pts))
 
+    if isinstance(desc, PointwiseStab):
+        return orbit(desc.inner, gset | set(desc.gamma), alpha, budget)
+    oracle = _orbit_oracle(desc)
+    if oracle is not None:
+        r = oracle.orbit(gset, alpha, budget)
+        return report(r.kind, r.points)
     if isinstance(desc, TrivialG):
         return report("full", [alpha])
-    if isinstance(desc, FullS):
-        if alpha in gset:
-            return report("full", [alpha])
-        pts = []
-        m = 0
-        while len(pts) < budget:
-            if m not in gset:
-                pts.append(m)
-            m += 1
-        return report("atleast", pts)
-    if isinstance(desc, PartitionStab):
-        if alpha in gset:
-            return report("full", [alpha])
-        A = desc.A
-        block_id = A.block_of(alpha)
-        if A.profile.kind == "infinite-block" and block_id == \
-                A.block_of(A.profile.block):
-            # enumerate the infinite block through block_of only
-            pts = []
-            m = 0
-            while len(pts) < budget:
-                if m not in gset and A.block_of(m) == block_id:
-                    pts.append(m)
-                m += 1
-            return report("atleast", pts)
-        block = A.block_members(block_id)
-        free = [x for x in block if x not in gset]
-        if alpha not in free or len(free) < 2:
-            return report("full", [alpha])
-        return report("full", free)
-    if isinstance(desc, PointwiseStab):
-        return orbit(desc.inner, set(gamma) | set(desc.gamma), alpha, budget)
     if isinstance(desc, FNGroup):
-        m = desc.metric
-        if isinstance(m, PartitionMetric):
-            return orbit(PartitionStab(m.partition, m.partition.key),
-                         gamma, alpha, budget)
-        if m.discrete_infinite:
-            return report("full", [alpha])
-        if m.all_finite:
-            # finite-support permutations are bounded, so the stabilizer acts
-            # transitively off gamma
-            if alpha in gset:
-                return report("full", [alpha])
-            pts = []
-            k = 0
-            while len(pts) < budget:
-                if k not in gset:
-                    pts.append(k)
-                k += 1
-            return report("atleast", pts)
-        return report("unknown", [alpha])
-    if isinstance(desc, OracleG):
-        r = desc.oracle.orbit(gset, alpha, budget)
-        return report(r.kind, r.points)
+        # only the identity has finite discrete norm; other metrics have no
+        # orbit adapter
+        return report("full" if desc.metric.discrete_infinite else "unknown",
+                      [alpha])
     if isinstance(desc, FiniteSupportG):
-        if not desc.gens:
-            return report("full", [alpha])
         points, elements = _closure_elements(desc.gens)
         idx = {a: i for i, a in enumerate(points)}
         relevant_gamma = [p for p in glist if p in idx]
@@ -435,10 +415,10 @@ def _classify_partition_stab(desc: Descriptor, A: Partition, budgets: Budgets,
 
     if isinstance(profile, UnboundedFinite):
         ids = A.sample_growing_blocks(6)
-        sizes = [len(A.block_members(b)) for b in ids]
+        growing = [[b, len(A.block_members(b))] for b in ids]
         probes = [orbit(desc, [], b, budgets.orbit_budget) for b in ids[:4]]
         return _label("C_P", True, "partition-profile-unbounded", [], probes,
-                      budgets, {"growing_blocks": list(zip(ids, sizes))})
+                      budgets, {"growing_blocks": growing})
     if isinstance(profile, BoundedBy):
         if profile.n >= 2 and profile.nonsingletons == "infinite":
             ids = []
@@ -447,11 +427,16 @@ def _classify_partition_stab(desc: Descriptor, A: Partition, budgets: Budgets,
                 found = A.sample_nonsingleton_blocks(1, start=start)[0]
                 ids.append(found)
                 start = max(A.block_members(found)) + 1
-            sizes = [len(A.block_members(b)) for b in ids]
+            blocks = [[b, len(A.block_members(b))] for b in ids]
+            for b, size in blocks:
+                if size > profile.n:
+                    raise ProfileViolationError(
+                        f"{A.key}: block {b} has size {size} > declared bound "
+                        f"{profile.n}")
             probes = [orbit(desc, [], b, budgets.orbit_budget) for b in ids]
             return _label("C_Q", True, "partition-profile-bounded", [], probes,
                           budgets, {"bound": profile.n,
-                                    "nonsingleton_blocks": list(zip(ids, sizes))})
+                                    "nonsingleton_blocks": blocks})
         # finitely many nonsingletons: the stabilizer of their union is trivial
         count = profile.nonsingletons if isinstance(profile.nonsingletons, int) else 0
         gamma: List[int] = []
@@ -497,11 +482,10 @@ def _classify_fn(desc: FNGroup, budgets: Budgets) -> ClassLabel:
     if m.discrete_infinite:
         return _label("C_1", True, "fn-discrete", [], [], budgets,
                       {"metric": m.key})
-    if m.key in ("standard-omega", "standard-z"):
-        case = classify_metric(m)
+    case = classify_metric(m)
+    if m.key in ("standard-omega", "standard-z") and case.case == "CaseIII":
         return _label("C_Q", True, "fn-worked-example", [], [], budgets,
                       {"metric": m.key, "metric_case": case.case})
-    case = classify_metric(m)
     return _label("Unknown", False, "fn-open", [], [], budgets,
                   {"metric": m.key, "metric_case": case.case,
                    "metric_evidence": case.evidence})
@@ -632,119 +616,22 @@ def _closed_flag(desc: Descriptor):
 
 
 # --------------------------------------------------------------------------
-# Independent evidence replay.
+# Evidence replay.
 
 
 def check_evidence(desc_str: str, evidence: dict) -> bool:
-    """Re-derive a classification from its recorded evidence alone."""
+    """Accept a record only if re-classifying the descriptor at the record's
+    budgets gives the same record.
+
+    An ``fn-open`` record claims nothing, so it is accepted for any ``fn:``
+    descriptor without re-running the metric classification behind it.
+    """
     try:
         desc = parse_descriptor(desc_str)
-    except ParseError:
+        if evidence.get("basis") == "fn-open":
+            return evidence.get("label") == "Unknown" and \
+                isinstance(desc, FNGroup)
+        budgets = Budgets(**evidence.get("budgets", {}))
+        return classify_group(desc, budgets).evidence() == evidence
+    except (SymkitError, TypeError):
         return False
-    label = evidence.get("label")
-    basis = evidence.get("basis")
-    budgets = Budgets(**evidence.get("budgets", {}))
-    for probe in evidence.get("probes", []):
-        rep = orbit(desc, probe["gamma"], probe["alpha"], budgets.orbit_budget)
-        if rep.kind != probe["kind"]:
-            return False
-        if probe["kind"] == "full" and rep.size != probe["size"]:
-            return False
-        if probe["kind"] == "atleast" and rep.size < min(probe["size"],
-                                                         budgets.orbit_budget):
-            return False
-    samples = evidence.get("samples", {})
-    if basis == "full-symmetric":
-        return label == "C_S" and all(
-            p["kind"] == "atleast" for p in evidence.get("probes", []))
-    if basis == "trivial-group":
-        return label == "C_1"
-    if basis == "partition-profile-unbounded":
-        A = _partition_of(desc)
-        if A is None or label != "C_P":
-            return False
-        sizes = [s for _, s in samples.get("growing_blocks", [])]
-        if len(sizes) < 4 or sizes != sorted(sizes) or len(set(sizes)) != len(sizes):
-            return False
-        return all(len(A.block_members(b)) == s
-                   for b, s in samples.get("growing_blocks", []))
-    if basis == "partition-profile-bounded":
-        A = _partition_of(desc)
-        if A is None or label != "C_Q":
-            return False
-        bound = samples.get("bound", 0)
-        pairs = samples.get("nonsingleton_blocks", [])
-        if bound < 2 or len(pairs) < 4:
-            return False
-        return all(2 <= len(A.block_members(b)) <= bound and
-                   len(A.block_members(b)) == s for b, s in pairs)
-    if basis == "partition-finite-nonsingletons":
-        return label == "C_1"
-    if basis == "partition-infinite-block":
-        return label == "C_S" and all(
-            p["kind"] == "atleast" for p in evidence.get("probes", []))
-    if basis == "initial-segment-stabilizer":
-        inner = samples.get("inner", {})
-        if not isinstance(desc, PointwiseStab) or \
-                not _is_initial_segment(evidence.get("gamma", [])):
-            return False
-        if inner.get("label") != label:
-            return False
-        return check_evidence(desc.inner.to_string(), inner)
-    if basis == "budget-trivial":
-        A = _partition_of(desc)
-        if A is None or label != "C_1":
-            return False
-        window = samples.get("window", 0)
-        gset = set(evidence.get("gamma", []))
-        for b in A.blocks_within(window):
-            members = A.block_members(b)
-            free = [x for x in members if x not in gset]
-            if len(members) > 1 and len(free) >= 2:
-                return False
-        return True
-    if basis == "budget-surviving-orbits":
-        A = _partition_of(desc)
-        if A is None:
-            return False
-        gset = set(evidence.get("gamma", []))
-        unmet = samples.get("unmet_blocks", [])
-        if not unmet:
-            return False
-        return all(len([x for x in A.block_members(b) if x not in gset]) >= 2
-                   for b in unmet)
-    if basis == "fn-partition":
-        inner = samples.get("inner", {})
-        if inner.get("label") != label:
-            return False
-        return check_evidence(f"stab:{samples.get('metric', '')[len('partition@'):]}",
-                              inner)
-    if basis == "fn-discrete":
-        return label == "C_1"
-    if basis == "fn-worked-example":
-        if label != "C_Q" or samples.get("metric") not in ("standard-omega",
-                                                           "standard-z"):
-            return False
-        case = classify_metric(parse_metric(samples["metric"]))
-        return case.case == samples.get("metric_case") == "CaseIII"
-    if basis == "finite-group":
-        if label != "C_1" or not isinstance(desc, (FiniteSupportG, TrivialG)):
-            return False
-        if isinstance(desc, FiniteSupportG) and desc.gens:
-            _, elements = _closure_elements(desc.gens)
-            return len(elements) == samples.get("order")
-        return samples.get("order", 1) == 1
-    if basis in ("no-certificate", "fn-open"):
-        return label == "Unknown"
-    return False
-
-
-def _partition_of(desc: Descriptor) -> Optional[Partition]:
-    if isinstance(desc, PartitionStab):
-        return desc.A
-    if isinstance(desc, PointwiseStab):
-        return _partition_of(desc.inner)
-    if isinstance(desc, FNGroup) and isinstance(desc.metric, PartitionMetric):
-        return desc.metric.partition
-    return None
-

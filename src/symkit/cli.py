@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import classifier, localdecomp, metrics, partitions, perm, trees, witnesses
-from .errors import SymkitError
+from .errors import ParseError, SymkitError
 
 
 def _emit(args, payload: dict, lines=None) -> None:
@@ -90,7 +90,11 @@ def _cmd_metric(args) -> int:
         refined = metrics.refine_metric(base, U)
         out = []
         for pair in (args.pairs or "0:1").split(","):
-            a, b = (int(x) for x in pair.split(":"))
+            a, _, b = pair.partition(":")
+            if not (a.isdecimal() and b.isdecimal()):
+                raise ParseError(
+                    f"expected a pair of naturals a:b, got {pair!r}")
+            a, b = int(a), int(b)
             res = refined.dist_budgeted(a, b, Fraction(args.radius or 8))
             out.append({"a": a, "b": b, "kind": res.kind,
                         "value": str(res.value)})
@@ -167,6 +171,9 @@ def _cmd_witness(args) -> int:
         _emit(args, payload, [f"witness: {payload['witness']}"])
         return 0
     if args.action == "commutator":
+        if set(args.pattern) - set("01"):
+            raise ParseError(
+                f"pattern must be a bit string, got {args.pattern!r}")
         bits = [int(b) for b in args.pattern]
         lo = -(len(bits) // 2)
         target = {lo + i: bits[i] for i in range(len(bits))}
@@ -255,6 +262,8 @@ def _cmd_tree(args) -> int:
 def _cmd_perm(args) -> int:
     p = perm.parse_perm(args.perm)
     if args.action == "eval":
+        if args.point < 0:
+            raise ParseError(f"expected a natural number, got {args.point}")
         value = p.forward(args.point)
         _emit(args, {"point": args.point, "image": value},
               [f"{args.point} -> {value}"])

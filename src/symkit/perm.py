@@ -615,7 +615,10 @@ def parse_perm(text: str, pos: int = 0) -> Permutation:
                 except ValueError:
                     raise ParseError(f"bad cycle entry in {text!r}", pos + i)
             i = j + 1
-        p = FiniteSupportPermutation.from_cycles(cycles)
+        try:
+            p = FiniteSupportPermutation.from_cycles(cycles)
+        except ValueError as exc:
+            raise ParseError(f"{exc} in {text!r}", pos) from None
     elif s.startswith("rule:"):
         body = s[len("rule:"):]
         pieces = body.split(";")
@@ -628,7 +631,10 @@ def parse_perm(text: str, pos: int = 0) -> Permutation:
             params[k] = int(v) if v.lstrip("-").isdigit() else v
         if name not in BUILTIN_RULES:
             raise ParseError(f"unknown rule {name!r}", pos)
-        p = BUILTIN_RULES[name](params)
+        try:
+            p = BUILTIN_RULES[name](params)
+        except ValueError as exc:
+            raise ParseError(f"{exc} in {text!r}", pos) from None
     elif s.startswith("word:"):
         body = s[len("word:"):].strip()
         if not (body.startswith("[") and body.endswith("]")):

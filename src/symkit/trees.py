@@ -92,8 +92,20 @@ class PartitionStabilizerOracle(GroupOracle):
     def orbit(self, gamma, alpha, n):
         if alpha in gamma:
             return OrbitResult("full", [alpha])
-        block = self.A.block_members(self.A.block_of(alpha))
-        free = [x for x in block if x not in gamma]
+        A = self.A
+        block_id = A.block_of(alpha)
+        if A.profile.kind == "infinite-block" and \
+                block_id == A.block_of(A.profile.block):
+            # the infinite block has no member list: enumerate it through
+            # block_of only
+            pts = []
+            m = 0
+            while len(pts) < n:
+                if m not in gamma and A.block_of(m) == block_id:
+                    pts.append(m)
+                m += 1
+            return OrbitResult("atleast", pts)
+        free = [x for x in A.block_members(block_id) if x not in gamma]
         if alpha not in free or len(free) < 2:
             return OrbitResult("full", [alpha])
         return OrbitResult("full", sorted(free))

@@ -1,5 +1,12 @@
-import pytest
+import copy
+import functools
+import json
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import symkit.classifier as classifier
 from symkit.classifier import (
     CLASS_ORDER,
     LAMBDA_CASE,
@@ -12,10 +19,67 @@ from symkit.classifier import (
     parse_descriptor,
 )
 from symkit.errors import ParseError
+from symkit.metrics import MetricCaseReport
 
 
 def classify(s, budgets=None):
     return classify_group(parse_descriptor(s), budgets)
+
+
+CERTIFIED = [
+    ("full", "C_S"),
+    ("trivial", "C_1"),
+    ("stab:partition:pairs", "C_Q"),
+    ("stab:partition:a0", "C_Q"),
+    ("stab:partition:intervals-growing", "C_P"),
+    ("fn:standard-omega", "C_Q"),
+    ("fn:standard-z", "C_Q"),
+    ("fn:metric:partition@pairs", "C_Q"),
+    ("fn:metric:partition@intervals-growing", "C_P"),
+    ("fn:discrete", "C_1"),
+    ("gens:[cycles:(0 1 2)]", "C_1"),
+    ("gens:[]", "C_1"),
+]
+
+# every other block of [0, 520) pinned: trivial as far as the budget looks
+BUDGET_TRIVIAL_FIX = "fix(stab:partition:pairs;{})".format(
+    ",".join(str(p) for p in range(0, 520, 2)))
+
+REPLAY_CORPUS = [desc for desc, _ in CERTIFIED] + [
+    "fix(stab:partition:pairs;0,2,4)", BUDGET_TRIVIAL_FIX,
+    "stab:partition:evens-block", "oracle:full-sym"]
+
+BASES = ("full-symmetric", "trivial-group", "partition-profile-unbounded",
+         "partition-profile-bounded", "partition-finite-nonsingletons",
+         "partition-infinite-block", "initial-segment-stabilizer",
+         "budget-trivial", "budget-surviving-orbits", "fn-partition",
+         "fn-discrete", "fn-worked-example", "fn-open", "finite-group",
+         "no-certificate")
+
+FORGED = [
+    ("full", {"label": "C_1", "basis": "trivial-group"}),
+    ("full", {"label": "C_1", "basis": "fn-discrete"}),
+    ("stab:partition:pairs",
+     {"label": "C_1", "basis": "partition-finite-nonsingletons"}),
+    ("stab:partition:intervals-growing",
+     {"label": "C_S", "basis": "partition-infinite-block", "probes": []}),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _record(desc):
+    return classify(desc).evidence()
+
+
+def _perturb(value):
+    """A value of the same shape as value that differs from it."""
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, str):
+        return value + "x"
+    if isinstance(value, list):
+        return value + [0]
+    return {**value, "x": 0}
 
 
 class TestOrbit:
@@ -58,20 +122,7 @@ class TestOrbit:
 
 
 class TestClassify:
-    @pytest.mark.parametrize("desc,label", [
-        ("full", "C_S"),
-        ("trivial", "C_1"),
-        ("stab:partition:pairs", "C_Q"),
-        ("stab:partition:a0", "C_Q"),
-        ("stab:partition:intervals-growing", "C_P"),
-        ("fn:standard-omega", "C_Q"),
-        ("fn:standard-z", "C_Q"),
-        ("fn:metric:partition@pairs", "C_Q"),
-        ("fn:metric:partition@intervals-growing", "C_P"),
-        ("fn:discrete", "C_1"),
-        ("gens:[cycles:(0 1 2)]", "C_1"),
-        ("gens:[]", "C_1"),
-    ])
+    @pytest.mark.parametrize("desc,label", CERTIFIED)
     def test_certified_labels(self, desc, label):
         lab = classify(desc)
         assert lab.label == label
@@ -94,8 +145,7 @@ class TestClassify:
             assert check_evidence(f"fix({desc};0,1,2)", fixed.evidence())
 
     def test_budget_trivial_fix(self):
-        gamma = ",".join(str(p) for p in range(0, 520, 2))
-        desc = f"fix(stab:partition:pairs;{gamma})"
+        desc = BUDGET_TRIVIAL_FIX
         lab = classify(desc)
         assert lab.label == "C_1"
         assert not lab.certified
@@ -160,6 +210,65 @@ class TestEvidence:
         lab = classify("stab:partition:pairs")
         assert not check_evidence("stab:partition:intervals-growing",
                                   lab.evidence())
+
+    @pytest.mark.parametrize("desc,record", FORGED,
+                             ids=[r["basis"] for _, r in FORGED])
+    def test_forged_record_rejected(self, desc, record):
+        assert not check_evidence(desc, record)
+
+    def test_unknown_budget_key_rejected(self):
+        assert not check_evidence("full", {"label": "C_S",
+                                           "basis": "full-symmetric",
+                                           "budgets": {"bogus": 1}})
+
+    def test_probe_without_alpha_rejected(self):
+        ev = classify("full").evidence()
+        del ev["probes"][0]["alpha"]
+        assert not check_evidence("full", ev)
+
+    def test_worked_example_needs_case_iii(self, monkeypatch):
+        monkeypatch.setattr(classifier, "classify_metric",
+                            lambda m: MetricCaseReport("CaseII", {}))
+        lab = classify("fn:standard-omega")
+        assert lab.label == "Unknown" and lab.basis == "fn-open"
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.data())
+    def test_every_mutation_rejected(self, data):
+        desc = data.draw(st.sampled_from(REPLAY_CORPUS))
+        record = _record(desc)
+        assert check_evidence(desc, record)
+        assert check_evidence(desc, json.loads(json.dumps(record)))
+        forged = copy.deepcopy(record)
+        where = ["label", "basis", "gamma"]
+        where += ["probe"] if forged["probes"] else []
+        where += ["samples"] if forged["samples"] else []
+        what = data.draw(st.sampled_from(where))
+        if what == "label":
+            forged["label"] = data.draw(st.sampled_from(
+                [x for x in CLASS_ORDER + ("Unknown",)
+                 if x != record["label"]]))
+        elif what == "basis":
+            forged["basis"] = data.draw(st.sampled_from(
+                [b for b in BASES if b != record["basis"]]))
+        elif what == "gamma":
+            forged["gamma"].append(data.draw(st.integers(0, 600)))
+        elif what == "probe":
+            probe = data.draw(st.sampled_from(forged["probes"]))
+            key = data.draw(st.sampled_from(["kind", "size", "points"]))
+            if key == "kind":
+                probe["kind"] = data.draw(st.sampled_from(
+                    [k for k in ("full", "atleast", "unknown")
+                     if k != probe["kind"]]))
+            elif key == "size":
+                probe["size"] += data.draw(st.integers(-8, 8).filter(bool))
+            else:
+                i = data.draw(st.integers(0, len(probe["points"]) - 1))
+                probe["points"][i] += data.draw(st.integers(1, 8))
+        else:
+            key = data.draw(st.sampled_from(sorted(forged["samples"])))
+            forged["samples"][key] = _perturb(forged["samples"][key])
+        assert not check_evidence(desc, forged)
 
 
 class TestDiscreteness:

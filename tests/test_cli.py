@@ -41,6 +41,18 @@ class TestClassify:
         assert code == 1
         assert "error" in err
 
+    def test_lying_partition_profile_exit_1(self, capsys, tmp_path):
+        # a block of size 3 under a declared bound of 2
+        path = tmp_path / "liar.json"
+        path.write_text(json.dumps({
+            "blocks": [[0, 1, 2], [3, 4], [5, 6], [7, 8]],
+            "rest": "singletons",
+            "profile": {"kind": "bounded", "n": 2,
+                        "nonsingletons": "infinite"}}))
+        code, _, err = run(capsys, "--json", "classify",
+                           f"stab:partition:explicit@{path}")
+        assert_error_exit(code, err)
+
 
 class TestOrbit:
     def test_pinned_pair(self, capsys):
@@ -53,6 +65,11 @@ class TestOrbit:
     def test_non_natural_gamma_exit_1(self, capsys, gamma):
         code, _, err = run(capsys, "orbit", "stab:partition:pairs",
                            "--gamma", gamma, "--alpha", "0")
+        assert_error_exit(code, err)
+
+    def test_negative_alpha_exit_1(self, capsys):
+        code, _, err = run(capsys, "orbit", "stab:partition:pairs",
+                           "--gamma", "0", "--alpha", "-1")
         assert_error_exit(code, err)
 
 
@@ -181,6 +198,25 @@ class TestPerm:
     def test_bad_args_exit(self, capsys):
         assert cli_main(["perm", "eval"]) == 1  # missing --perm
         capsys.readouterr()
+
+    def test_negative_point_exit_1(self, capsys):
+        code, _, err = run(capsys, "perm", "eval", "--perm", "rule:shift-z",
+                           "--point", "-1")
+        assert_error_exit(code, err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["perm", "eval", "--perm", "rule:block-rotate;size=0"],
+    ["perm", "eval", "--perm", "rule:block-rotate;size=abc"],
+    ["perm", "eval", "--perm", "cycles:(0 1)(1 2)"],
+    ["perm", "eval", "--perm", "cycles:(0 -1)"],
+    ["metric", "refine", "standard-omega", "--pairs", "0-1"],
+    ["witness", "commutator", "--pattern", "01x"],
+], ids=["rotate-size-0", "rotate-size-abc", "overlapping-cycles",
+        "negative-cycle-point", "refine-pair-dash", "pattern-non-bit"])
+def test_malformed_input_exit_1(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert_error_exit(code, err)
 
 
 class TestReproducibility:

@@ -93,6 +93,12 @@ class TestInfiniteBlockDescriptor:
         assert lab.label == "C_S" and lab.certified
         assert check_evidence(desc, lab.evidence())
 
+    def test_oracle_enumerates_infinite_block(self):
+        r = PartitionStabilizerOracle(parts.evens_block()).orbit(
+            frozenset({0}), 2, 8)
+        assert r.kind == "atleast"
+        assert r.points == [2, 4, 6, 8, 10, 12, 14, 16]
+
     def test_singleton_orbit_outside_block(self):
         rep = orbit(parse_descriptor("stab:partition:evens-block"), [], 3, 32)
         assert rep.kind == "full" and rep.points == [3]
