@@ -466,6 +466,13 @@ def metric_from_partition(A: Partition) -> PartitionMetric:
 # unit-cost moves by the permutations of U.
 
 
+def _as_int_if_integral(d):
+    """d as an int when it is an integral Fraction, else d unchanged."""
+    if isinstance(d, Fraction) and d.denominator == 1:
+        return d.numerator
+    return d
+
+
 @dataclass
 class BudgetedDistance:
     kind: str  # "exact" | "atleast"
@@ -515,22 +522,27 @@ class RefinedMetric(GeneralizedMetric):
         """
         key = (x, radius)
         if key not in self._neighbor_cache:
-            edges = [(y, self.base.dist(x, y))
+            edges = [(y, _as_int_if_integral(self.base.dist(x, y)))
                      for y in self.base.ball(x, radius, cap=cap)]
             edges.extend((u.forward(x), 1) for u in self._moves)
             self._neighbor_cache[key] = edges
         return self._neighbor_cache[key]
 
     def _search(self, start: int, radius: Fraction, cap: int = BALL_CAP) -> dict:
+        """Settled points of the ball of radius around start, with their
+        distances (ints where the path sums are integral)."""
         radius = Fraction(radius)
-        dist = {start: Fraction(0)}
+        # integral costs add and compare as ints, several times faster than
+        # Fractions; a fractional step still mixes in exactly
+        limit = _as_int_if_integral(radius)
+        dist = {start: 0}
         settled: dict = {}
-        heap = [(Fraction(0), start)]
+        heap = [(0, start)]
         while heap:
             v, x = heapq.heappop(heap)
             if x in settled:
                 continue
-            if v >= radius:
+            if v >= limit:
                 break
             settled[x] = v
             if len(settled) > cap:
@@ -538,7 +550,7 @@ class RefinedMetric(GeneralizedMetric):
                     "refined ball exceeds cap", center=start, radius=radius)
             for y, step in self._neighbors(x, radius, cap):
                 w = v + step
-                if w < radius and (y not in dist or w < dist[y]):
+                if w < limit and (y not in dist or w < dist[y]):
                     dist[y] = w
                     heapq.heappush(heap, (w, y))
         return settled
@@ -549,7 +561,7 @@ class RefinedMetric(GeneralizedMetric):
             return BudgetedDistance("exact", Fraction(0))
         settled = self._search(a, radius)
         if b in settled:
-            return BudgetedDistance("exact", settled[b])
+            return BudgetedDistance("exact", Fraction(settled[b]))
         return BudgetedDistance("atleast", radius)
 
     def dist(self, a, b):
