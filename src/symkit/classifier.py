@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
+from .chain import StabilizerChain
 from .errors import (
     ParseError,
     PreconditionError,
@@ -52,11 +53,26 @@ def class_lt(a: str, b: str) -> bool:
     return CLASS_ORDER.index(a) < CLASS_ORDER.index(b)
 
 
-@dataclass
+# The least and greatest value of each Budgets field.  A replay runs at the
+# record's own budgets, so the ceilings cap what any record can make it spend;
+# orbit_budget sets most of that cost.
+BUDGET_LIMITS = {"gamma_max": (0, 64), "samples": (1, 1024),
+                 "orbit_budget": (1, 65536)}
+
+
+@dataclass(frozen=True)
 class Budgets:
     gamma_max: int = 16
     samples: int = 64
     orbit_budget: int = 4096
+
+    def __post_init__(self):
+        for name, (least, most) in BUDGET_LIMITS.items():
+            value = getattr(self, name)
+            if type(value) is not int or not least <= value <= most:
+                raise PreconditionError(
+                    f"budget {name} must be an integer in [{least}, {most}], "
+                    f"got {value!r}")
 
     def to_dict(self):
         return {"gamma_max": self.gamma_max, "samples": self.samples,
@@ -215,21 +231,15 @@ class OrbitReport:
                 "max_observed": self.max_observed}
 
 
-def _closure_elements(gens: Sequence[Permutation]):
+def _finite_group(gens: Sequence[Permutation], base_prefix: Sequence[int] = ()):
+    """The support of gens, its index, and a stabilizer chain of the group
+    they generate, on the support relabelled 0..n-1, whose base starts with
+    the points of base_prefix that lie in the support."""
     points = sorted({a for g in gens for a in g.moved_points()})
     idx = {a: i for i, a in enumerate(points)}
     tables = [tuple(idx[g.forward(a)] for a in points) for g in gens]
-    ident = tuple(range(len(points)))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        st = frontier.pop()
-        for t in tables:
-            new = tuple(t[s] for s in st)
-            if new not in seen:
-                seen.add(new)
-                frontier.append(new)
-    return points, sorted(seen)
+    base = [idx[p] for p in base_prefix if p in idx]
+    return points, idx, StabilizerChain(len(points), tables, base)
 
 
 def _orbit_oracle(desc: Descriptor) -> Optional[GroupOracle]:
@@ -276,15 +286,13 @@ def orbit(desc: Descriptor, gamma: Sequence[int], alpha: int,
         return report("full" if desc.metric.discrete_infinite else "unknown",
                       [alpha])
     if isinstance(desc, FiniteSupportG):
-        points, elements = _closure_elements(desc.gens)
-        idx = {a: i for i, a in enumerate(points)}
-        relevant_gamma = [p for p in glist if p in idx]
-        stab = [e for e in elements
-                if all(points[e[idx[p]]] == p for p in relevant_gamma)]
+        points, idx, chain = _finite_group(desc.gens, glist)
         if alpha not in idx:
             return report("full", [alpha])
-        orb = sorted({points[e[idx[alpha]]] for e in stab})
-        return report("full", orb)
+        # the base starts with the gamma points in the support; the others
+        # are fixed by every element
+        orb = chain.orbit(idx[alpha], len(gset & idx.keys()))
+        return report("full", [points[x] for x in orb])
     raise PreconditionError(f"no orbit adapter for {desc!r}")
 
 
@@ -373,9 +381,9 @@ def classify_group(desc: Descriptor, budgets: Optional[Budgets] = None) -> Class
         if not desc.gens:
             return _label("C_1", True, "finite-group", [], [], budgets,
                           {"order": 1})
-        points, elements = _closure_elements(desc.gens)
+        points, _, chain = _finite_group(desc.gens)
         return _label("C_1", True, "finite-group", points, [], budgets,
-                      {"order": len(elements), "support": points})
+                      {"order": chain.order, "support": points})
 
     if isinstance(desc, OracleG):
         probes = _probe_full_style(desc, budgets)
@@ -627,11 +635,11 @@ def check_evidence(desc_str: str, evidence: dict) -> bool:
     descriptor without re-running the metric classification behind it.
     """
     try:
+        budgets = Budgets(**evidence.get("budgets", {}))
         desc = parse_descriptor(desc_str)
         if evidence.get("basis") == "fn-open":
             return evidence.get("label") == "Unknown" and \
                 isinstance(desc, FNGroup)
-        budgets = Budgets(**evidence.get("budgets", {}))
         return classify_group(desc, budgets).evidence() == evidence
     except (SymkitError, TypeError):
         return False

@@ -24,6 +24,26 @@ def _emit(args, payload: dict, lines=None) -> None:
             print(line)
 
 
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"expected a rational number, got {text!r}") from None
+
+
+def _natural_pairs(text: str) -> list:
+    """'a:b,c:d' as [(a, b), (c, d)]; ParseError unless every entry is a
+    pair of naturals."""
+    pairs = []
+    for pair in text.split(","):
+        a, _, b = pair.partition(":")
+        if not (a.isdecimal() and b.isdecimal()):
+            raise ParseError(
+                f"expected a pair of naturals a:b, got {pair!r}")
+        pairs.append((int(a), int(b)))
+    return pairs
+
+
 # -- subcommands -------------------------------------------------------------
 
 
@@ -57,7 +77,7 @@ def _cmd_orbit(args) -> int:
 def _cmd_metric(args) -> int:
     d = metrics.parse_metric(args.metric)
     if args.action == "classify":
-        radii = ([Fraction(r) for r in args.radius.split(",")]
+        radii = ([_fraction(r) for r in args.radius.split(",")]
                  if args.radius else metrics.DEFAULT_RADII)
         rep = metrics.classify_metric(d, radii=radii,
                                       centers=args.centers or 512,
@@ -88,14 +108,10 @@ def _cmd_metric(args) -> int:
         base = d
         U = [perm.parse_perm(p) for p in (args.u or [])]
         refined = metrics.refine_metric(base, U)
+        radius = _fraction(args.radius or "8")
         out = []
-        for pair in (args.pairs or "0:1").split(","):
-            a, _, b = pair.partition(":")
-            if not (a.isdecimal() and b.isdecimal()):
-                raise ParseError(
-                    f"expected a pair of naturals a:b, got {pair!r}")
-            a, b = int(a), int(b)
-            res = refined.dist_budgeted(a, b, Fraction(args.radius or 8))
+        for a, b in _natural_pairs(args.pairs or "0:1"):
+            res = refined.dist_budgeted(a, b, radius)
             out.append({"a": a, "b": b, "kind": res.kind,
                         "value": str(res.value)})
         _emit(args, {"metric": refined.key, "distances": out},
@@ -226,7 +242,10 @@ def _cmd_tree(args) -> int:
         return 0
     if args.action == "branch":
         tree = _tree_from_args(args)
-        choice = [int(c) for c in (args.choice or "0" * tree.depth)]
+        choice = args.choice or "0" * tree.depth
+        if not choice.isdecimal():
+            raise ParseError(f"choice must be a digit string, got {choice!r}")
+        choice = [int(c) for c in choice]
         g = trees.branch_limit(tree, choice)
         images = {a: g.forward(a) for a in tree.alphas}
         payload = {"choice": choice,
@@ -247,11 +266,7 @@ def _cmd_tree(args) -> int:
         bps = perm.parse_points(args.breakpoints or "0,1,3,6")
         etree = trees.build_e_tree(family, bps, depth=args.depth or 3)
         s = trees.build_s(etree)
-        pi = {}
-        if args.pi:
-            for pair in args.pi.split(","):
-                k, v = pair.split(":")
-                pi[int(k)] = int(v)
+        pi = dict(_natural_pairs(args.pi)) if args.pi else {}
         rep = trees.verify_conjugation(etree, s, pi, args.window or 8)
         payload = {"ok": rep.ok, "checked": rep.checked, "failure": rep.failure}
         _emit(args, payload, [f"ok: {rep.ok}"])

@@ -162,6 +162,9 @@ class FiniteSupportPermutation(Permutation):
     def inverse(self):
         return FiniteSupportPermutation(self._inv)
 
+    def moved_points(self) -> list:
+        return sorted(self._map)
+
     def cycles(self) -> list:
         """Disjoint cycles, each rotated to start at its least point, sorted."""
         out = []

@@ -18,7 +18,7 @@ from symkit.classifier import (
     orbit,
     parse_descriptor,
 )
-from symkit.errors import ParseError
+from symkit.errors import ParseError, PreconditionError
 from symkit.metrics import MetricCaseReport
 
 
@@ -220,6 +220,30 @@ class TestEvidence:
         assert not check_evidence("full", {"label": "C_S",
                                            "basis": "full-symmetric",
                                            "budgets": {"bogus": 1}})
+
+    # an orbit_budget of 10**6 costs a replay about a second, and samples 0
+    # would divide the fix(...) window step by zero
+    @pytest.mark.parametrize("desc,budgets", [
+        ("full", {"orbit_budget": 10**6}),
+        ("fix(stab:partition:pairs;1,3)", {"samples": 0}),
+    ], ids=["over-ceiling", "under-floor"])
+    def test_budget_out_of_range_rejected_before_classifying(
+            self, monkeypatch, desc, budgets):
+        def refuse(*args):
+            raise AssertionError("classified at an out-of-range budget")
+
+        monkeypatch.setattr(classifier, "classify_group", refuse)
+        assert not check_evidence(desc, {"label": "C_S", "basis": "x",
+                                         "budgets": budgets})
+
+    @pytest.mark.parametrize("name", sorted(classifier.BUDGET_LIMITS))
+    def test_budget_limits(self, name):
+        least, most = classifier.BUDGET_LIMITS[name]
+        assert getattr(classifier.Budgets(**{name: least}), name) == least
+        assert getattr(classifier.Budgets(**{name: most}), name) == most
+        for bad in (least - 1, most + 1, str(most), True):
+            with pytest.raises(PreconditionError):
+                classifier.Budgets(**{name: bad})
 
     def test_probe_without_alpha_rejected(self):
         ev = classify("full").evidence()

@@ -212,8 +212,16 @@ class TestPerm:
     ["perm", "eval", "--perm", "cycles:(0 -1)"],
     ["metric", "refine", "standard-omega", "--pairs", "0-1"],
     ["witness", "commutator", "--pattern", "01x"],
+    ["tree", "branch", "--oracle", "stab-a0", "--choice", "1x1"],
+    ["tree", "verify", "--oracle", "stab-a0", "--pi", "1-2"],
+    ["metric", "classify", "standard-omega", "--radius", "x"],
+    ["metric", "refine", "standard-omega", "--radius", "x"],
+    ["metric", "refine", "standard-omega", "--radius", "1/0"],
+    ["classify", "full", "--budget", "65"],
 ], ids=["rotate-size-0", "rotate-size-abc", "overlapping-cycles",
-        "negative-cycle-point", "refine-pair-dash", "pattern-non-bit"])
+        "negative-cycle-point", "refine-pair-dash", "pattern-non-bit",
+        "branch-choice", "verify-pi", "classify-radius", "refine-radius",
+        "refine-radius-zero-denominator", "budget-over-ceiling"])
 def test_malformed_input_exit_1(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert_error_exit(code, err)
