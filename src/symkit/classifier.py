@@ -396,7 +396,7 @@ def _classify_partition_stab(desc: Descriptor, A: Partition, budgets: Budgets,
                              extra_gamma: Sequence[int]) -> ClassLabel:
     profile = A.profile
     window = budgets.samples * 4
-    if extra_gamma:
+    if extra_gamma and not isinstance(profile, HasInfiniteBlock):
         # an arbitrary finite set pins finitely many blocks; report what the
         # probes can actually certify at this budget
         gset = set(extra_gamma)
@@ -466,6 +466,7 @@ def _classify_partition_stab(desc: Descriptor, A: Partition, budgets: Budgets,
         probes = []
         stab = desc if isinstance(desc, PartitionStab) else PartitionStab(A, A.key)
         for gamma in _initial_segments(budgets):
+            gamma = sorted(set(gamma).union(extra_gamma))
             block_pt = None
             m = 0
             while block_pt is None:
@@ -474,7 +475,8 @@ def _classify_partition_stab(desc: Descriptor, A: Partition, budgets: Budgets,
                     block_pt = m
                 m += 1
             probes.append(orbit(stab, gamma, block_pt, budgets.orbit_budget))
-        return _label("C_S", True, "partition-infinite-block", [], probes,
+        return _label("C_S", True, "partition-infinite-block",
+                      sorted(set(extra_gamma)), probes,
                       budgets, {"block": profile.block})
     raise PreconditionError("unknown profile")
 

@@ -7,6 +7,7 @@ arithmetic) but cannot return the distance itself.
 """
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from dataclasses import dataclass
@@ -80,6 +81,8 @@ INF = _Infinity()
 Distance = Union[int, Fraction, _Infinity]
 
 BALL_CAP = 4096
+# entries a refined metric keeps in its neighbor cache
+NEIGHBOR_CACHE_CAP = 2048
 
 
 def is_finite(d: Distance) -> bool:
@@ -166,11 +169,6 @@ def _ceil_int(r) -> int:
     return -((-f.numerator) // f.denominator)
 
 
-def _floor_int(r) -> int:
-    f = Fraction(r)
-    return f.numerator // f.denominator
-
-
 def _floor_strict(r) -> int:
     """Largest integer strictly below r."""
     f = Fraction(r)
@@ -196,35 +194,39 @@ class SqrtMetric(GeneralizedMetric):
     def dist_cmp(self, a, b, r):
         r = Fraction(r)
         if a == b:
-            return _cmp(Fraction(0), r)
-        if r < 0:
+            return _cmp(0, r)
+        if r <= 0:
             return 1
-        if r == 0:
-            return 1
-        # |sqrt(a) - sqrt(b)| vs r  <=>  (a + b - r^2) vs 2 sqrt(ab)
-        lhs = Fraction(a) + b - r * r
+        # |sqrt(a) - sqrt(b)| vs r = p/q  <=>  q^2 (a + b) - p^2 vs 2 q^2 sqrt(ab)
+        p, q2 = r.numerator, r.denominator ** 2
+        lhs = q2 * (a + b) - p * p
         if lhs < 0:
             return -1
-        return _cmp(lhs * lhs, 4 * Fraction(a) * b)
+        return _cmp(lhs * lhs, 4 * q2 * q2 * a * b)
 
     def ball(self, a, r, cap=BALL_CAP):
+        """The interval of m with |sqrt(m) - sqrt(a)| < r, each end found by
+        galloping out from a and bisecting (unbounded search)."""
         r = Fraction(r)
         if r <= 0:
             return []
-        out = [a]
-        m = a - 1
-        while m >= 0 and self.dist_cmp(a, m, r) < 0:
-            out.append(m)
-            m -= 1
-        m = a + 1
-        while self.dist_cmp(a, m, r) < 0:
-            out.append(m)
-            m += 1
-            if len(out) > cap:
-                raise NotUncrowdedError("ball exceeds cap", center=a, radius=r)
-        if len(out) > cap:
+        reach = max(0, cap)   # an end at offset cap already makes cap + 1 points
+        hi = a + _last_true(lambda k: self.dist_cmp(a, a + k, r) < 0, reach)
+        lo = a - _last_true(lambda k: self.dist_cmp(a, a - k, r) < 0,
+                            min(a, reach))
+        if hi - lo + 1 > cap:
             raise NotUncrowdedError("ball exceeds cap", center=a, radius=r)
-        return sorted(out)
+        return list(range(lo, hi + 1))
+
+
+def _last_true(pred: Callable[[int], bool], n: int) -> int:
+    """The largest k in [0, n] with pred(k), for pred true at 0 and then
+    false from some k on: probe 1, 2, 4, ... and bisect the last gap."""
+    good, bad = 0, 1
+    while bad <= n and pred(bad):
+        good, bad = bad, 2 * bad
+    gap = range(good + 1, min(bad, n + 1))
+    return good + bisect.bisect_left(gap, True, key=lambda k: not pred(k))
 
 
 class UltraBase2(GeneralizedMetric):
@@ -366,13 +368,16 @@ class CayleyF2(GeneralizedMetric):
     """Word metric on the free group on two generators.
 
     Points are reduced words enumerated by length then lexicographically over
-    the alphabet a, A, b, B (capital = inverse).
+    the alphabet a, A, b, B (capital = inverse).  Within a length n >= 1 the
+    rank reads the first letter as a digit 0..3 and each later one as a
+    base-3 digit among the letters that do not cancel it; the index is
+    2*3^(n-1) - 1 + rank.  So the prefix j letters shorter has rank
+    rank // 3^j, and the extensions by t letters have the 3^t ranks from
+    rank * 3^t.
     """
 
     key = "cayley-f2"
     all_finite = True
-    _letters = "aAbB"
-    _inv = {"a": "A", "A": "a", "b": "B", "B": "b"}
 
     def __init__(self):
         def bound(r):
@@ -381,80 +386,59 @@ class CayleyF2(GeneralizedMetric):
 
         self.uniform_bound = bound
 
-    @classmethod
-    def index_to_word(cls, m: int) -> str:
+    @staticmethod
+    def _decode(m: int) -> Tuple[int, int]:
+        """(length, rank) of the word with index m."""
         if m == 0:
-            return ""
-        length = 1
-        offset = 1
-        count = 4
-        while m >= offset + count:
-            offset += count
+            return 0, 0
+        length, first, count = 1, 1, 4
+        while m >= first + count:
+            first += count
             count *= 3
             length += 1
-        rank = m - offset
-        first = cls._letters[rank // 3 ** (length - 1)]
-        word = first
-        rank %= 3 ** (length - 1)
-        for pos in range(length - 1):
-            allowed = [c for c in cls._letters if c != cls._inv[word[-1]]]
-            step = 3 ** (length - 2 - pos)
-            word += allowed[rank // step]
-            rank %= step
-        return word
+        return length, m - first
 
-    @classmethod
-    def word_to_index(cls, w: str) -> int:
-        if not w:
-            return 0
-        offset = 1
-        count = 4
-        for _ in range(len(w) - 1):
-            offset += count
-            count *= 3
-        rank = cls._letters.index(w[0]) * 3 ** (len(w) - 1)
-        for pos in range(1, len(w)):
-            allowed = [c for c in cls._letters if c != cls._inv[w[pos - 1]]]
-            rank += allowed.index(w[pos]) * 3 ** (len(w) - 1 - pos)
-        return offset + rank
-
-    @classmethod
-    def reduce(cls, w: str) -> str:
-        out: list = []
-        for c in w:
-            if out and out[-1] == cls._inv[c]:
-                out.pop()
-            else:
-                out.append(c)
-        return "".join(out)
-
-    @classmethod
-    def invert(cls, w: str) -> str:
-        return "".join(cls._inv[c] for c in reversed(w))
+    @staticmethod
+    def _index(length: int, rank: int) -> int:
+        return 2 * 3 ** (length - 1) - 1 + rank if length else 0
 
     def dist(self, a, b):
-        wa = self.index_to_word(a)
-        wb = self.index_to_word(b)
-        return len(self.reduce(self.invert(wa) + wb))
+        # reduced words meet at their longest common prefix
+        na, ra = self._decode(a)
+        nb, rb = self._decode(b)
+        n = min(na, nb)
+        ra //= 3 ** (na - n)
+        rb //= 3 ** (nb - n)
+        while n and ra != rb:
+            n -= 1
+            ra //= 3
+            rb //= 3
+        return na + nb - 2 * n
 
     def ball(self, a, r, cap=BALL_CAP):
         k = max(0, _ceil_int(r) - 1)
-        w = self.index_to_word(a)
-        out = []
-        frontier = [""]
-        for _ in range(k + 1):
-            next_frontier = []
-            for x in frontier:
-                if len(x) < r:
-                    out.append(self.word_to_index(self.reduce(w + x)))
-                if len(x) < k:
-                    allowed = self._letters if not x else [
-                        c for c in self._letters if c != self._inv[x[-1]]]
-                    next_frontier.extend(x + c for c in allowed)
-            frontier = next_frontier
-        if len(out) > cap:
+        size = 2 * 3 ** k - 1 if r > 0 else 0
+        if size > cap:
             raise NotUncrowdedError("ball exceeds cap", center=a, radius=r)
-        return sorted(set(out))
+        if not size:
+            return []
+        # walk up from the center; j steps up, take the ancestor and the
+        # subtrees of its children, but not the child leading back down
+        out = []
+        length, rank = self._decode(a)
+        back = None
+        for j in range(min(k, length) + 1):
+            out.append(self._index(length, rank))
+            children = range(4) if not length else range(3 * rank, 3 * rank + 3)
+            for c in children:
+                if c == back:
+                    continue
+                for t in range(k - j):
+                    lo = self._index(length + 1 + t, c * 3 ** t)
+                    out.extend(range(lo, lo + 3 ** t))
+            back, length, rank = rank, length - 1, rank // 3
+        out.sort()
+        return out
 
 
 def metric_from_partition(A: Partition) -> PartitionMetric:
@@ -514,19 +498,30 @@ class RefinedMetric(GeneralizedMetric):
 
             self.uniform_bound = bound
 
-    def _neighbors(self, x: int, radius: Fraction, cap: int) -> list:
-        """Weighted edges out of x, cached per (point, radius).
+    def _neighbors(self, x: int, radius: Fraction, cap: int) -> tuple:
+        """Edges out of x other than to x itself, as (cost, points) groups in
+        increasing cost, each point once per group; cached per (point,
+        radius), and the oldest entry goes past NEIGHBOR_CACHE_CAP.
 
         The base ball is taken at the full radius: surplus neighbors relax to
         costs past the budget and get pruned, so the answer is unchanged.
         """
         key = (x, radius)
-        if key not in self._neighbor_cache:
-            edges = [(y, _as_int_if_integral(self.base.dist(x, y)))
-                     for y in self.base.ball(x, radius, cap=cap)]
-            edges.extend((u.forward(x), 1) for u in self._moves)
-            self._neighbor_cache[key] = edges
-        return self._neighbor_cache[key]
+        groups = self._neighbor_cache.get(key)
+        if groups is None:
+            by_cost: dict = {}
+            for y in self.base.ball(x, radius, cap=cap):
+                if y != x:
+                    cost = _as_int_if_integral(self.base.dist(x, y))
+                    by_cost.setdefault(cost, {})[y] = None
+            by_cost.setdefault(1, {}).update(
+                dict.fromkeys(u.forward(x) for u in self._moves))
+            by_cost[1].pop(x, None)
+            groups = tuple((c, tuple(by_cost[c])) for c in sorted(by_cost))
+            if len(self._neighbor_cache) >= NEIGHBOR_CACHE_CAP:
+                del self._neighbor_cache[next(iter(self._neighbor_cache))]
+            self._neighbor_cache[key] = groups
+        return groups
 
     def _search(self, start: int, radius: Fraction, cap: int = BALL_CAP) -> dict:
         """Settled points of the ball of radius around start, with their
@@ -548,11 +543,14 @@ class RefinedMetric(GeneralizedMetric):
             if len(settled) > cap:
                 raise NotUncrowdedError(
                     "refined ball exceeds cap", center=start, radius=radius)
-            for y, step in self._neighbors(x, radius, cap):
+            for step, ys in self._neighbors(x, radius, cap):
                 w = v + step
-                if w < limit and (y not in dist or w < dist[y]):
-                    dist[y] = w
-                    heapq.heappush(heap, (w, y))
+                if w >= limit:
+                    break
+                for y in ys:
+                    if y not in dist or w < dist[y]:
+                        dist[y] = w
+                        heapq.heappush(heap, (w, y))
         return settled
 
     def dist_budgeted(self, a: int, b: int, radius: Fraction) -> BudgetedDistance:

@@ -158,6 +158,17 @@ class TestClassify:
         assert lab.label == "C_Q" and not lab.certified
         assert check_evidence(desc, lab.evidence())
 
+    def test_fix_infinite_block_is_cs(self):
+        # the infinite block keeps an infinite orbit off any finite gamma
+        desc = "fix(stab:partition:evens-block;1,3)"
+        lab = classify(desc)
+        assert (lab.label, lab.certified) == ("C_S", True)
+        assert lab.basis == "partition-infinite-block"
+        assert lab.gamma == [1, 3]
+        assert all({1, 3} <= set(p.gamma) for p in lab.probes)
+        assert check_evidence(desc, lab.evidence())
+        assert check_evidence(desc, json.loads(json.dumps(lab.evidence())))
+
     def test_finite_nonsingleton_partition_is_countable(self):
         import json
 

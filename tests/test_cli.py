@@ -32,6 +32,14 @@ class TestClassify:
         assert payload["replay_ok"] is True
         assert payload["probes"]
 
+    def test_fix_infinite_block_exit_0(self, capsys):
+        code, out, _ = run(capsys, "--json", "classify",
+                           "fix(stab:partition:evens-block;1,3)")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["label"] == "C_S" and payload["gamma"] == [1, 3]
+        assert payload["replay_ok"] is True
+
     def test_unknown_exit_2(self, capsys):
         code, _, _ = run(capsys, "classify", "oracle:full-sym")
         assert code == 2

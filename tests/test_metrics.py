@@ -1,3 +1,4 @@
+import heapq
 import math
 import random
 from fractions import Fraction
@@ -10,9 +11,11 @@ from symkit.errors import (
     NotUncrowdedError,
     UnsupportedMetricError,
 )
+import symkit.metrics as metrics
 from symkit.metrics import (
     BALL_CAP,
     INF,
+    NEIGHBOR_CACHE_CAP,
     CayleyF2,
     CayleyZ2,
     DiscreteInfinite,
@@ -36,6 +39,7 @@ from symkit.metrics import (
 )
 from symkit.partitions import (
     BoundedBy,
+    a0,
     explicit,
     intervals_growing,
     pairs,
@@ -161,7 +165,79 @@ def brute_refined(base, U, a, b, limit):
     return best[0]
 
 
+def best_first(base, U, a, radius):
+    """Points within distance < radius of a, with their distances: a plain
+    best-first search over base balls of the remaining radius and the moves
+    of U, without a cache."""
+    moves = list(U) + [u.inverse() for u in U]
+    dist = {a: Fraction(0)}
+    settled = {}
+    heap = [(Fraction(0), a)]
+    while heap:
+        v, x = heapq.heappop(heap)
+        if x in settled:
+            continue
+        settled[x] = v
+        steps = [(y, base.dist(x, y)) for y in base.ball(x, radius - v)]
+        steps += [(u.forward(x), 1) for u in moves]
+        for y, step in steps:
+            w = v + step
+            if w < radius and w < dist.get(y, radius):
+                dist[y] = w
+                heapq.heappush(heap, (w, y))
+    return settled
+
+
+def refine_configs():
+    """The four (base metric, U) configurations of acceptance criterion 2,
+    then a far move that the search must follow with short base steps, and
+    a base whose cost-2 neighbors no cost-1 steps reach."""
+    return [
+        (StandardOmega(), [rule("swap-pairs")]),
+        (metric_from_partition(pairs()), [rule("swap-pairs"), cyc([0, 2])]),
+        (metric_from_partition(a0()),
+         [rule("shift-z"), cyc([1, 4]), rule("swap-pairs")]),
+        (metric_from_partition(intervals_growing()),
+         [rule("swap-pairs"), cyc([0, 3])]),
+        (StandardOmega(), [cyc([0, 100])]),
+        (UltraBase2(), [cyc([0, 100])]),
+    ]
+
+
 class TestRefine:
+    @pytest.mark.parametrize("cache_cap", [NEIGHBOR_CACHE_CAP, 4])
+    @pytest.mark.parametrize("config", range(6))
+    def test_matches_best_first(self, monkeypatch, config, cache_cap):
+        # with a cap of 4 entries the cache evicts inside every query
+        monkeypatch.setattr(metrics, "NEIGHBOR_CACHE_CAP", cache_cap)
+        base, U = refine_configs()[config]
+        ref = refine_metric(base, U)
+        rng = random.Random(config)
+        for _ in range(40):
+            a = rng.choice((rng.randrange(400), 0, 100))
+            b = rng.choice((rng.randrange(400), max(0, a + rng.randrange(-4, 5))))
+            radius = rng.choice((Fraction(2), Fraction(3), Fraction(7, 2),
+                                 Fraction(4)))
+            expected = best_first(base, U, a, radius)
+            assert ref.ball(a, radius) == sorted(expected)
+            got = ref.dist_budgeted(a, b, radius)
+            if b in expected:
+                assert (got.kind, got.value) == ("exact", expected[b])
+            else:
+                assert (got.kind, got.value) == ("atleast", radius)
+            assert len(ref._neighbor_cache) <= cache_cap
+
+    def test_neighbor_cache_bounded(self):
+        ref = refine_metric(StandardOmega(), [rule("swap-pairs")])
+        rng = random.Random(4)
+        queries = 0
+        while queries < 2 * NEIGHBOR_CACHE_CAP:
+            a = rng.randrange(10 ** 6)
+            ref.dist_budgeted(a, rng.randrange(10 ** 6), Fraction(3))
+            queries += 1
+            assert len(ref._neighbor_cache) <= NEIGHBOR_CACHE_CAP
+        assert len(ref._neighbor_cache) == NEIGHBOR_CACHE_CAP
+
     def test_empty_u_equals_base(self):
         base = StandardOmega()
         ref = refine_metric(base, [])
