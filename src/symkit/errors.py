@@ -8,6 +8,10 @@ class SymkitError(Exception):
 class EvaluationBudgetError(SymkitError):
     """A single query exceeded its primitive-application budget."""
 
+    def __init__(self, message, limit=None, spent=None, form=None):
+        super().__init__(message)
+        self.limit, self.spent, self.form = limit, spent, form
+
 
 class NoSupportCertificateError(SymkitError):
     """An operation needed a finite-support certificate the permutation lacks."""

@@ -604,15 +604,7 @@ class NormReport:
 
 def _support_norm(g: Permutation, d: GeneralizedMetric) -> Distance:
     """Exact norm of a certified finite-support permutation."""
-    best: Distance = 0
-    for a in range(g.support_bound or 0):
-        b = g.forward(a)
-        if b == a:
-            continue
-        v = d.dist(a, b)
-        if v > best:
-            best = v
-    return best
+    return max((d.dist(a, g.forward(a)) for a in g.moved_points()), default=0)
 
 
 def _certified_bound(g: Permutation, d: GeneralizedMetric) -> Optional[Distance]:

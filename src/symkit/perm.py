@@ -3,9 +3,10 @@
 Permutations act on the right: ``apply(p, a)`` is the image of ``a`` under
 ``p``, and a word ``[p, q]`` applies ``p`` first, then ``q``.  Every
 permutation carries both directions explicitly; a rule is never inverted by
-search.  Evaluation is lazy and budgeted: a single query may spend at most
-``DEFAULT_STEP_BUDGET`` primitive applications unless a different budget is
-installed with :func:`evaluation_budget`.
+search.  Evaluation is lazy and budgeted: a top-level ``forward``/``backward``
+call gets 10^6 fresh steps on a :class:`Meter` (``limit``, ``spent``), shared
+by its nested calls; :func:`evaluation_budget` yields one for a block, and an
+exhausted meter stays exhausted until its block exits.
 
 Values are immutable after construction and safe to share across threads;
 memo tables fill idempotently.  User-supplied rules must be pure -- that is
@@ -27,41 +28,43 @@ from .errors import (
 
 DEFAULT_STEP_BUDGET = 10**6
 
-_state = threading.local()
+
+@dataclass(slots=True)
+class Meter:
+    """One evaluation budget: ``spent`` primitive applications of ``limit``."""
+
+    limit: int
+    spent: int = 0
 
 
-def _charge(n: int = 1) -> None:
-    remaining = getattr(_state, "remaining", None)
-    if remaining is None:
-        return
-    remaining -= n
-    if remaining < 0:
-        _state.remaining = None
-        raise EvaluationBudgetError("evaluation step budget exhausted")
-    _state.remaining = remaining
+class _State(threading.local):
+    meter: Optional[Meter] = None
+
+    def __init__(self):  # runs once per thread: the meter top-level calls reuse
+        self.default = Meter(DEFAULT_STEP_BUDGET)
+
+
+_state = _State()
+
+
+def _charge(form: str) -> None:
+    meter = _state.meter
+    meter.spent += 1
+    if meter.spent > meter.limit:
+        raise EvaluationBudgetError(
+            f"evaluation step budget exhausted: limit {meter.limit}, form {form}",
+            limit=meter.limit, spent=meter.spent, form=form)
 
 
 @contextmanager
 def evaluation_budget(limit: int = DEFAULT_STEP_BUDGET):
-    """Install a primitive-application budget for the enclosed queries."""
-    previous = getattr(_state, "remaining", None)
-    _state.remaining = limit
+    """Yield a fresh :class:`Meter` for the block; restore the previous on exit."""
+    previous = _state.meter
+    meter = _state.meter = Meter(limit)
     try:
-        yield
+        yield meter
     finally:
-        _state.remaining = previous
-
-
-def _entry(fn):
-    """Open a default budget around a public evaluation entry point."""
-
-    def wrapped(self, alpha):
-        if getattr(_state, "remaining", None) is None:
-            with evaluation_budget(DEFAULT_STEP_BUDGET):
-                return fn(self, alpha)
-        return fn(self, alpha)
-
-    return wrapped
+        _state.meter = previous
 
 
 # --------------------------------------------------------------------------
@@ -105,8 +108,25 @@ class Permutation:
     def _bwd(self, alpha: int) -> int:
         raise NotImplementedError
 
-    forward = _entry(lambda self, alpha: self._fwd(alpha))
-    backward = _entry(lambda self, alpha: self._bwd(alpha))
+    def forward(self, alpha: int) -> int:
+        if _state.meter is not None:
+            return self._fwd(alpha)
+        meter = _state.meter = _state.default
+        meter.spent = 0
+        try:
+            return self._fwd(alpha)
+        finally:
+            _state.meter = None
+
+    def backward(self, alpha: int) -> int:
+        if _state.meter is not None:
+            return self._bwd(alpha)
+        meter = _state.meter = _state.default
+        meter.spent = 0
+        try:
+            return self._bwd(alpha)
+        finally:
+            _state.meter = None
 
     def inverse(self) -> "Permutation":
         raise NotImplementedError
@@ -152,11 +172,11 @@ class FiniteSupportPermutation(Permutation):
         return cls(mapping)
 
     def _fwd(self, alpha):
-        _charge()
+        _charge("cycles")
         return self._map.get(alpha, alpha)
 
     def _bwd(self, alpha):
-        _charge()
+        _charge("cycles")
         return self._inv.get(alpha, alpha)
 
     def inverse(self):
@@ -204,11 +224,11 @@ class RulePermutation(Permutation):
         self.displacement_bounds = dict(displacement_bounds or {})
 
     def _fwd(self, alpha):
-        _charge()
+        _charge("rule")
         return self._f(alpha)
 
     def _bwd(self, alpha):
-        _charge()
+        _charge("rule")
         return self._b(alpha)
 
     def inverse(self):

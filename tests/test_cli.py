@@ -3,6 +3,7 @@ import json
 import pytest
 
 from symkit.cli import cli_main
+from symkit.perm import evaluation_budget
 
 
 def run(capsys, *argv):
@@ -233,6 +234,14 @@ class TestPerm:
 def test_malformed_input_exit_1(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert_error_exit(code, err)
+
+
+def test_budget_exhausted_exit_1(capsys):
+    with evaluation_budget(1):
+        code, _, err = run(capsys, "perm", "eval", "--perm",
+                           "word:[cycles:(0 1),cycles:(1 2)]", "--point", "0")
+    assert_error_exit(code, err)
+    assert err == "error: evaluation step budget exhausted: limit 1, form cycles\n"
 
 
 class TestReproducibility:

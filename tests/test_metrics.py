@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symkit.errors import (
     InsufficientSetError,
@@ -329,6 +331,25 @@ class TestNorm:
     def test_rule_without_certificate(self):
         rep = norm(rule("shift-z"), StandardOmega(), window=64)
         assert rep.certificate == "unknown"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 300), max_size=12, unique=True)
+                    .flatmap(lambda pts: st.permutations(pts).map(
+                        lambda img: FiniteSupportPermutation(dict(zip(pts, img))))),
+                    min_size=1, max_size=3),
+           st.sampled_from(RATIONAL_BUILTINS))
+    def test_support_norm_matches_range_scan(self, perms, make):
+        def scan(g, d):  # the former _support_norm, kept as the oracle
+            best = 0
+            for a in range(g.support_bound or 0):
+                b = g.forward(a)
+                if b != a and d.dist(a, b) > best:
+                    best = d.dist(a, b)
+            return best
+
+        d = make()
+        for g in perms + [word(*perms)]:
+            assert metrics._support_norm(g, d) == scan(g, d)
 
 
 class TestUnboundedWitness:

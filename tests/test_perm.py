@@ -1,4 +1,5 @@
 import random
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from symkit.errors import (
 from symkit.perm import (
     ConvergentSequence,
     FiniteSupportPermutation,
+    Permutation,
     RulePermutation,
     WordPermutation,
     agrees_on_window,
@@ -148,6 +150,119 @@ class TestBudget:
             with pytest.raises(EvaluationBudgetError):
                 w.forward(0)
         assert w.forward(0) == 0  # ten swaps cancel
+
+    def test_exhausted_budget_stays_exhausted(self):
+        w = word(*[rule("swap-pairs")] * 10)
+        with evaluation_budget(5):
+            for _ in range(2):  # the second call gets no fresh default budget
+                with pytest.raises(EvaluationBudgetError):
+                    w.forward(0)
+        assert w.forward(0) == 0
+
+    @pytest.mark.parametrize("p, form", [
+        (rule("swap-pairs"), "rule"),
+        (cyc([0, 1]), "cycles"),
+    ])
+    def test_error_carries_limit_spent_form(self, p, form):
+        with evaluation_budget(3):
+            with pytest.raises(EvaluationBudgetError) as info:
+                word(*[p] * 4).forward(0)
+        err = info.value
+        assert (err.limit, err.spent, err.form) == (3, 4, form)
+        assert str(err) == f"evaluation step budget exhausted: limit 3, form {form}"
+
+    def test_meter_counts_primitive_factors(self):
+        w = word(rule("swap-pairs"), cyc([0, 1, 2]), rule("shift-z"))
+        with evaluation_budget(100) as m:
+            w.forward(0)
+            assert m.spent == 3
+            w.backward(5)
+            assert (m.limit, m.spent) == (100, 6)
+
+    def test_nested_calls_share_the_outer_meter(self):
+        class Twice(Permutation):
+            def __init__(self, inner):
+                super().__init__()
+                self.inner = inner
+
+            def _fwd(self, alpha):
+                return self.inner.forward(self.inner.forward(alpha))
+
+        t = Twice(word(rule("swap-pairs"), rule("swap-pairs")))
+        with evaluation_budget(10) as m:
+            assert t.forward(0) == 0
+            assert m.spent == 4
+        with evaluation_budget(3) as m:
+            with pytest.raises(EvaluationBudgetError):
+                t.forward(0)
+            assert m.spent == 4
+
+    def test_each_top_level_call_gets_a_fresh_default_budget(self):
+        w = rule("swap-pairs")
+        for _ in range(19):  # 2^19 steps: two calls together pass 10^6
+            w = word(w, w)
+        assert w.forward(0) == 0
+        assert w.forward(0) == 0
+
+    def test_previous_meter_restored(self):
+        w = word(rule("swap-pairs"), rule("swap-pairs"))
+        with evaluation_budget(50) as outer:
+            with evaluation_budget(50) as inner:
+                w.forward(0)
+            w.forward(0)
+            assert (outer.spent, inner.spent) == (2, 2)
+            with evaluation_budget(1):
+                with pytest.raises(EvaluationBudgetError):
+                    w.forward(0)
+            w.forward(0)
+            assert outer.spent == 4
+        assert w.forward(0) == 0
+        assert outer.spent == 4
+
+    def test_meters_are_per_thread(self):
+        w = word(*[rule("swap-pairs")] * 10)
+        entered, done = (threading.Barrier(2, timeout=30) for _ in range(2))
+        results = {}
+
+        def budgeted():
+            with evaluation_budget(5) as m:
+                entered.wait()
+                done.wait()
+                results["other_spent"] = m.spent
+                try:
+                    w.forward(0)
+                except EvaluationBudgetError as exc:
+                    results["budgeted"] = exc.spent
+
+        def unbudgeted():
+            entered.wait()
+            results["unbudgeted"] = w.forward(0)
+            done.wait()
+
+        threads = [threading.Thread(target=f) for f in (budgeted, unbudgeted)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert results == {"other_spent": 0, "budgeted": 6, "unbudgeted": 0}
+
+    def test_concurrent_top_level_calls_keep_separate_meters(self):
+        gate = threading.Barrier(2, timeout=30)
+        meet = RulePermutation("meet", lambda a: (gate.wait(), a)[1], lambda a: a)
+        deep = rule("swap-pairs")
+        for _ in range(19):  # 2^19 steps each: one shared meter would pass 10^6
+            deep = word(deep, deep)
+        w = word(meet, deep)
+        results = []
+        threads = [threading.Thread(target=lambda: results.append(w.forward(0)))
+                   for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [0, 0]
 
 
 class TestLimit:
