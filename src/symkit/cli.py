@@ -387,6 +387,10 @@ def cli_main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     random.seed(args.seed)
     try:
+        for name in ("window", "depth", "count", "centers", "budget"):
+            value = getattr(args, name, None)  # None: the command's default
+            if value is not None and value < 1:
+                raise ParseError(f"--{name} must be at least 1, got {value}")
         return _DISPATCH[args.command](args)
     except SymkitError as exc:
         print(f"error: {exc}", file=sys.stderr)

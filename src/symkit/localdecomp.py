@@ -118,6 +118,8 @@ class _PairedExchanger(Permutation):
         return mapping
 
     def _fwd(self, alpha):
+        if self.support_bound is not None and alpha >= self.support_bound:
+            return alpha  # the blocks from support_bound up have no crossers
         i = self.bp.index_of(alpha) // 2
         return self._pairing(i).get(alpha, alpha)
 

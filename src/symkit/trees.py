@@ -134,6 +134,32 @@ class TreeNode:
     event: frozenset           # the set the factor was required to fix
 
 
+class _TreeElement(WordPermutation):
+    """A node's element: its own left factor, then its parent's memoised
+    element, so a new (element, point) pair costs one factor step.  Either
+    direction fills both memos; ``factors`` keeps the flat word to print."""
+
+    def __init__(self, node: TreeNode, parent: Permutation):
+        super().__init__(node.factors, memo=True)
+        self._factor, self._parent = node.factor, parent
+
+    def _fwd(self, alpha):
+        value = self._memo_f.get(alpha)
+        if value is None:
+            value = self._parent._fwd(self._factor._fwd(alpha))
+            self._memo_f[alpha] = value
+            self._memo_b[value] = alpha
+        return value
+
+    def _bwd(self, alpha):
+        value = self._memo_b.get(alpha)
+        if value is None:
+            value = self._factor._bwd(self._parent._bwd(alpha))
+            self._memo_b[alpha] = value
+            self._memo_f[value] = alpha
+        return value
+
+
 class TreeState:
     """State of one recursion: pivots, per-round gammas, and indexed elements.
 
@@ -144,6 +170,10 @@ class TreeState:
                    orbits of size at least |level| * n_sequence[j].
       "inf":       elements g(k_0..k_{r-1}) grouped by r + sum(k) = j; every
                    pivot needs an orbit larger than everything built so far.
+
+    Elements are evaluated through their parents.  Gammas grow incrementally:
+    ``_swept`` lists the base points and pivots pulled back so far, and
+    ``_gamma_acc`` holds them with their preimages under every element.
     """
 
     def __init__(self, mode: str, oracle: GroupOracle,
@@ -158,6 +188,9 @@ class TreeState:
             (): TreeNode((), [], identity(), None, frozenset())}
         self._perms: Dict[tuple, Permutation] = {(): identity()}
         self._used_targets: set = set()
+        self._swept: List[int] = []
+        self._gamma_acc: set = set()
+        self._gamma_mark = (0, 0)  # node and swept-point counts at last call
         self.rounds = 0
 
     # -- shared plumbing ----------------------------------------------------
@@ -165,21 +198,28 @@ class TreeState:
     def perm(self, key: tuple) -> Permutation:
         if key not in self._perms:
             node = self.nodes[key]
-            self._perms[key] = (WordPermutation(node.factors, memo=True)
-                                if node.factors else identity())
+            self._perms[key] = _TreeElement(node, self.perm(node.parent))
         return self._perms[key]
 
     def _points(self, j: int) -> List[int]:
         return list(range(j)) + self.alphas[:j] + self.betas[:j]
 
     def _gamma(self, j: int) -> frozenset:
-        pts = self._points(j)
-        out = set(pts)
-        for key in self.nodes:
+        """The points of round j and their preimages under every element:
+        new points on old elements, all points on new ones.  A point already
+        in the gamma as a preimage is still swept once it is a base point."""
+        swept, acc = self._swept, self._gamma_acc
+        for p in self._points(j):
+            if p not in swept:
+                swept.append(p)
+        acc.update(swept)
+        old_nodes, old_swept = self._gamma_mark
+        for i, key in enumerate(self.nodes):
             e = self.perm(key)
-            for p in pts:
-                out.add(e.backward(p))
-        return frozenset(out)
+            acc.update(e.backward(p) for p in
+                       swept[old_swept if i < old_nodes else 0:])
+        self._gamma_mark = (len(self.nodes), len(swept))
+        return frozenset(acc)
 
     def level_keys(self, j: int) -> List[tuple]:
         if self.mode == "inf":
@@ -257,11 +297,8 @@ class TreeState:
         for key in level:
             g = self.perm(key)
             for k in range(self.n_at(j)):
-                chosen = None
-                for tau in orbit_pts:
-                    if g.forward(tau) not in used_images:
-                        chosen = tau
-                        break
+                chosen = next((tau for tau in orbit_pts
+                               if g.forward(tau) not in used_images), None)
                 if chosen is None:
                     raise HypothesisFailureError(
                         f"orbit of {alpha} too small to avoid collisions",
@@ -308,10 +345,8 @@ class TreeState:
             g = self.perm(parent)
             level = len(key) - 1
             pivot = self.alphas[level]
-            pts = list(range(level)) + self.alphas[:level]
-            lam = set(pts)
-            for p in pts:
-                lam.add(g.backward(p))
+            pts = self._points(level)
+            lam = set(pts) | {g.backward(p) for p in pts}
             if pivot in lam:
                 raise HypothesisFailureError(
                     f"pivot {pivot} pinned by the event set of {key}",
@@ -323,13 +358,9 @@ class TreeState:
             n = 16
             while chosen is None:
                 r = self.oracle.orbit(frozenset(lam), pivot, n)
-                for tau in sorted(r.points):
-                    if tau in avoid:
-                        continue
-                    if g.forward(tau) in forbidden_images:
-                        continue
-                    chosen = tau
-                    break
+                chosen = next((tau for tau in sorted(r.points)
+                               if tau not in avoid and
+                               g.forward(tau) not in forbidden_images), None)
                 if chosen is None:
                     if r.kind == "full":
                         raise HypothesisFailureError(
@@ -359,11 +390,14 @@ class TreeState:
         for key, node in self.nodes.items():
             if node.parent is None:
                 continue
+            checked_factors += 1
+            if isinstance(node.factor, FiniteSupportPermutation) and \
+                    node.event.isdisjoint(node.factor.moved_points()):
+                continue
             for p in node.event:
                 if node.factor.forward(p) != p:
                     raise IllFormedTreeError(
                         f"factor of {key} moves {p} of its event set")
-            checked_factors += 1
         sibling_checks = 0
         for j in range(self.rounds):
             if self.mode == "binary":
@@ -401,6 +435,8 @@ def _compositions(total: int, parts: int):
 def build_tree(oracle: GroupOracle, mode: str, depth: int,
                n_sequence: Optional[Sequence[int]] = None,
                depth_cap: int = 12) -> TreeState:
+    if depth < 0:
+        raise PreconditionError(f"depth must be a natural number, got {depth}")
     if depth > depth_cap:
         raise PreconditionError(
             f"depth {depth} exceeds the cap {depth_cap}: node counts grow "
@@ -438,14 +474,9 @@ def branch_sequence(tree: TreeState, choice: Sequence[int]) -> ConvergentSequenc
     depth = len(choice)
 
     def lean_gamma(j: int) -> frozenset:
-        pts = set(range(j))
-        pts.update(tree.alphas[:j])
-        pts.update(tree.betas[:j])
+        pts = set(tree._points(j))
         prev = tree.perm(prefixes[j])
-        out = set(pts)
-        for p in pts:
-            out.add(prev.backward(p))
-        return frozenset(out)
+        return frozenset(pts | {prev.backward(p) for p in pts})
 
     def base_terms(j: int):
         j = min(j, depth)

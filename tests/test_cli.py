@@ -227,10 +227,23 @@ class TestPerm:
     ["metric", "refine", "standard-omega", "--radius", "x"],
     ["metric", "refine", "standard-omega", "--radius", "1/0"],
     ["classify", "full", "--budget", "65"],
+    ["--window", "-5", "local", "decompose", "--perm", "cycles:(0 1)"],
+    ["--window", "-3", "metric", "norm", "standard-omega",
+     "--perm", "cycles:(0 5)"],
+    ["local", "decompose", "--perm", "cycles:(0 1)", "--window", "0"],
+    ["tree", "build", "--depth", "0"],
+    ["tree", "build", "--depth", "-1"],
+    ["tree", "s", "--depth", "0"],
+    ["local", "breakpoints", "--perm", "cycles:(0 1)", "--count", "0"],
+    ["metric", "classify", "sqrt", "--centers", "-1"],
+    ["classify", "full", "--budget", "0"],
 ], ids=["rotate-size-0", "rotate-size-abc", "overlapping-cycles",
         "negative-cycle-point", "refine-pair-dash", "pattern-non-bit",
         "branch-choice", "verify-pi", "classify-radius", "refine-radius",
-        "refine-radius-zero-denominator", "budget-over-ceiling"])
+        "refine-radius-zero-denominator", "budget-over-ceiling",
+        "window-negative", "norm-window-negative", "window-zero",
+        "depth-zero", "depth-negative", "e-tree-depth-zero", "count-zero",
+        "centers-negative", "budget-zero"])
 def test_malformed_input_exit_1(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert_error_exit(code, err)
