@@ -10,7 +10,6 @@ from .perm import (
     Permutation,
     RulePermutation,
     WordPermutation,
-    ZEmbedding,
     apply,
     evaluation_budget,
     identity,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .errors import PreconditionError
-from .perm import Permutation, WordPermutation
+from .perm import Permutation, WordPermutation, metered
 
 
 class Breakpoints:
@@ -30,14 +30,17 @@ class Breakpoints:
         self.ensure(count)
 
     def ensure(self, count: int) -> None:
-        while len(self.a) <= count:
-            prev = self.a[-1]
-            while self._scanned < prev:
-                x = self._scanned
-                self._max_seen = max(self._max_seen, self.f.forward(x) + 1,
-                                     self.f.backward(x) + 1)
-                self._scanned += 1
-            self.a.append(max(prev + 1, self._max_seen))
+        if len(self.a) > count:
+            return
+        with metered():
+            while len(self.a) <= count:
+                prev = self.a[-1]
+                while self._scanned < prev:
+                    x = self._scanned
+                    self._max_seen = max(self._max_seen, self.f._fwd(x) + 1,
+                                         self.f._bwd(x) + 1)
+                    self._scanned += 1
+                self.a.append(max(prev + 1, self._max_seen))
 
     def value(self, i: int) -> int:
         self.ensure(i)
@@ -169,10 +172,11 @@ def is_local(f: Permutation, probe_prefix: int) -> LocalityReport:
                               basis="empty probe")
     witnesses = []
     running_max = -1
-    for j in range(1, probe_prefix + 1):
-        running_max = max(running_max, f.forward(j - 1), f.backward(j - 1))
-        if running_max < j:
-            witnesses.append(j)
+    with metered():
+        for j in range(1, probe_prefix + 1):
+            running_max = max(running_max, f._fwd(j - 1), f._bwd(j - 1))
+            if running_max < j:
+                witnesses.append(j)
     if f.support_bound is not None:
         return LocalityReport("yes", witnesses, probe=probe_prefix,
                               basis="finite support certificate")

@@ -30,6 +30,7 @@ from .perm import (
     RulePermutation,
     WordPermutation,
     identity,
+    metered,
     nat_to_z,
     parse_perm,
     split_top,
@@ -604,7 +605,8 @@ class NormReport:
 
 def _support_norm(g: Permutation, d: GeneralizedMetric) -> Distance:
     """Exact norm of a certified finite-support permutation."""
-    return max((d.dist(a, g.forward(a)) for a in g.moved_points()), default=0)
+    with metered():
+        return max((d.dist(a, g._fwd(a)) for a in g.moved_points()), default=0)
 
 
 def _certified_bound(g: Permutation, d: GeneralizedMetric) -> Optional[Distance]:
@@ -622,26 +624,27 @@ def _certified_bound(g: Permutation, d: GeneralizedMetric) -> Optional[Distance]
 
 
 def _lower_bound(g: Permutation, d: GeneralizedMetric, window: int) -> Distance:
-    if d.value_class == "rational":
-        best: Distance = 0
+    with metered():
+        if d.value_class == "rational":
+            best: Distance = 0
+            for a in range(window):
+                v = d.dist(a, g._fwd(a))
+                if v > best:
+                    best = v
+                    if isinstance(best, _Infinity):
+                        break
+            return best
+        # comparison-only: the largest integer threshold some probed pair meets
+        best_t = 0
         for a in range(window):
-            v = d.dist(a, g.forward(a))
-            if v > best:
-                best = v
-                if isinstance(best, _Infinity):
-                    break
-        return best
-    # comparison-only: the largest integer threshold some probed pair meets
-    best_t = 0
-    for a in range(window):
-        b = g.forward(a)
-        if b == a:
-            continue
-        t = best_t
-        while d.dist_cmp(a, b, Fraction(t + 1)) >= 0 and t < window:
-            t += 1
-        best_t = max(best_t, t)
-    return best_t
+            b = g._fwd(a)
+            if b == a:
+                continue
+            t = best_t
+            while d.dist_cmp(a, b, Fraction(t + 1)) >= 0 and t < window:
+                t += 1
+            best_t = max(best_t, t)
+        return best_t
 
 
 def norm(g: Permutation, d: GeneralizedMetric, window: int = 256) -> NormReport:
@@ -957,15 +960,16 @@ def net_flow(f: Permutation, cuts: Iterable[int] = range(-4, 5),
             "net_flow needs a certified standard-z displacement bound")
     b = _ceil_int(bound) if bound else 1
     per_cut = {}
-    for c in cuts:
-        up = down = 0
-        for z in range(c - b, c + b):
-            image = nat_to_z(f.forward(z_to_nat(z)))
-            if z < c <= image:
-                up += 1
-            if image < c <= z:
-                down += 1
-        per_cut[c] = up - down
+    with metered():
+        for c in cuts:
+            up = down = 0
+            for z in range(c - b, c + b):
+                image = nat_to_z(f._fwd(z_to_nat(z)))
+                if z < c <= image:
+                    up += 1
+                if image < c <= z:
+                    down += 1
+            per_cut[c] = up - down
     values = set(per_cut.values())
     return FlowValue(per_cut, values.pop() if len(values) == 1 else None)
 

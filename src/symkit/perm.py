@@ -3,10 +3,14 @@
 Permutations act on the right: ``apply(p, a)`` is the image of ``a`` under
 ``p``, and a word ``[p, q]`` applies ``p`` first, then ``q``.  Every
 permutation carries both directions explicitly; a rule is never inverted by
-search.  Evaluation is lazy and budgeted: a top-level ``forward``/``backward``
-call gets 10^6 fresh steps on a :class:`Meter` (``limit``, ``spent``), shared
-by its nested calls; :func:`evaluation_budget` yields one for a block, and an
-exhausted meter stays exhausted until its block exits.
+search.  Evaluation is lazy and budgeted: each top-level ``forward`` or
+``backward`` call, and each library loop run under :func:`metered`, gets
+10^6 fresh steps on a :class:`Meter` (``limit``, ``spent``) shared by its
+nested calls.  The metered loops: ``moved_points``, ``conjugate``,
+``verify_window``, ``agrees_on_window``, ``parity``, ``verify_to``, tree
+rounds, ``verify_invariants``, ``Breakpoints.ensure``, ``is_local``,
+``net_flow`` and ``norm``'s probes.  :func:`evaluation_budget` yields a
+meter for a block, and an exhausted meter stays exhausted until it exits.
 
 Values are immutable after construction and safe to share across threads;
 memo tables fill idempotently.  User-supplied rules must be pure -- that is
@@ -16,7 +20,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .errors import (
@@ -37,18 +41,22 @@ class Meter:
     spent: int = 0
 
 
-class _State(threading.local):
+@dataclass(slots=True)
+class _State:
     meter: Optional[Meter] = None
-
-    def __init__(self):  # runs once per thread: the meter top-level calls reuse
-        self.default = Meter(DEFAULT_STEP_BUDGET)
+    default: Meter = field(default_factory=lambda: Meter(DEFAULT_STEP_BUDGET))
 
 
-_state = _State()
+class _Local(threading.local):
+    def __init__(self):  # once per thread: its meter slot and reused default
+        self.state = _State()
+
+
+_local = _Local()
 
 
 def _charge(form: str) -> None:
-    meter = _state.meter
+    meter = _local.state.meter
     meter.spent += 1
     if meter.spent > meter.limit:
         raise EvaluationBudgetError(
@@ -59,12 +67,28 @@ def _charge(form: str) -> None:
 @contextmanager
 def evaluation_budget(limit: int = DEFAULT_STEP_BUDGET):
     """Yield a fresh :class:`Meter` for the block; restore the previous on exit."""
-    previous = _state.meter
-    meter = _state.meter = Meter(limit)
+    state = _local.state
+    outer, state.meter = state.meter, Meter(limit)
+    try:
+        yield state.meter
+    finally:
+        state.meter = outer
+
+
+@contextmanager
+def metered():
+    """Yield the installed meter, or else the thread's default one with a
+    fresh budget, as a top-level call does; inside the block ``_fwd`` and
+    ``_bwd`` may be called directly."""
+    state = _local.state
+    outer = state.meter
+    meter = state.meter = outer or state.default
+    if outer is None:
+        meter.spent = 0
     try:
         yield meter
     finally:
-        _state.meter = previous
+        state.meter = outer
 
 
 # --------------------------------------------------------------------------
@@ -79,11 +103,6 @@ def z_to_nat(z: int) -> int:
 
 def nat_to_z(m: int) -> int:
     return m // 2 if m % 2 == 0 else -(m + 1) // 2
-
-
-class ZEmbedding:
-    to_nat = staticmethod(z_to_nat)
-    from_nat = staticmethod(nat_to_z)
 
 
 # --------------------------------------------------------------------------
@@ -109,24 +128,26 @@ class Permutation:
         raise NotImplementedError
 
     def forward(self, alpha: int) -> int:
-        if _state.meter is not None:
+        state = _local.state
+        if state.meter is not None:
             return self._fwd(alpha)
-        meter = _state.meter = _state.default
+        meter = state.meter = state.default
         meter.spent = 0
         try:
             return self._fwd(alpha)
         finally:
-            _state.meter = None
+            state.meter = None
 
     def backward(self, alpha: int) -> int:
-        if _state.meter is not None:
+        state = _local.state
+        if state.meter is not None:
             return self._bwd(alpha)
-        meter = _state.meter = _state.default
+        meter = state.meter = state.default
         meter.spent = 0
         try:
             return self._bwd(alpha)
         finally:
-            _state.meter = None
+            state.meter = None
 
     def inverse(self) -> "Permutation":
         raise NotImplementedError
@@ -137,7 +158,8 @@ class Permutation:
             raise NoSupportCertificateError(
                 f"{self.form} permutation carries no finite-support certificate"
             )
-        return [a for a in range(self.support_bound) if self.forward(a) != a]
+        with metered():
+            return [a for a in range(self.support_bound) if self._fwd(a) != a]
 
     def __repr__(self):
         return f"<{type(self).__name__} {format_perm(self)!r}>"
@@ -287,6 +309,14 @@ class WordPermutation(Permutation):
         return WordPermutation([f.inverse() for f in reversed(self.factors)],
                                memo=self._memo_f is not None)
 
+    def moved_points(self) -> list:
+        """With every factor certified, test only the factors' moved points."""
+        if any(f.support_bound is None for f in self.factors):
+            return super().moved_points()
+        with metered():
+            candidates = {a for f in self.factors for a in f.moved_points()}
+            return [a for a in sorted(candidates) if self._fwd(a) != a]
+
 
 def word(*factors: Permutation, memo: bool = False) -> WordPermutation:
     return WordPermutation(list(factors), memo=memo)
@@ -300,11 +330,9 @@ def conjugate(f: Permutation, t: Permutation) -> WordPermutation:
     """
     c = WordPermutation([f.inverse(), t, f])
     if t.support_bound is not None:
-        moved = t.moved_points()
-        if moved:
-            c.support_bound = max(f.forward(a) for a in moved) + 1
-        else:
-            c.support_bound = 0
+        with metered():
+            c.support_bound = max((f._fwd(a) + 1 for a in t.moved_points()),
+                                  default=0)
     return c
 
 
@@ -337,9 +365,10 @@ class ConvergentSequence:
         return self._cache[j]
 
     def verify_to(self, depth: int) -> None:
-        for j in range(self.verified_depth + 1, depth + 1):
-            self._check_level(j)
-            self.verified_depth = j
+        with metered():
+            for j in range(self.verified_depth + 1, depth + 1):
+                self._check_level(j)
+                self.verified_depth = j
 
     def _check_level(self, j: int) -> None:
         g_prev, _ = self.term(j - 1)
@@ -349,13 +378,13 @@ class ConvergentSequence:
                 raise ConvergenceError(
                     f"point {i} missing from Gamma_{j}", level=j, point=i,
                     condition="containment")
-            pre = g_prev.backward(i)
+            pre = g_prev._bwd(i)
             if pre not in gamma_j:
                 raise ConvergenceError(
                     f"preimage {pre} of point {i} under g_{j-1} missing from Gamma_{j}",
                     level=j, point=i, condition="containment")
         for c in sorted(gamma_j):
-            if g_j.forward(c) != g_prev.forward(c):
+            if g_j._fwd(c) != g_prev._fwd(c):
                 raise ConvergenceError(
                     f"g_{j} disagrees with g_{j-1} at {c} of Gamma_{j}",
                     level=j, point=c, condition="coset")
@@ -369,15 +398,14 @@ def constant_tail(seq_terms: Callable[[int], tuple], depth: int):
     can evaluate at arbitrary points.
     """
 
+    tail: list = []  # (m, g^-1(m)) for m < len(tail), grown as j grows
+
     def terms(j: int):
         if j < depth:
             return seq_terms(j)
         g, gamma = seq_terms(depth - 1) if depth > 0 else seq_terms(0)
-        extra = set(gamma)
-        for m in range(j):
-            extra.add(m)
-            extra.add(g.backward(m))
-        return g, frozenset(extra)
+        tail.extend((m, g.backward(m)) for m in range(len(tail), j))
+        return g, frozenset(gamma).union(*tail[:j])
 
     return terms
 
@@ -443,39 +471,40 @@ class WindowReport:
 def verify_window(p: Permutation, n: int) -> WindowReport:
     """Check two-sided consistency and injectivity of ``p`` on [0, n)."""
     seen: dict = {}
-    for alpha in range(n):
-        try:
-            beta = p.forward(alpha)
-            if not isinstance(beta, int) or beta < 0:
+    with metered():
+        for alpha in range(n):
+            try:
+                beta = p._fwd(alpha)
+                if not isinstance(beta, int) or beta < 0:
+                    return WindowReport(False, n, {
+                        "kind": "forward-not-natural", "point": alpha, "value": beta})
+                if beta in seen and seen[beta] != alpha:
+                    return WindowReport(False, n, {
+                        "kind": "forward-collision", "point": alpha,
+                        "other": seen[beta], "value": beta})
+                seen[beta] = alpha
+                if p._bwd(beta) != alpha:
+                    return WindowReport(False, n, {
+                        "kind": "backward-of-forward", "point": alpha, "value": beta})
+                gamma = p._bwd(alpha)
+                if not isinstance(gamma, int) or gamma < 0:
+                    return WindowReport(False, n, {
+                        "kind": "backward-not-natural", "point": alpha, "value": gamma})
+                if p._fwd(gamma) != alpha:
+                    return WindowReport(False, n, {
+                        "kind": "forward-of-backward", "point": alpha, "value": gamma})
+            except EvaluationBudgetError:
+                raise
+            except Exception as exc:  # a user rule misbehaved: report, don't raise
                 return WindowReport(False, n, {
-                    "kind": "forward-not-natural", "point": alpha, "value": beta})
-            if beta in seen and seen[beta] != alpha:
-                return WindowReport(False, n, {
-                    "kind": "forward-collision", "point": alpha,
-                    "other": seen[beta], "value": beta})
-            seen[beta] = alpha
-            if p.backward(beta) != alpha:
-                return WindowReport(False, n, {
-                    "kind": "backward-of-forward", "point": alpha, "value": beta})
-            gamma = p.backward(alpha)
-            if not isinstance(gamma, int) or gamma < 0:
-                return WindowReport(False, n, {
-                    "kind": "backward-not-natural", "point": alpha, "value": gamma})
-            if p.forward(gamma) != alpha:
-                return WindowReport(False, n, {
-                    "kind": "forward-of-backward", "point": alpha, "value": gamma})
-        except EvaluationBudgetError:
-            raise
-        except Exception as exc:  # a user rule misbehaved: report, don't raise
-            return WindowReport(False, n, {
-                "kind": "exception", "point": alpha, "error": repr(exc)})
+                    "kind": "exception", "point": alpha, "error": repr(exc)})
     return WindowReport(True, n)
 
 
 def parity(p: Permutation) -> str:
     """Sign of a certified finite-support permutation: "even" or "odd"."""
-    moved = p.moved_points()
-    mapping = {a: p.forward(a) for a in moved}
+    with metered():
+        mapping = {a: p._fwd(a) for a in p.moved_points()}
     seen: set = set()
     transpositions = 0
     for start in mapping:
@@ -492,7 +521,8 @@ def parity(p: Permutation) -> str:
 
 
 def agrees_on_window(p: Permutation, q: Permutation, n: int) -> bool:
-    return all(p.forward(a) == q.forward(a) for a in range(n))
+    with metered():
+        return all(p._fwd(a) == q._fwd(a) for a in range(n))
 
 
 # --------------------------------------------------------------------------

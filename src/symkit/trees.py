@@ -11,6 +11,7 @@ exactly what a depth-bounded construction can observe.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -31,6 +32,7 @@ from .perm import (
     constant_tail,
     identity,
     limit,
+    metered,
 )
 
 PIVOT_SCAN_CAP = 10_000
@@ -214,10 +216,10 @@ class TreeState:
                 swept.append(p)
         acc.update(swept)
         old_nodes, old_swept = self._gamma_mark
-        for i, key in enumerate(self.nodes):
-            e = self.perm(key)
-            acc.update(e.backward(p) for p in
-                       swept[old_swept if i < old_nodes else 0:])
+        with metered():
+            for i, key in enumerate(self.nodes):
+                acc.update(map(self.perm(key)._bwd,
+                               swept[old_swept if i < old_nodes else 0:]))
         self._gamma_mark = (len(self.nodes), len(swept))
         return frozenset(acc)
 
@@ -270,7 +272,7 @@ class TreeState:
         for key in self.level_keys(j):
             g = self.perm(key)
             for bit, target in ((0, a), (1, b)):
-                pre = g.backward(target)
+                pre = g._bwd(target)
                 h = self.oracle.act(gamma, a, pre)
                 self._add_node(key + (bit,), h, gamma)
         self.rounds += 1
@@ -298,12 +300,12 @@ class TreeState:
             g = self.perm(key)
             for k in range(self.n_at(j)):
                 chosen = next((tau for tau in orbit_pts
-                               if g.forward(tau) not in used_images), None)
+                               if g._fwd(tau) not in used_images), None)
                 if chosen is None:
                     raise HypothesisFailureError(
                         f"orbit of {alpha} too small to avoid collisions",
                         level=j, gamma=gamma)
-                used_images.add(g.forward(chosen))
+                used_images.add(g._fwd(chosen))
                 self._add_node(key + (k,),
                                self.oracle.act(gamma, alpha, chosen), gamma)
         self.rounds += 1
@@ -346,13 +348,13 @@ class TreeState:
             level = len(key) - 1
             pivot = self.alphas[level]
             pts = self._points(level)
-            lam = set(pts) | {g.backward(p) for p in pts}
+            lam = set(pts) | {g._bwd(p) for p in pts}
             if pivot in lam:
                 raise HypothesisFailureError(
                     f"pivot {pivot} pinned by the event set of {key}",
                     level=j, gamma=frozenset(lam))
             avoid = set(lam) | set(self.alphas) | self._used_targets
-            forbidden_images = {self.perm(k).forward(pivot)
+            forbidden_images = {self.perm(k)._fwd(pivot)
                                 for k in self.nodes}
             chosen = None
             n = 16
@@ -360,7 +362,7 @@ class TreeState:
                 r = self.oracle.orbit(frozenset(lam), pivot, n)
                 chosen = next((tau for tau in sorted(r.points)
                                if tau not in avoid and
-                               g.forward(tau) not in forbidden_images), None)
+                               g._fwd(tau) not in forbidden_images), None)
                 if chosen is None:
                     if r.kind == "full":
                         raise HypothesisFailureError(
@@ -373,9 +375,10 @@ class TreeState:
         self.rounds += 1
 
     def build_round(self) -> None:
-        {"binary": self._round_binary,
-         "unbounded": self._round_unbounded,
-         "inf": self._round_inf}[self.mode]()
+        with metered():
+            {"binary": self._round_binary,
+             "unbounded": self._round_unbounded,
+             "inf": self._round_inf}[self.mode]()
 
     @property
     def depth(self) -> int:
@@ -386,37 +389,38 @@ class TreeState:
     def verify_invariants(self) -> dict:
         """Re-check the construction: each left factor fixes its event set,
         and distinct same-level elements act differently on their pivot."""
-        checked_factors = 0
-        for key, node in self.nodes.items():
-            if node.parent is None:
-                continue
-            checked_factors += 1
-            if isinstance(node.factor, FiniteSupportPermutation) and \
-                    node.event.isdisjoint(node.factor.moved_points()):
-                continue
-            for p in node.event:
-                if node.factor.forward(p) != p:
-                    raise IllFormedTreeError(
-                        f"factor of {key} moves {p} of its event set")
-        sibling_checks = 0
-        for j in range(self.rounds):
-            if self.mode == "binary":
-                pivot = self.alphas[j]
-                for key in self.level_keys(j):
-                    images = {self.perm(key + (b,)).forward(pivot)
-                              for b in (0, 1)}
-                    if len(images) != 2:
+        with metered():
+            checked_factors = 0
+            for key, node in self.nodes.items():
+                if node.parent is None:
+                    continue
+                checked_factors += 1
+                if isinstance(node.factor, FiniteSupportPermutation) and \
+                        node.event.isdisjoint(node.factor.moved_points()):
+                    continue
+                for p in node.event:
+                    if node.factor._fwd(p) != p:
                         raise IllFormedTreeError(
-                            f"children of {key} collide on pivot {pivot}")
-                    sibling_checks += 1
-            elif self.mode == "unbounded":
-                pivot = self.alphas[j]
-                keys = [k for k in self.nodes if len(k) == j + 1]
-                images = [self.perm(k).forward(pivot) for k in keys]
-                if len(set(images)) != len(images):
-                    raise IllFormedTreeError(
-                        f"level {j + 1} elements collide on pivot {pivot}")
-                sibling_checks += len(keys)
+                            f"factor of {key} moves {p} of its event set")
+            sibling_checks = 0
+            for j in range(self.rounds):
+                if self.mode == "binary":
+                    pivot = self.alphas[j]
+                    for key in self.level_keys(j):
+                        images = {self.perm(key + (b,))._fwd(pivot)
+                                  for b in (0, 1)}
+                        if len(images) != 2:
+                            raise IllFormedTreeError(
+                                f"children of {key} collide on pivot {pivot}")
+                        sibling_checks += 1
+                elif self.mode == "unbounded":
+                    pivot = self.alphas[j]
+                    keys = [k for k in self.nodes if len(k) == j + 1]
+                    images = [self.perm(k)._fwd(pivot) for k in keys]
+                    if len(set(images)) != len(images):
+                        raise IllFormedTreeError(
+                            f"level {j + 1} elements collide on pivot {pivot}")
+                    sibling_checks += len(keys)
         return {"factors_checked": checked_factors,
                 "sibling_checks": sibling_checks}
 
@@ -473,15 +477,13 @@ def branch_sequence(tree: TreeState, choice: Sequence[int]) -> ConvergentSequenc
     prefixes = _branch_prefixes(tree, choice)
     depth = len(choice)
 
-    def lean_gamma(j: int) -> frozenset:
-        pts = set(tree._points(j))
-        prev = tree.perm(prefixes[j])
-        return frozenset(pts | {prev.backward(p) for p in pts})
-
+    @functools.cache  # the constant tail asks for the last term again
     def base_terms(j: int):
         j = min(j, depth)
-        g = tree.perm(prefixes[min(j + 1, depth)])
-        return g, lean_gamma(j)
+        pts = set(tree._points(j))
+        prev = tree.perm(prefixes[j])
+        lean_gamma = frozenset(pts | {prev.backward(p) for p in pts})
+        return tree.perm(prefixes[min(j + 1, depth)]), lean_gamma
 
     return ConvergentSequence(constant_tail(base_terms, depth),
                               description=f"branch {choice}")

@@ -217,10 +217,10 @@ class _HalfRestriction(Permutation):
         return self._parity[block_id] == self.side
 
     def _fwd(self, alpha):
-        return self.h.forward(alpha) if self._mine(self.B.block_of(alpha)) else alpha
+        return self.h._fwd(alpha) if self._mine(self.B.block_of(alpha)) else alpha
 
     def _bwd(self, alpha):
-        return self.h.backward(alpha) if self._mine(self.B.block_of(alpha)) else alpha
+        return self.h._bwd(alpha) if self._mine(self.B.block_of(alpha)) else alpha
 
     def inverse(self):
         return _HalfRestriction(self.h.inverse(), self.B, self.side)

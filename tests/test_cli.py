@@ -96,6 +96,14 @@ class TestMetric:
         assert payload["lower_bound"] == "5"
         assert payload["certificate"] == "finite"
 
+    def test_norm_of_a_far_word_tests_only_its_factors_points(self, capsys):
+        # a scan below the support bound, 3,000,001 points, would pass the
+        # norm's 10^6-step budget
+        code, out, err = run(capsys, "metric", "norm", "standard-omega", "--perm",
+                             "word:[cycles:(0 3000000),cycles:(1 3000000)]")
+        assert (code, out, err) == (
+            0, "lower_bound: 2999999\ncertificate: finite\n", "")
+
     def test_flow(self, capsys):
         code, out, _ = run(capsys, "--json", "metric", "flow",
                            "standard-z", "--perm", "rule:shift-z")
