@@ -87,7 +87,8 @@ class _PairedExchanger(Permutation):
     """The first local factor: swaps paired crossers inside [a(2i), a(2i+2)).
 
     The breakpoints ``bp`` supply ``value(i)`` = a(i) and ``index_of(m)``,
-    the i with a(i) <= m < a(i+1)."""
+    the i with a(i) <= m < a(i+1).  Blocks pair on request into one flat
+    table; below a(2k), blocks 0..k-1 are all paired: one comparison, one get."""
 
     form = "local-factor"
 
@@ -95,7 +96,9 @@ class _PairedExchanger(Permutation):
         super().__init__()
         self.f = f
         self.bp = bp
-        self._cache: dict = {}
+        self._crossers: dict = {}
+        self._paired: set = set()
+        self._k = self._frontier = 0
         if f.support_bound is not None:
             i = 0
             while bp.value(2 * i) < f.support_bound:
@@ -103,8 +106,9 @@ class _PairedExchanger(Permutation):
             self.support_bound = bp.value(2 * i)
 
     def _pairing(self, i: int) -> dict:
-        if i in self._cache:
-            return self._cache[i]
+        """The crosser table, with block i paired."""
+        if i in self._paired:
+            return self._crossers
         lo, mid, hi = (self.bp.value(2 * i + k) for k in range(3))
         f = self.f
         ups = [x for x in range(lo, mid) if f.forward(x) >= mid]
@@ -113,18 +117,21 @@ class _PairedExchanger(Permutation):
             raise PreconditionError(
                 f"crossing counts differ at boundary {mid}: {len(ups)} up vs "
                 f"{len(downs)} down")
-        mapping = {}
-        for a, b in zip(ups, downs):
-            mapping[a] = b
-            mapping[b] = a
-        self._cache[i] = mapping
-        return mapping
+        self._crossers.update(zip(ups, downs))
+        self._crossers.update(zip(downs, ups))
+        self._paired.add(i)
+        k = self._k  # a(2k) is known once block k - 1 is paired
+        while k in self._paired:
+            k += 1
+        self._k, self._frontier = k, self.bp.value(2 * k)
+        return self._crossers
 
     def _fwd(self, alpha):
+        if alpha < self._frontier:
+            return self._crossers.get(alpha, alpha)
         if self.support_bound is not None and alpha >= self.support_bound:
             return alpha  # the blocks from support_bound up have no crossers
-        i = self.bp.index_of(alpha) // 2
-        return self._pairing(i).get(alpha, alpha)
+        return self._pairing(self.bp.index_of(alpha) // 2).get(alpha, alpha)
 
     _bwd = _fwd
 

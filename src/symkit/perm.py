@@ -4,13 +4,15 @@ Permutations act on the right: ``apply(p, a)`` is the image of ``a`` under
 ``p``, and a word ``[p, q]`` applies ``p`` first, then ``q``.  Every
 permutation carries both directions explicitly; a rule is never inverted by
 search.  Evaluation is lazy and budgeted: each top-level ``forward`` or
-``backward`` call, and each library loop run under :func:`metered`, gets
+``backward`` call, and each library loop run under :class:`metered`, gets
 10^6 fresh steps on a :class:`Meter` (``limit``, ``spent``) shared by its
 nested calls.  The metered loops: ``moved_points``, ``conjugate``,
 ``verify_window``, ``agrees_on_window``, ``parity``, ``verify_to``, tree
 rounds, ``verify_invariants``, ``Breakpoints.ensure``, ``is_local``,
 ``net_flow`` and ``norm``'s probes.  :func:`evaluation_budget` yields a
 meter for a block, and an exhausted meter stays exhausted until it exits.
+A word's ``moved_points`` tests only its factors' moved points, gathered
+through inner words without evaluating them.
 
 Values are immutable after construction and safe to share across threads;
 memo tables fill idempotently.  User-supplied rules must be pure -- that is
@@ -75,20 +77,24 @@ def evaluation_budget(limit: int = DEFAULT_STEP_BUDGET):
         state.meter = outer
 
 
-@contextmanager
-def metered():
-    """Yield the installed meter, or else the thread's default one with a
+class metered:
+    """Enter the installed meter, or else the thread's default one with a
     fresh budget, as a top-level call does; inside the block ``_fwd`` and
-    ``_bwd`` may be called directly."""
-    state = _local.state
-    outer = state.meter
-    meter = state.meter = outer or state.default
-    if outer is None:
+    ``_bwd`` may be called directly.  Exit restores the previous meter."""
+
+    __slots__ = ("_state", "_outer")
+
+    def __enter__(self) -> Meter:
+        state = self._state = _local.state
+        outer = self._outer = state.meter
+        if outer is not None:
+            return outer
+        meter = state.meter = state.default
         meter.spent = 0
-    try:
-        yield meter
-    finally:
-        state.meter = outer
+        return meter
+
+    def __exit__(self, *exc) -> None:
+        self._state.meter = self._outer
 
 
 # --------------------------------------------------------------------------
@@ -152,6 +158,10 @@ class Permutation:
     def inverse(self) -> "Permutation":
         raise NotImplementedError
 
+    def _candidates(self):
+        """Points outside which a certified permutation is the identity."""
+        return range(self.support_bound)
+
     def moved_points(self) -> list:
         """Exact support, available only with a finite-support certificate."""
         if self.support_bound is None:
@@ -159,7 +169,7 @@ class Permutation:
                 f"{self.form} permutation carries no finite-support certificate"
             )
         with metered():
-            return [a for a in range(self.support_bound) if self._fwd(a) != a]
+            return [a for a in sorted(self._candidates()) if self._fwd(a) != a]
 
     def __repr__(self):
         return f"<{type(self).__name__} {format_perm(self)!r}>"
@@ -309,13 +319,14 @@ class WordPermutation(Permutation):
         return WordPermutation([f.inverse() for f in reversed(self.factors)],
                                memo=self._memo_f is not None)
 
-    def moved_points(self) -> list:
-        """With every factor certified, test only the factors' moved points."""
+    def _candidates(self):
+        """A point every certified factor fixes is fixed: the other factors'
+        moved points and an inner word's candidates, without running it."""
         if any(f.support_bound is None for f in self.factors):
-            return super().moved_points()
-        with metered():
-            candidates = {a for f in self.factors for a in f.moved_points()}
-            return [a for a in sorted(candidates) if self._fwd(a) != a]
+            return super()._candidates()
+        return {a for f in self.factors for a in (
+            f._candidates() if isinstance(f, WordPermutation)
+            else f.moved_points()) if a < self.support_bound}
 
 
 def word(*factors: Permutation, memo: bool = False) -> WordPermutation:
@@ -383,6 +394,8 @@ class ConvergentSequence:
                 raise ConvergenceError(
                     f"preimage {pre} of point {i} under g_{j-1} missing from Gamma_{j}",
                     level=j, point=i, condition="containment")
+        if g_j is g_prev:
+            return  # a constant tail agrees with itself
         for c in sorted(gamma_j):
             if g_j._fwd(c) != g_prev._fwd(c):
                 raise ConvergenceError(

@@ -139,11 +139,21 @@ class TreeNode:
 class _TreeElement(WordPermutation):
     """A node's element: its own left factor, then its parent's memoised
     element, so a new (element, point) pair costs one factor step.  Either
-    direction fills both memos; ``factors`` keeps the flat word to print."""
+    direction fills both memos; ``factors`` keeps the flat word to print.
+    The certificates are the flat word's, built in O(1) from the parent's."""
 
     def __init__(self, node: TreeNode, parent: Permutation):
-        super().__init__(node.factors, memo=True)
-        self._factor, self._parent = node.factor, parent
+        Permutation.__init__(self)
+        self.factors = node.factors
+        self._memo_f, self._memo_b = {}, {}
+        factor = self._factor = node.factor
+        self._parent = parent
+        if None not in (factor.support_bound, parent.support_bound):
+            self.support_bound = max(factor.support_bound, parent.support_bound)
+        own = factor.displacement_bounds
+        self.displacement_bounds = dict(own) if node.parent == () else {
+            k: v + own[k] for k, v in parent.displacement_bounds.items()
+            if k in own}
 
     def _fwd(self, alpha):
         value = self._memo_f.get(alpha)

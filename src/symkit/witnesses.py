@@ -217,9 +217,13 @@ class _HalfRestriction(Permutation):
         return self._parity[block_id] == self.side
 
     def _fwd(self, alpha):
+        if self.support_bound is not None and alpha >= self.support_bound:
+            return alpha  # h fixes every point from its support bound up
         return self.h._fwd(alpha) if self._mine(self.B.block_of(alpha)) else alpha
 
     def _bwd(self, alpha):
+        if self.support_bound is not None and alpha >= self.support_bound:
+            return alpha
         return self.h._bwd(alpha) if self._mine(self.B.block_of(alpha)) else alpha
 
     def inverse(self):

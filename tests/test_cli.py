@@ -104,6 +104,13 @@ class TestMetric:
         assert (code, out, err) == (
             0, "lower_bound: 2999999\ncertificate: finite\n", "")
 
+    def test_flow_of_a_far_word_tests_only_its_moved_points(self, capsys):
+        # its standard-z bound is 1,500,000: a window of twice that around
+        # every cut would pass the flow's 10^6-step budget
+        code, out, err = run(capsys, "metric", "flow", "standard-z", "--perm",
+                             "word:[cycles:(0 3000000),cycles:(1 3000000)]")
+        assert (code, out, err) == (0, "common_value: 0\n", "")
+
     def test_flow(self, capsys):
         code, out, _ = run(capsys, "--json", "metric", "flow",
                            "standard-z", "--perm", "rule:shift-z")

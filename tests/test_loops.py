@@ -4,9 +4,11 @@ replaced.
 Each oracle below is a loop as it stood when every point paid its own
 top-level ``forward``/``backward`` entry.  A metered loop must give the same
 answer and, under ``evaluation_budget(10**9)``, charge the same primitive
-steps.  The one exception is a word's ``moved_points``: with every factor
-certified it tests only the factors' moved points, so it charges at most
-what the scan below ``support_bound`` charged.
+steps.  Two exceptions test fewer points: a word's ``moved_points``, which
+with every factor certified tests only its factors' moved points, gathered
+through inner words without evaluating them, so it charges at most what the
+scan below ``support_bound`` charged, and ``net_flow`` of a certified
+permutation, which tests only moved points.
 """
 import threading
 from fractions import Fraction
@@ -72,6 +74,7 @@ from symkit.trees import (
     branch_limit,
     build_tree,
 )
+from symkit.witnesses import _HalfRestriction
 
 
 def metered_cost(fn, *args):
@@ -351,6 +354,17 @@ def per_call_moved_points(p):
     return [a for a in range(p.support_bound) if p.forward(a) != a]
 
 
+def per_factor_moved_points(p):
+    """A word's moved points through each factor's, evaluating inner words."""
+    if isinstance(p, FiniteSupportPermutation):
+        return sorted(p._map)
+    if not isinstance(p, WordPermutation) or \
+            any(f.support_bound is None for f in p.factors):
+        return per_call_moved_points(p)
+    candidates = {a for f in p.factors for a in per_factor_moved_points(f)}
+    return [a for a in sorted(candidates) if p.forward(a) != a]
+
+
 def per_call_support_norm(g, d):
     return max((d.dist(a, g.forward(a)) for a in per_call_moved_points(g)),
                default=0)
@@ -543,6 +557,14 @@ def test_net_flow_matches(finite, k, reach):
     assert (flow.per_cut, spent) == metered_cost(per_call_net_flow, f, cuts)
 
 
+@settings(max_examples=100, deadline=None)
+@given(certified, st.integers(0, 12))
+def test_certified_net_flow_matches(f, reach):
+    cuts = range(-reach, reach + 1)
+    flow, spent = metered_cost(net_flow, f, cuts)
+    assert flow.per_cut == per_call_net_flow(f, cuts)
+
+
 @settings(max_examples=200, deadline=None)
 @given(perms | certified)
 def test_moved_points_and_parity_match(p):
@@ -551,9 +573,35 @@ def test_moved_points_and_parity_match(p):
     moved, spent = metered_cost(p.moved_points)
     ref_moved, ref_spent = metered_cost(per_call_moved_points, p)
     assert moved == ref_moved
-    if not any(isinstance(f, WordPermutation) for f in getattr(p, "factors", ())):
-        assert spent <= ref_spent  # only a nested word re-evaluates its factors
+    assert spent <= ref_spent
     assert parity(p) == per_call_parity(p)
+
+
+half_restrictions = st.builds(
+    lambda ks, side: _HalfRestriction(FiniteSupportPermutation(
+        {2 * k + e: 2 * k + 1 - e for k in ks for e in (0, 1)}), parts.pairs(), side),
+    st.sets(st.integers(0, 30), max_size=8), st.integers(0, 1))
+certified_with_scanned_leaves = st.recursive(
+    _finite(60) | half_restrictions,
+    lambda inner: st.lists(inner, min_size=1, max_size=3).map(
+        lambda fs: word(*fs)),
+    max_leaves=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(certified_with_scanned_leaves)
+def test_word_moved_points_charge_at_most_the_factorwise_scan(p):
+    """A certified leaf that is neither finite nor a word is scanned alone,
+    as before inner words were left unevaluated."""
+    moved, spent = metered_cost(p.moved_points)
+    ref_moved, ref_spent = metered_cost(per_factor_moved_points, p)
+    assert moved == ref_moved
+    assert spent <= ref_spent
+
+
+def test_nested_word_moved_points_evaluate_only_the_top_word():
+    p = word(word(FiniteSupportPermutation({0: 1, 1: 0})))
+    assert metered_cost(p.moved_points) == ([0, 1], 2)
 
 
 @settings(max_examples=100, deadline=None)

@@ -286,6 +286,20 @@ class TestLimit:
         assert err.value.level is not None
         assert err.value.point is not None
 
+    def test_coset_condition_between_distinct_terms(self):
+        # only a term that is the same object as the one before may skip it
+        swap, fixed = cyc([2, 3]), identity()
+        seq = ConvergentSequence(
+            lambda j: (swap if j % 2 else fixed, frozenset(range(max(j, 4)))))
+        with pytest.raises(ConvergenceError) as err:
+            limit(seq, 3)
+        assert (err.value.level, err.value.point, err.value.condition) == \
+            (1, 2, "coset")
+        fixed_too = identity()
+        seq = ConvergentSequence(
+            lambda j: (fixed_too if j % 2 else fixed, frozenset(range(j))))
+        assert agrees_on_window(limit(seq, 6), fixed, 20)
+
     def test_stability_across_levels(self):
         p = cyc([0, 1], [4, 5])
         seq = ConvergentSequence(lambda j: (p, frozenset(range(max(j, 6)))))
