@@ -8,13 +8,21 @@ so the library records exactly what was checked.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Union
 
 from .errors import NotIsomorphicError, ParseError, PreconditionError, ProfileViolationError
-from .perm import Permutation, z_to_nat
+from .perm import Permutation, _charge, _Flip, metered, z_to_nat
+
+# Scan caps whose exhaustion decides an answer; any other walk is bounded by
+# the evaluation meter alone.
+SAMPLE_SCAN_POINTS = 10**6     # profile samples: points scanned for evidence
+ELIGIBLE_SCAN_BLOCKS = 50_000  # packer: blocks skipped for one big enough
+MATCH_SCAN_BLOCKS = 20_000     # conjugator: blocks pulled on either side
 
 
 @dataclass(frozen=True)
@@ -58,25 +66,13 @@ class Partition:
 
     def blocks_within(self, window: int) -> List[int]:
         """Ids of the blocks meeting [0, window), in increasing order."""
-        seen = []
-        found = set()
-        for a in range(window):
-            b = self._block_of(a)
-            if b not in found:
-                found.add(b)
-                seen.append(b)
-        return sorted(seen)
+        block_of = self._block_of
+        return [a for a in range(window) if block_of(a) == a]
 
     def iter_blocks(self):
         """All blocks in increasing id order (infinite iterator)."""
-        a = 0
-        emitted: set = set()
-        while True:
-            b = self._block_of(a)
-            if b not in emitted:
-                emitted.add(b)
-                yield b
-            a += 1
+        block_of = self._block_of
+        return (a for a in itertools.count() if block_of(a) == a)
 
     def spot_verify(self, window: int) -> None:
         """Check coverage, disjointness, and the declared profile on a window."""
@@ -105,44 +101,92 @@ class Partition:
                         f"{self.key}: block {b} has size {s} > declared bound "
                         f"{self.profile.n}")
 
-    def sample_growing_blocks(self, count: int, scan_cap: int = 10**6) -> List[int]:
+    def sample_growing_blocks(self, count: int) -> List[int]:
         """Ids of blocks with strictly increasing sizes (UnboundedFinite evidence)."""
         out = []
         best = 0
         a = 0
-        seen: set = set()
-        while len(out) < count and a < scan_cap:
-            b = self._block_of(a)
-            if b not in seen:
-                seen.add(b)
-                s = len(self._block_members(b))
+        while len(out) < count and a < SAMPLE_SCAN_POINTS:
+            if self._block_of(a) == a:
+                s = len(self._block_members(a))
                 if s > best:
                     best = s
-                    out.append(b)
+                    out.append(a)
             a += 1
         if len(out) < count:
             raise ProfileViolationError(
                 f"{self.key}: declared unbounded sizes but found only "
-                f"{len(out)} growing blocks within {scan_cap} points")
+                f"{len(out)} growing blocks within {SAMPLE_SCAN_POINTS} points")
         return out
 
-    def sample_nonsingleton_blocks(self, count: int, start: int = 0,
-                                   scan_cap: int = 10**6) -> List[int]:
+    def sample_nonsingleton_blocks(self, count: int, start: int = 0) -> List[int]:
+        """Ids of the first ``count`` nonsingleton blocks from ``start`` on."""
         out = []
         a = start
-        seen: set = set()
-        while len(out) < count and a < start + scan_cap:
-            b = self._block_of(a)
-            if b not in seen:
-                seen.add(b)
-                if len(self._block_members(b)) > 1:
-                    out.append(b)
+        while len(out) < count and a < start + SAMPLE_SCAN_POINTS:
+            if self._block_of(a) == a and len(self._block_members(a)) > 1:
+                out.append(a)
             a += 1
         if len(out) < count:
             raise ProfileViolationError(
                 f"{self.key}: declared infinitely many nonsingletons but found "
                 f"only {len(out)} past {start}")
         return out
+
+
+class BlockCursor:
+    """One partition's blocks in increasing id order, pulled on demand.
+
+    A block's id is its least member, so point ``a`` starts a block exactly
+    when ``block_of(a) == a``, and block ``b`` is reached once the cursor
+    has passed point ``b``.  Each point tested charges one step, with the
+    owner's ``form``: one block of a growing partition spans many points.
+    A block is taken once the owner's ``record(id)``, if any, returns, so a
+    block whose record raises stays next.  Pulls run under the owner's lock
+    (:func:`extend_while`)."""
+
+    __slots__ = ("_block_of", "form", "_record", "ids", "index", "_next")
+
+    def __init__(self, A: Partition, form: str,
+                 record: Optional[Callable[[int], None]] = None):
+        self._block_of = A._block_of
+        self.form = form
+        self._record = record
+        self.ids: List[int] = []  # the blocks pulled, in id order
+        self.index: dict = {}     # block id -> its position in ids
+        self._next = 0            # the first point not yet tested
+
+    def pull(self) -> int:
+        """The next block's id."""
+        block_of, form = self._block_of, self.form
+        a = self._next
+        _charge(form)
+        while block_of(a) != a:
+            a += 1
+            _charge(form)
+        if self._record is not None:
+            self._record(a)
+        self.ids.append(a)
+        self.index[a] = len(self.ids) - 1
+        self._next = a + 1
+        return a
+
+    def passed(self, point: int) -> bool:
+        """Whether every point up to ``point`` has been tested."""
+        return point < self._next
+
+
+def extend_while(lock, pending: Callable[[], bool], step: Callable[[], object]) -> None:
+    """Run ``step`` while ``pending()``, all inside one meter.  Each step runs
+    under ``lock`` and re-checks ``pending`` there, so threads sharing a
+    walker extend it one step at a time; a walker already far enough takes
+    neither lock nor meter."""
+    if pending():
+        with metered():
+            while pending():
+                with lock:
+                    if pending():
+                        step()
 
 
 # --------------------------------------------------------------------------
@@ -230,11 +274,8 @@ def spread() -> Partition:
     def start(k):
         return k * (k + 15) // 2
 
-    def block_index(a):
-        k = 0
-        while start(k + 1) <= a:
-            k += 1
-        return k
+    def block_index(a):  # the k with start(k) <= a < start(k + 1)
+        return (math.isqrt(8 * max(a, 0) + 225) - 15) // 2
 
     def block_of(a):
         k = block_index(a)
@@ -428,94 +469,80 @@ class ConjugatorPermutation(Permutation):
 
     The k-th A-block of size s (in id order) is carried onto the k-th B-block
     of size s, least points first.  Evaluation extends the matching on demand
-    and fails with NotIsomorphicError when one side runs out within the scan cap.
+    and fails with NotIsomorphicError when one side runs out within
+    MATCH_SCAN_BLOCKS blocks.  The inverse reads the same matching backwards.
     """
 
     form = "conjugator"
 
-    def __init__(self, A: Partition, B: Partition, scan_cap: int = 200_000):
+    def __init__(self, A: Partition, B: Partition):
         super().__init__()
         self.A = A
         self.B = B
-        self.scan_cap = scan_cap
-        self._a_iter = A.iter_blocks()
-        self._b_iter = B.iter_blocks()
+        self._a = BlockCursor(A, self.form)
+        self._b = BlockCursor(B, self.form)
+        self._lock = threading.Lock()
         self._b_queues: dict = {}  # size -> list of unused B-block ids
         self._match: dict = {}     # A block id -> B block id
         self._rmatch: dict = {}
-        self._a_scanned = 0
-        self._b_scanned = 0
-
-    def _pull_b(self) -> None:
-        b = next(self._b_iter)
-        self._b_scanned += 1
-        size = len(self.B.block_members(b))
-        self._b_queues.setdefault(size, []).append(b)
 
     def _advance_a(self) -> None:
-        a = next(self._a_iter)
-        self._a_scanned += 1
+        a = self._a.pull()
         size = len(self.A.block_members(a))
         queue = self._b_queues.get(size, [])
         while not queue:
-            if self._b_scanned >= self.scan_cap:
+            if len(self._b.ids) >= MATCH_SCAN_BLOCKS:
                 raise NotIsomorphicError(
                     f"no unused block of size {size} found in {self.B.key} "
-                    f"after scanning {self._b_scanned} blocks")
-            self._pull_b()
+                    f"after scanning {len(self._b.ids)} blocks")
+            b = self._b.pull()
+            self._b_queues.setdefault(len(self.B.block_members(b)), []).append(b)
             queue = self._b_queues.get(size, [])
         b = queue.pop(0)
         self._match[a] = b
         self._rmatch[b] = a
 
     def ensure_blocks(self, count: int) -> None:
-        while len(self._match) < count:
-            self._advance_a()
+        extend_while(self._lock, lambda: len(self._match) < count, self._advance_a)
 
-    def _ensure_a_block(self, a_block: int) -> None:
-        while a_block not in self._match:
-            if self._a_scanned >= self.scan_cap:
-                raise NotIsomorphicError(
-                    f"A-block {a_block} not reached within scan cap")
+    def _matched(self, table: dict, block: int, failure: str) -> int:
+        """``table[block]``, advancing the A side until it is there."""
+        def step():
+            if len(self._a.ids) >= MATCH_SCAN_BLOCKS:
+                raise NotIsomorphicError(failure.format(block))
             self._advance_a()
-
-    def _ensure_b_block(self, b_block: int) -> None:
-        while b_block not in self._rmatch:
-            if self._a_scanned >= self.scan_cap:
-                raise NotIsomorphicError(
-                    f"B-block {b_block} never matched within scan cap")
-            self._advance_a()
+        extend_while(self._lock, lambda: block not in table, step)
+        return table[block]
 
     def _fwd(self, alpha):
         a_block = self.A.block_of(alpha)
-        self._ensure_a_block(a_block)
+        b_block = self._matched(self._match, a_block,
+                                "A-block {} not reached within scan cap")
         src = self.A.block_members(a_block)
-        dst = self.B.block_members(self._match[a_block])
-        return dst[src.index(alpha)]
+        return self.B.block_members(b_block)[src.index(alpha)]
 
     def _bwd(self, alpha):
         b_block = self.B.block_of(alpha)
-        self._ensure_b_block(b_block)
+        a_block = self._matched(self._rmatch, b_block,
+                                "B-block {} never matched within scan cap")
         dst = self.B.block_members(b_block)
-        src = self.A.block_members(self._rmatch[b_block])
-        return src[dst.index(alpha)]
+        return self.A.block_members(a_block)[dst.index(alpha)]
 
     def inverse(self):
-        inv = ConjugatorPermutation(self.B, self.A, self.scan_cap)
-        return inv
+        return _Flip(self)
 
 
-def conjugator(A: Partition, B: Partition, depth: int,
-               scan_cap: int = 20_000) -> ConjugatorPermutation:
+def conjugator(A: Partition, B: Partition, depth: int) -> ConjugatorPermutation:
     """A permutation f carrying (probed) A-blocks onto B-blocks of equal size.
 
     The k-th block of each size on the A side is matched with the k-th block
     of that size on the B side.  The first ``depth`` blocks of both sides
-    must find partners within the scan cap, otherwise NotIsomorphicError is
-    raised: the probed size multiplicities disagree.
+    must find partners within MATCH_SCAN_BLOCKS blocks, otherwise
+    NotIsomorphicError is raised: the probed size multiplicities disagree.
     """
-    f = ConjugatorPermutation(A, B, scan_cap=scan_cap)
+    f = ConjugatorPermutation(A, B)
     f.ensure_blocks(depth)
-    check = ConjugatorPermutation(B, A, scan_cap=scan_cap)
-    check.ensure_blocks(depth)
+    with metered():
+        for b in itertools.islice(B.iter_blocks(), depth):
+            f._bwd(b)
     return f

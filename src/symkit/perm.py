@@ -9,14 +9,16 @@ search.  Evaluation is lazy and budgeted: each top-level ``forward`` or
 nested calls.  The metered loops: ``moved_points``, ``conjugate``,
 ``verify_window``, ``agrees_on_window``, ``parity``, ``verify_to``, tree
 rounds, ``verify_invariants``, ``Breakpoints.ensure``, ``is_local``,
-``net_flow`` and ``norm``'s probes.  :func:`evaluation_budget` yields a
+``net_flow``, ``norm``'s probes and the lazy witnesses' block walks, which
+charge one step per point tested.  :func:`evaluation_budget` yields a
 meter for a block, and an exhausted meter stays exhausted until it exits.
 A word's ``moved_points`` tests only its factors' moved points, gathered
 through inner words without evaluating them.
 
 Values are immutable after construction and safe to share across threads;
-memo tables fill idempotently.  User-supplied rules must be pure -- that is
-a stated contract, not something the library can enforce.
+memo tables fill idempotently, and a block walk extends under its walker's
+lock.  User-supplied rules must be pure -- that is a stated contract, not
+something the library can enforce.
 """
 from __future__ import annotations
 
@@ -233,6 +235,26 @@ class FiniteSupportPermutation(Permutation):
                 b = self._map[b]
             out.append(tuple(cyc))
         return out
+
+
+class _Flip(Permutation):
+    """The inverse of an underlying permutation, sharing its lazy state."""
+
+    form = "inverse"
+
+    def __init__(self, base: Permutation):
+        super().__init__()
+        self.base = base
+        self.support_bound = base.support_bound
+
+    def _fwd(self, alpha):
+        return self.base._bwd(alpha)
+
+    def _bwd(self, alpha):
+        return self.base._fwd(alpha)
+
+    def inverse(self):
+        return self.base
 
 
 def identity() -> FiniteSupportPermutation:

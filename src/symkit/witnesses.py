@@ -7,21 +7,20 @@ an explicit anchor.  Constructions record exactly what was verified.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .errors import (
-    EvaluationBudgetError,
-    NoCertificateError,
-    PreconditionError,
-    ProfileViolationError,
-)
+from .errors import NoCertificateError, PreconditionError, ProfileViolationError
 from .partitions import (
+    ELIGIBLE_SCAN_BLOCKS,
+    BlockCursor,
     BoundedBy,
     Partition,
     a0,
     classify_partition,
     conjugator,
+    extend_while,
     stabilizer_membership,
     z_block_id,
 )
@@ -29,30 +28,12 @@ from .perm import (
     FiniteSupportPermutation,
     Permutation,
     WordPermutation,
+    _Flip,
+    metered,
     nat_to_z,
     parity,
     z_to_nat,
 )
-
-
-class _Flip(Permutation):
-    """The inverse of an underlying permutation, sharing its lazy state."""
-
-    form = "inverse"
-
-    def __init__(self, base: Permutation):
-        super().__init__()
-        self.base = base
-        self.support_bound = base.support_bound
-
-    def _fwd(self, alpha):
-        return self.base._bwd(alpha)
-
-    def _bwd(self, alpha):
-        return self.base._fwd(alpha)
-
-    def inverse(self):
-        return self.base
 
 
 # --------------------------------------------------------------------------
@@ -71,31 +52,27 @@ class _PackerPermutation(Permutation):
 
     form = "packer"
 
-    def __init__(self, A: Partition, B: Partition, side: int,
-                 round_cap: int = 50_000):
+    def __init__(self, A: Partition, B: Partition, side: int):
         super().__init__()
         self.A = A
         self.B = B
         self.side = side
-        self.round_cap = round_cap
         self._fmap: dict = {}
         self._bmap: dict = {}
-        self._a_blocks = A.iter_blocks()
-        self._b_blocks = B.iter_blocks()
-        self._b_index = 0
+        self._a = BlockCursor(A, self.form)
+        self._b = BlockCursor(B, self.form)
+        self._lock = threading.Lock()
         self._pending_targets: list = []
         self._fill_queue: list = []   # points of the other half, in order
         self._leftovers: list = []
-        self._rounds = 0
         self.packing: list = []
 
     def _pull_b(self) -> None:
-        b = next(self._b_blocks)
-        if self._b_index % 2 == self.side:
+        b = self._b.pull()
+        if self._b.index[b] % 2 == self.side:
             self._pending_targets.append(b)
         else:
             self._fill_queue.extend(self.B.block_members(b))
-        self._b_index += 1
 
     def _next_target_block(self) -> int:
         while not self._pending_targets:
@@ -103,23 +80,16 @@ class _PackerPermutation(Permutation):
         return self._pending_targets.pop(0)
 
     def _next_eligible_a(self, need: int) -> list:
-        scanned = 0
-        while True:
-            a = next(self._a_blocks)
-            members = self.A.block_members(a)
+        for _ in range(ELIGIBLE_SCAN_BLOCKS + 1):
+            members = self.A.block_members(self._a.pull())
             if len(members) >= need:
                 return members
             self._leftovers.extend(members)
-            scanned += 1
-            if scanned > self.round_cap:
-                raise ProfileViolationError(
-                    f"{self.A.key}: no block of size >= {need} within "
-                    f"{scanned} blocks despite an unbounded-sizes profile")
+        raise ProfileViolationError(
+            f"{self.A.key}: no block of size >= {need} within "
+            f"{ELIGIBLE_SCAN_BLOCKS + 1} blocks despite an unbounded-sizes profile")
 
     def _round(self) -> None:
-        self._rounds += 1
-        if self._rounds > self.round_cap:
-            raise EvaluationBudgetError("packer round cap exceeded")
         target = self._next_target_block()
         tgt_members = self.B.block_members(target)
         sacrifice = self._next_eligible_a(len(tgt_members))
@@ -140,17 +110,16 @@ class _PackerPermutation(Permutation):
                              "source": self.A.block_of(src_members[0])})
 
     def ensure_rounds(self, k: int) -> None:
-        while self._rounds < k:
-            self._round()
+        extend_while(self._lock, lambda: len(self.packing) < k, self._round)
 
     def _fwd(self, alpha):
-        while alpha not in self._fmap:
-            self._round()
+        if alpha not in self._fmap:  # a settled point skips the closure
+            extend_while(self._lock, lambda: alpha not in self._fmap, self._round)
         return self._fmap[alpha]
 
     def _bwd(self, alpha):
-        while alpha not in self._bmap:
-            self._round()
+        if alpha not in self._bmap:
+            extend_while(self._lock, lambda: alpha not in self._bmap, self._round)
         return self._bmap[alpha]
 
     def inverse(self):
@@ -194,7 +163,9 @@ def p_equiv_witness(A: Partition, B: Partition, depth: int) -> PWitness:
 
 
 class _HalfRestriction(Permutation):
-    """Agrees with h on the blocks of one parity of B, fixes the rest."""
+    """Agrees with h on the blocks of one parity of B, fixes the rest.
+
+    A certified h walks B below its support bound once, on construction."""
 
     form = "half-restriction"
 
@@ -203,18 +174,19 @@ class _HalfRestriction(Permutation):
         self.h = h
         self.B = B
         self.side = side
-        self._parity: dict = {}
-        self._cursor = B.iter_blocks()
-        self._count = 0
+        self._blocks = BlockCursor(B, self.form)
+        self._lock = threading.Lock()
         if h.support_bound is not None:
             self.support_bound = h.support_bound
+            last = h.support_bound - 1
+            extend_while(self._lock, lambda: not self._blocks.passed(last),
+                         self._blocks.pull)
 
     def _mine(self, block_id: int) -> bool:
-        while block_id not in self._parity:
-            b = next(self._cursor)
-            self._parity[b] = self._count % 2
-            self._count += 1
-        return self._parity[block_id] == self.side
+        index = self._blocks.index
+        if block_id not in index:  # a reached block skips the closure
+            extend_while(self._lock, lambda: block_id not in index, self._blocks.pull)
+        return index[block_id] % 2 == self.side
 
     def _fwd(self, alpha):
         if self.support_bound is not None and alpha >= self.support_bound:
@@ -257,55 +229,37 @@ class EvenShiftWitness(Permutation):
 
     form = "even-shift"
 
-    def __init__(self, A: Partition, scan_cap: int = 200_000):
+    def __init__(self, A: Partition):
         super().__init__()
         self.A = A
-        self.scan_cap = scan_cap
-        self._nonsingleton_ids: list = []
-        self._singleton_pts: list = []
-        self._iter = A.iter_blocks()
-        self._max_block_seen = -1
-        self._index_of: dict = {}
+        self._blocks = BlockCursor(A, self.form, self._record)
+        self._lock = threading.Lock()
+        self._marked: list = []    # marked(i) for i >= 0
+        self._singles: list = []   # marked(-k - 1)
+        self._index_of: dict = {}  # every walked point -> its index, or None
 
-    def _extend(self) -> None:
-        b = next(self._iter)
-        self._max_block_seen = max(self._max_block_seen, b)
+    def _record(self, b: int) -> None:
         members = self.A.block_members(b)
         if len(members) == 1:
-            k = len(self._singleton_pts)
-            self._singleton_pts.append(members[0])
-            self._index_of[members[0]] = -(k + 1)
-        else:
-            if len(members) < 4:
-                raise ProfileViolationError(
-                    f"{self.A.key}: nonsingleton block {b} has fewer than 4 points")
-            i = len(self._nonsingleton_ids)
-            self._nonsingleton_ids.append(b)
-            for j, pt in enumerate(members[:4]):
-                self._index_of[pt] = 4 * i + j
+            self._singles.append(b)
+            self._index_of[b] = -len(self._singles)
+            return
+        if len(members) < 4:
+            raise ProfileViolationError(
+                f"{self.A.key}: nonsingleton block {b} has fewer than 4 points")
+        base = len(self._marked)
+        self._marked.extend(members[:4])
+        for j, pt in enumerate(members):
+            self._index_of[pt] = base + j if j < 4 else None
 
     def marked(self, i: int) -> int:
-        if i >= 0:
-            block_idx, off = divmod(i, 4)
-            while len(self._nonsingleton_ids) <= block_idx:
-                self._extend()
-            return self.A.block_members(self._nonsingleton_ids[block_idx])[off]
-        k = -i - 1
-        while len(self._singleton_pts) <= k:
-            self._extend()
-        return self._singleton_pts[k]
+        pts, k = (self._marked, i) if i >= 0 else (self._singles, -i - 1)
+        extend_while(self._lock, lambda: len(pts) <= k, self._blocks.pull)
+        return pts[k]
 
     def _index(self, m: int) -> Optional[int]:
-        # blocks arrive in increasing id order: once the cursor passes m's
-        # block id, m is marked iff it was recorded
-        target = self.A.block_of(m)
-        guard = 0
-        while self._max_block_seen < target:
-            self._extend()
-            guard += 1
-            if guard > self.scan_cap:
-                raise EvaluationBudgetError("even-shift scan cap exceeded")
-        return self._index_of.get(m)
+        extend_while(self._lock, lambda: m not in self._index_of, self._blocks.pull)
+        return self._index_of[m]
 
     def _fwd(self, alpha):
         i = self._index(alpha)
@@ -356,17 +310,14 @@ class _EdgeColoring:
     infinitely often whatever the block sizes do.
     """
 
-    def __init__(self, A: Partition, scan_cap: int = 500_000):
+    def __init__(self, A: Partition):
         self.A = A
-        self.scan_cap = scan_cap
-        self._cursor = A.iter_blocks()
-        self._max_seen = -1
+        self._blocks = BlockCursor(A, "coloring", self._record)
+        self._lock = threading.Lock()
         self._rank = 0
         self._edges: dict = {}
 
-    def _extend(self) -> None:
-        b = next(self._cursor)
-        self._max_seen = max(self._max_seen, b)
+    def _record(self, b: int) -> None:
         members = self.A.block_members(b)
         if len(members) < 2:
             self._edges[b] = []
@@ -385,14 +336,9 @@ class _EdgeColoring:
         self._edges[b] = edges
 
     def edges_of(self, block_id: int) -> list:
-        guard = 0
-        while block_id not in self._edges:
-            if self._max_seen >= block_id:
-                raise PreconditionError(f"{block_id} is not a block id of {self.A.key}")
-            self._extend()
-            guard += 1
-            if guard > self.scan_cap:
-                raise EvaluationBudgetError("coloring scan cap exceeded")
+        if block_id not in self._edges and self.A.block_of(block_id) != block_id:
+            raise PreconditionError(f"{block_id} is not a block id of {self.A.key}")
+        extend_while(self._lock, lambda: block_id not in self._edges, self._blocks.pull)
         return self._edges[block_id]
 
     def matching_partition(self, color: str) -> Partition:
@@ -480,22 +426,23 @@ def _q_factorize(w: QWitness, h: Permutation, window: int):
     every fully processed block.
     """
     factors: List[Tuple[FiniteSupportPermutation, str]] = []
-    for b in w.A.blocks_within(window):
-        members = w.A.block_members(b)
-        if len(members) < 2:
-            if h.forward(members[0]) != members[0]:
-                raise NoCertificateError(
-                    f"h moves the singleton block {b}")
-            continue
-        images = [h.forward(x) for x in members]
-        if sorted(images) != members:
-            raise NoCertificateError(f"h does not preserve block {b}")
-        if images == list(members):
-            continue
-        edges = w.coloring.edges_of(b)
-        for pos in _adjacent_word(members, images):
-            lo, hi, color = edges[pos]
-            factors.append((FiniteSupportPermutation({lo: hi, hi: lo}), color))
+    with metered():
+        for b in w.A.blocks_within(window):
+            members = w.A.block_members(b)
+            if len(members) < 2:
+                if h._fwd(members[0]) != members[0]:
+                    raise NoCertificateError(
+                        f"h moves the singleton block {b}")
+                continue
+            images = [h._fwd(x) for x in members]
+            if sorted(images) != members:
+                raise NoCertificateError(f"h does not preserve block {b}")
+            if images == list(members):
+                continue
+            edges = w.coloring.edges_of(b)
+            for pos in _adjacent_word(members, images):
+                lo, hi, color = edges[pos]
+                factors.append((FiniteSupportPermutation({lo: hi, hi: lo}), color))
     product = WordPermutation([f for f, _ in factors])
     return factors, product
 

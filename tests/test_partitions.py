@@ -105,7 +105,7 @@ class TestConjugator:
 
     def test_profile_mismatch(self):
         with pytest.raises(NotIsomorphicError):
-            conjugator(pairs(), a0(), depth=6, scan_cap=500)
+            conjugator(pairs(), a0(), depth=6)
 
     def test_shuffled_intervals(self):
         # same multiset of sizes, blocks laid out in a different order
@@ -170,7 +170,7 @@ class TestConjugator:
 
     def test_one_singleton_not_isomorphic_to_a0(self):
         with pytest.raises(NotIsomorphicError):
-            conjugator(a0(), pairs_shifted(), depth=8, scan_cap=2000)
+            conjugator(a0(), pairs_shifted(), depth=8)
 
 
 class TestParse:

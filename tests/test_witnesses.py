@@ -75,7 +75,7 @@ class TestPEquiv:
         target = parts.intervals_growing()
         from symkit.witnesses import _PackerPermutation
 
-        packer = _PackerPermutation(liar, target, side=0, round_cap=200)
+        packer = _PackerPermutation(liar, target, side=0)
         with pytest.raises(ProfileViolationError):
             packer.ensure_rounds(3)
 
