@@ -12,8 +12,8 @@ rounds, ``verify_invariants``, ``Breakpoints.ensure``, ``is_local``,
 ``net_flow``, ``norm``'s probes and the lazy witnesses' block walks, which
 charge one step per point tested.  :func:`evaluation_budget` yields a
 meter for a block, and an exhausted meter stays exhausted until it exits.
-A word's ``moved_points`` tests only its factors' moved points, gathered
-through inner words without evaluating them.
+A word's ``moved_points`` tests only its factors' moved points; a word
+whose sole factor is a word takes that word's candidates without running it.
 
 Values are immutable after construction and safe to share across threads;
 memo tables fill idempotently, and a block walk extends under its walker's
@@ -342,13 +342,14 @@ class WordPermutation(Permutation):
                                memo=self._memo_f is not None)
 
     def _candidates(self):
-        """A point every certified factor fixes is fixed: the other factors'
-        moved points and an inner word's candidates, without running it."""
+        """The factors' moved points; a sole inner word costs the same per
+        point as this word, so its candidates are taken without running it."""
         if any(f.support_bound is None for f in self.factors):
             return super()._candidates()
-        return {a for f in self.factors for a in (
-            f._candidates() if isinstance(f, WordPermutation)
-            else f.moved_points()) if a < self.support_bound}
+        fs = self.factors
+        inner = fs[0]._candidates() if len(fs) == 1 and isinstance(
+            fs[0], WordPermutation) else (a for f in fs for a in f.moved_points())
+        return {a for a in inner if a < self.support_bound}
 
 
 def word(*factors: Permutation, memo: bool = False) -> WordPermutation:
