@@ -141,16 +141,18 @@ class BlockCursor:
     when ``block_of(a) == a``, and block ``b`` is reached once the cursor
     has passed point ``b``.  Each point tested charges one step, with the
     owner's ``form``: one block of a growing partition spans many points.
+    An owner whose walk has another declared bound builds it uncharged.
     A block is taken once the owner's ``record(id)``, if any, returns, so a
     block whose record raises stays next.  Pulls run under the owner's lock
     (:func:`extend_while`)."""
 
-    __slots__ = ("_block_of", "form", "_record", "ids", "index", "_next")
+    __slots__ = ("_block_of", "form", "_charge", "_record", "ids", "index", "_next")
 
     def __init__(self, A: Partition, form: str,
-                 record: Optional[Callable[[int], None]] = None):
+                 record: Optional[Callable[[int], None]] = None, charged: bool = True):
         self._block_of = A._block_of
         self.form = form
+        self._charge = _charge if charged else (lambda form: None)
         self._record = record
         self.ids: List[int] = []  # the blocks pulled, in id order
         self.index: dict = {}     # block id -> its position in ids
@@ -158,12 +160,12 @@ class BlockCursor:
 
     def pull(self) -> int:
         """The next block's id."""
-        block_of, form = self._block_of, self.form
+        block_of, form, charge = self._block_of, self.form, self._charge
         a = self._next
-        _charge(form)
+        charge(form)
         while block_of(a) != a:
             a += 1
-            _charge(form)
+            charge(form)
         if self._record is not None:
             self._record(a)
         self.ids.append(a)
@@ -274,8 +276,11 @@ def spread() -> Partition:
     def start(k):
         return k * (k + 15) // 2
 
-    def block_index(a):  # the k with start(k) <= a < start(k + 1)
-        return (math.isqrt(8 * max(a, 0) + 225) - 15) // 2
+    def block_index(a):
+        k = 0
+        while start(k + 1) <= a:
+            k += 1
+        return k
 
     def block_of(a):
         k = block_index(a)

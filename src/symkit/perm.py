@@ -10,8 +10,10 @@ nested calls.  The metered loops: ``moved_points``, ``conjugate``,
 ``verify_window``, ``agrees_on_window``, ``parity``, ``verify_to``, tree
 rounds, ``verify_invariants``, ``Breakpoints.ensure``, ``is_local``,
 ``net_flow``, ``norm``'s probes and the lazy witnesses' block walks, which
-charge one step per point tested.  :func:`evaluation_budget` yields a
-meter for a block, and an exhausted meter stays exhausted until it exits.
+charge one step per point tested (a certified permutation's half
+restriction walks only below its support bound, uncharged).
+:func:`evaluation_budget` yields a meter for a block, and an exhausted
+meter stays exhausted until it exits.
 A word's ``moved_points`` tests only its factors' moved points; a word
 whose sole factor is a word takes that word's candidates without running it.
 

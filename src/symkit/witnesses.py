@@ -165,7 +165,9 @@ def p_equiv_witness(A: Partition, B: Partition, depth: int) -> PWitness:
 class _HalfRestriction(Permutation):
     """Agrees with h on the blocks of one parity of B, fixes the rest.
 
-    A certified h walks B below its support bound once, on construction."""
+    For a certified h, blocks are looked up only below its support bound,
+    which bounds the walk; that walk is not charged, so a first
+    ``moved_points`` does not pay for the prefix every later call reuses."""
 
     form = "half-restriction"
 
@@ -174,13 +176,12 @@ class _HalfRestriction(Permutation):
         self.h = h
         self.B = B
         self.side = side
-        self._blocks = BlockCursor(B, self.form)
+        self.support_bound = h.support_bound
+        self._blocks = BlockCursor(B, self.form, charged=h.support_bound is None)
         self._lock = threading.Lock()
-        if h.support_bound is not None:
-            self.support_bound = h.support_bound
-            last = h.support_bound - 1
-            extend_while(self._lock, lambda: not self._blocks.passed(last),
-                         self._blocks.pull)
+
+    def _candidates(self):
+        return self.h.moved_points()  # a point h fixes, this fixes
 
     def _mine(self, block_id: int) -> bool:
         index = self._blocks.index
@@ -236,7 +237,7 @@ class EvenShiftWitness(Permutation):
         self._lock = threading.Lock()
         self._marked: list = []    # marked(i) for i >= 0
         self._singles: list = []   # marked(-k - 1)
-        self._index_of: dict = {}  # every walked point -> its index, or None
+        self._index_of: dict = {}  # marked point -> its index
 
     def _record(self, b: int) -> None:
         members = self.A.block_members(b)
@@ -247,10 +248,9 @@ class EvenShiftWitness(Permutation):
         if len(members) < 4:
             raise ProfileViolationError(
                 f"{self.A.key}: nonsingleton block {b} has fewer than 4 points")
-        base = len(self._marked)
-        self._marked.extend(members[:4])
-        for j, pt in enumerate(members):
-            self._index_of[pt] = base + j if j < 4 else None
+        for pt in members[:4]:
+            self._index_of[pt] = len(self._marked)
+            self._marked.append(pt)
 
     def marked(self, i: int) -> int:
         pts, k = (self._marked, i) if i >= 0 else (self._singles, -i - 1)
@@ -258,8 +258,9 @@ class EvenShiftWitness(Permutation):
         return pts[k]
 
     def _index(self, m: int) -> Optional[int]:
-        extend_while(self._lock, lambda: m not in self._index_of, self._blocks.pull)
-        return self._index_of[m]
+        b = self.A.block_of(m)  # once b is reached, m is marked iff recorded
+        extend_while(self._lock, lambda: not self._blocks.passed(b), self._blocks.pull)
+        return self._index_of.get(m)
 
     def _fwd(self, alpha):
         i = self._index(alpha)

@@ -650,21 +650,23 @@ def _uncertified_half_restriction():
     return _HalfRestriction(h, parts.pairs(), 0)
 
 
-THREAD_CASES = {
-    "half-restriction": _uncertified_half_restriction,
-    "even-shift": lambda: EvenShiftWitness(parts.spread()),
-    "packer": lambda: _PackerPermutation(parts.intervals_growing(),
-                                         parts.intervals_growing(), 0),
+THREAD_CASES = {  # a walker and the window both threads evaluate
+    "half-restriction": (_uncertified_half_restriction, 20_000),
+    # spread's block_of costs O(sqrt a), so a shorter window
+    "even-shift": (lambda: EvenShiftWitness(parts.spread()), 5_000),
+    "packer": (lambda: _PackerPermutation(parts.intervals_growing(),
+                                          parts.intervals_growing(), 0), 20_000),
 }
 
 
 @pytest.mark.parametrize("name", sorted(THREAD_CASES))
 def test_walkers_shared_by_two_threads_answer_as_one(name):
-    points = range(20_000)
-    alone = THREAD_CASES[name]()
+    make, window = THREAD_CASES[name]
+    points = range(window)
+    alone = make()
     expected = [alone.forward(a) for a in points]
     for _ in range(20):
-        g = THREAD_CASES[name]()
+        g = make()
         results, errors = [], []
 
         def run():
@@ -705,6 +707,20 @@ def test_far_point_stops_at_the_budget_with_the_walkers_form(form):
             g.forward(FAR)
     assert (err.value.limit, err.value.form) == (50, form)
     assert err.value.spent == 51
+
+
+def test_factor_through_a_far_supported_h_walks_on_demand():
+    """A certified h's half restrictions walk B only as far as a lookup
+    asks: a far support costs nothing until a point near it is asked for."""
+    B = parts.intervals_growing()
+    w = p_equiv_witness(parts.intervals_growing(), B, depth=2)
+    lo, hi = B.block_members(B.block_of(3 * FAR))[:2]
+    h = FiniteSupportPermutation({lo: hi, hi: lo})
+    with evaluation_budget():  # the default budget, for all of it
+        p, q = factor_through(h, w, B)
+        halves = (p, q, p.inverse(), q.inverse())
+        assert [g.forward(a) for g in halves for a in range(3)] == [0, 1, 2] * 4
+    assert not p._blocks.passed(3)
 
 
 def test_a_walk_charges_one_step_per_point_tested():
