@@ -103,16 +103,14 @@ class Partition:
 
     def sample_growing_blocks(self, count: int) -> List[int]:
         """Ids of blocks with strictly increasing sizes (UnboundedFinite evidence)."""
-        out = []
+        out: List[int] = []
         best = 0
-        a = 0
-        while len(out) < count and a < SAMPLE_SCAN_POINTS:
-            if self._block_of(a) == a:
-                s = len(self._block_members(a))
-                if s > best:
-                    best = s
-                    out.append(a)
-            a += 1
+        for a in range(SAMPLE_SCAN_POINTS):
+            if len(out) >= count:
+                break
+            if self._block_of(a) == a and (s := len(self._block_members(a))) > best:
+                best = s
+                out.append(a)
         if len(out) < count:
             raise ProfileViolationError(
                 f"{self.key}: declared unbounded sizes but found only "
@@ -121,12 +119,9 @@ class Partition:
 
     def sample_nonsingleton_blocks(self, count: int, start: int = 0) -> List[int]:
         """Ids of the first ``count`` nonsingleton blocks from ``start`` on."""
-        out = []
-        a = start
-        while len(out) < count and a < start + SAMPLE_SCAN_POINTS:
-            if self._block_of(a) == a and len(self._block_members(a)) > 1:
-                out.append(a)
-            a += 1
+        found = (a for a in range(start, start + SAMPLE_SCAN_POINTS)
+                 if self._block_of(a) == a and len(self._block_members(a)) > 1)
+        out = list(itertools.islice(found, count))
         if len(out) < count:
             raise ProfileViolationError(
                 f"{self.key}: declared infinitely many nonsingletons but found "

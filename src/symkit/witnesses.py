@@ -163,11 +163,8 @@ def p_equiv_witness(A: Partition, B: Partition, depth: int) -> PWitness:
 
 
 class _HalfRestriction(Permutation):
-    """Agrees with h on the blocks of one parity of B, fixes the rest.
-
-    For a certified h, blocks are looked up only below its support bound,
-    which bounds the walk; that walk is not charged, so a first
-    ``moved_points`` does not pay for the prefix every later call reuses."""
+    """Agrees with h on the blocks of one parity of B, fixes the rest.  A
+    certified h's support bound bounds the block walk, which goes uncharged."""
 
     form = "half-restriction"
 
