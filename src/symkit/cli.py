@@ -178,6 +178,8 @@ def _cmd_witness(args) -> int:
         _emit(args, payload, [f"f: {payload['f']}", f"g: {payload['g']}"])
         return 0
     if args.action == "even-shift":
+        if args.partition is None:
+            raise ParseError("witness even-shift needs --partition")
         A = partitions.parse_partition(args.partition)
         w = witnesses.even_shift_witness(A)
         marked = {i: w.marked(i) for i in range(-(args.depth or 4),

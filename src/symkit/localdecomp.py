@@ -9,6 +9,7 @@ preserves each [a(2i), a(2i+2)) and a cofactor preserving each
 from __future__ import annotations
 
 import bisect
+import threading
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -19,28 +20,30 @@ from .perm import Permutation, WordPermutation, metered
 class Breakpoints:
     """Lazily extended breakpoint sequence for a fixed permutation.
 
-    The running maximum of images and preimages is tracked incrementally, so
-    extending to n breakpoints costs one pass over [0, a(n))."""
+    Only the images and preimages of [a(i-1), a(i)) can lift a(i+1) past
+    a(i) + 1, so extending costs one pass over the points, or for a certified
+    f over its candidate points, since a fixed x lifts it only to x + 1.
+    Extension holds the object's lock and appends each breakpoint whole."""
 
     def __init__(self, f: Permutation, count: int = 1):
         self.f = f
         self.a: List[int] = [0]
-        self._scanned = 0
-        self._max_seen = 0
+        self._points = f._candidates() if f.support_bound is not None else None
+        self._lock = threading.Lock()
         self.ensure(count)
 
     def ensure(self, count: int) -> None:
         if len(self.a) > count:
             return
-        with metered():
-            while len(self.a) <= count:
-                prev = self.a[-1]
-                while self._scanned < prev:
-                    x = self._scanned
-                    self._max_seen = max(self._max_seen, self.f._fwd(x) + 1,
-                                         self.f._bwd(x) + 1)
-                    self._scanned += 1
-                self.a.append(max(prev + 1, self._max_seen))
+        f, a, points = self.f, self.a, self._points
+        with self._lock, metered():
+            while len(a) <= count:
+                lo, hi = a[-2] if len(a) > 1 else 0, a[-1]
+                top = hi + 1  # points below lo lift the maximum to at most hi
+                for x in range(lo, hi) if points is None else points[
+                        bisect.bisect_left(points, lo):bisect.bisect_left(points, hi)]:
+                    top = max(top, f._fwd(x) + 1, f._bwd(x) + 1)
+                a.append(top)
 
     def value(self, i: int) -> int:
         self.ensure(i)
@@ -145,10 +148,7 @@ def pair_crossers(f: Permutation, bp) -> Tuple[Permutation, Permutation]:
 
     Needs f and f^-1 to map [0, a(i-1)) into [0, a(i)) for every i."""
     g = _PairedExchanger(f, bp)
-    h = WordPermutation([g.inverse(), f])
-    if g.support_bound is not None and f.support_bound is not None:
-        h.support_bound = max(g.support_bound, f.support_bound)
-    return g, h
+    return g, WordPermutation([g.inverse(), f])  # certified when f is
 
 
 def decompose_local(f: Permutation, count: int = 8) -> Tuple[Permutation, Permutation]:

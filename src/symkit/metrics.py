@@ -965,16 +965,14 @@ def net_flow(f: Permutation, cuts: Iterable[int] = range(-4, 5),
             moved = [(nat_to_z(a), nat_to_z(f._fwd(a))) for a in f.moved_points()]
             per_cut = {c: sum(z < c <= image for z, image in moved) -
                        sum(image < c <= z for z, image in moved) for c in cuts}
-        else:
+        else:  # each point once, however many cut windows hold it
+            image: dict = {}
             for c in cuts:
-                up = down = 0
                 for z in range(c - b, c + b):
-                    image = nat_to_z(f._fwd(z_to_nat(z)))
-                    if z < c <= image:
-                        up += 1
-                    if image < c <= z:
-                        down += 1
-                per_cut[c] = up - down
+                    if z not in image:
+                        image[z] = nat_to_z(f._fwd(z_to_nat(z)))
+                per_cut[c] = sum(c <= image[z] for z in range(c - b, c)) - \
+                    sum(image[z] < c for z in range(c, c + b))
     values = set(per_cut.values())
     return FlowValue(per_cut, values.pop() if len(values) == 1 else None)
 

@@ -6,16 +6,18 @@ permutation carries both directions explicitly; a rule is never inverted by
 search.  Evaluation is lazy and budgeted: each top-level ``forward`` or
 ``backward`` call, and each library loop run under :class:`metered`, gets
 10^6 fresh steps on a :class:`Meter` (``limit``, ``spent``) shared by its
-nested calls.  The metered loops: ``moved_points``, ``conjugate``,
-``verify_window``, ``agrees_on_window``, ``parity``, ``verify_to``, tree
-rounds, ``verify_invariants``, ``Breakpoints.ensure``, ``is_local``,
-``net_flow``, ``norm``'s probes and the lazy witnesses' block walks, which
-charge one step per point tested (a certified permutation's half
-restriction walks only below its support bound, uncharged).
-:func:`evaluation_budget` yields a meter for a block, and an exhausted
-meter stays exhausted until it exits.
-A word's ``moved_points`` tests only its factors' moved points; a word
-whose sole factor is a word takes that word's candidates without running it.
+nested calls; a finite or rule leaf's one step needs no meter installed.
+The metered loops: ``moved_points``, ``conjugate``, ``verify_window``,
+``agrees_on_window``, ``parity``, ``verify_to``, tree rounds,
+``verify_invariants``, ``Breakpoints.ensure``, ``is_local``, ``net_flow``,
+``norm``'s probes and the lazy witnesses' block walks, which charge one step
+per point tested.  :func:`evaluation_budget` yields a meter for a block, and
+an exhausted meter stays exhausted until it exits.  Loops test a point once
+and skip what a certificate settles: a certified word or half restriction
+answers from its support bound up uncharged, a word's ``moved_points``
+tests its factors' (a sole inner word lends its candidates unrun, another
+sole factor answers for it), certified breakpoints test candidates only,
+and ``net_flow`` evaluates each point once.
 
 Values are immutable after construction and safe to share across threads;
 memo tables fill idempotently, and a block walk extends under its walker's
@@ -163,7 +165,7 @@ class Permutation:
         raise NotImplementedError
 
     def _candidates(self):
-        """Points outside which a certified permutation is the identity."""
+        """Points outside which a certified permutation is the identity, ascending."""
         return range(self.support_bound)
 
     def moved_points(self) -> list:
@@ -173,24 +175,38 @@ class Permutation:
                 f"{self.form} permutation carries no finite-support certificate"
             )
         with metered():
-            return [a for a in sorted(self._candidates()) if self._fwd(a) != a]
+            return [a for a in self._candidates() if self._fwd(a) != a]
 
     def __repr__(self):
         return f"<{type(self).__name__} {format_perm(self)!r}>"
 
 
-class FiniteSupportPermutation(Permutation):
+class _Leaf(Permutation):
+    """One step, ``_f`` or ``_b``: a top-level call needs no meter installed."""
+
+    def forward(self, alpha):
+        if _local.state.meter is None:
+            return self._f(alpha)
+        return self._fwd(alpha)
+
+    def backward(self, alpha):
+        if _local.state.meter is None:
+            return self._b(alpha)
+        return self._bwd(alpha)
+
+
+class FiniteSupportPermutation(_Leaf):
     form = "cycles"
 
     def __init__(self, mapping: dict):
         super().__init__()
         fwd = {a: b for a, b in mapping.items() if a != b}
-        if len(set(fwd.values())) != len(fwd) or set(fwd.values()) != set(fwd):
+        self._inv = inv = {b: a for a, b in fwd.items()}
+        if inv.keys() != fwd.keys():
             raise ValueError("mapping is not a bijection with finite support")
-        if any(a < 0 or b < 0 for a, b in fwd.items()):
+        if fwd and min(fwd) < 0:  # the images are the same points
             raise ValueError("points must be naturals")
         self._map = fwd
-        self._inv = {b: a for a, b in fwd.items()}
         self.support_bound = max(fwd) + 1 if fwd else 0
 
     @classmethod
@@ -215,11 +231,19 @@ class FiniteSupportPermutation(Permutation):
         _charge("cycles")
         return self._inv.get(alpha, alpha)
 
+    def _f(self, alpha):
+        return self._map.get(alpha, alpha)
+
+    def _b(self, alpha):
+        return self._inv.get(alpha, alpha)
+
     def inverse(self):
         return FiniteSupportPermutation(self._inv)
 
     def moved_points(self) -> list:
         return sorted(self._map)
+
+    _candidates = moved_points
 
     def cycles(self) -> list:
         """Disjoint cycles, each rotated to start at its least point, sorted."""
@@ -263,7 +287,7 @@ def identity() -> FiniteSupportPermutation:
     return FiniteSupportPermutation({})
 
 
-class RulePermutation(Permutation):
+class RulePermutation(_Leaf):
     """A named rule with both directions supplied by the caller."""
 
     form = "rule"
@@ -322,6 +346,8 @@ class WordPermutation(Permutation):
     def _fwd(self, alpha):
         if self._memo_f is not None and alpha in self._memo_f:
             return self._memo_f[alpha]
+        if self.support_bound is not None and alpha >= self.support_bound:
+            return alpha  # every factor fixes it
         value = alpha
         for f in self.factors:
             value = f._fwd(value)
@@ -332,6 +358,8 @@ class WordPermutation(Permutation):
     def _bwd(self, alpha):
         if self._memo_b is not None and alpha in self._memo_b:
             return self._memo_b[alpha]
+        if self.support_bound is not None and alpha >= self.support_bound:
+            return alpha
         value = alpha
         for f in reversed(self.factors):
             value = f._bwd(value)
@@ -343,6 +371,12 @@ class WordPermutation(Permutation):
         return WordPermutation([f.inverse() for f in reversed(self.factors)],
                                memo=self._memo_f is not None)
 
+    def moved_points(self) -> list:
+        fs = self.factors  # a sole certified factor that is not a word is the word
+        sole = len(fs) == 1 and fs[0].support_bound is not None and \
+            not isinstance(fs[0], WordPermutation)
+        return fs[0].moved_points() if sole else super().moved_points()
+
     def _candidates(self):
         """The factors' moved points; a sole inner word costs the same per
         point as this word, so its candidates are taken without running it."""
@@ -351,7 +385,7 @@ class WordPermutation(Permutation):
         fs = self.factors
         inner = fs[0]._candidates() if len(fs) == 1 and isinstance(
             fs[0], WordPermutation) else (a for f in fs for a in f.moved_points())
-        return {a for a in inner if a < self.support_bound}
+        return sorted({a for a in inner if a < self.support_bound})
 
 
 def word(*factors: Permutation, memo: bool = False) -> WordPermutation:
@@ -385,7 +419,9 @@ class ConvergentSequence:
     * coset: g_j agrees with g_{j-1} on every point of Gamma_j.
 
     Together they force g_j to stabilize on the point j-1 in both directions
-    from level j on, so the pointwise limit is again a permutation.
+    from level j on, so the pointwise limit is again a permutation.  A level
+    with the g and Gamma objects of the one before, Gamma grown in place,
+    checks only its new point j-1.
     """
 
     def __init__(self, terms: Callable[[int], tuple], description: str = ""):
@@ -397,7 +433,8 @@ class ConvergentSequence:
     def term(self, j: int):
         if j not in self._cache:
             g, gamma = self._producer(j)
-            self._cache[j] = (g, frozenset(gamma))
+            self._cache[j] = (g, gamma if isinstance(gamma, (set, frozenset))
+                              else frozenset(gamma))
         return self._cache[j]
 
     def verify_to(self, depth: int) -> None:
@@ -407,9 +444,9 @@ class ConvergentSequence:
                 self.verified_depth = j
 
     def _check_level(self, j: int) -> None:
-        g_prev, _ = self.term(j - 1)
+        g_prev, gamma_prev = self.term(j - 1)
         g_j, gamma_j = self.term(j)
-        for i in range(j):
+        for i in range(j - 1 if g_j is g_prev and gamma_j is gamma_prev else 0, j):
             if i not in gamma_j:
                 raise ConvergenceError(
                     f"point {i} missing from Gamma_{j}", level=j, point=i,
@@ -431,19 +468,24 @@ class ConvergentSequence:
 def constant_tail(seq_terms: Callable[[int], tuple], depth: int):
     """Extend finitely many terms with a constant continuation.
 
-    Beyond ``depth`` the permutation is repeated and the Gamma sets grow to
-    keep both convergence conditions trivially true, so the limit machinery
-    can evaluate at arbitrary points.
+    Beyond ``depth`` the permutation is repeated and one Gamma set, shared
+    by every tail level, grows in place to keep both convergence conditions
+    trivially true, so the limit machinery can evaluate at arbitrary points.
     """
 
-    tail: list = []  # (m, g^-1(m)) for m < len(tail), grown as j grows
+    tail: set = set()  # the tail levels' one Gamma, grown in place
+    reach = [0]  # it holds m and g^-1(m) for m < reach[0]
 
     def terms(j: int):
         if j < depth:
             return seq_terms(j)
-        g, gamma = seq_terms(depth - 1) if depth > 0 else seq_terms(0)
-        tail.extend((m, g.backward(m)) for m in range(len(tail), j))
-        return g, frozenset(gamma).union(*tail[:j])
+        g, gamma = seq_terms(max(depth - 1, 0))
+        if not tail:
+            tail.update(gamma)
+        for m in range(reach[0], j):
+            tail.update((m, g.backward(m)))
+        reach[0] = max(reach[0], j)
+        return g, tail
 
     return terms
 
@@ -759,10 +801,7 @@ def perm_from_json(obj: dict) -> Permutation:
     if form == "cycles":
         return FiniteSupportPermutation.from_cycles(obj["cycles"])
     if form == "rule":
-        name = obj["rule"]
-        if name not in BUILTIN_RULES:
-            raise ParseError(f"unknown rule {name!r}")
-        p = BUILTIN_RULES[name](obj.get("params") or {})
+        p = rule(obj["rule"], **(obj.get("params") or {}))
         return p.inverse() if obj.get("inverse") else p
     if form == "word":
         return WordPermutation([perm_from_json(f) for f in obj["factors"]])

@@ -7,8 +7,9 @@ Over every built-in partition and random explicit ones, the cursor's
 walkers must give the same ids, the same images in both directions and in
 any evaluation order, and the same exception types.  The other tests hold
 the cursor's own promises: walkers shared by two threads answer as one
-thread does, every walk stops at a small step budget with its own form,
-and a settled point pulls no block.
+thread does (as do the two factors of a local decomposition, over their
+shared breakpoints, and a branch limit), every walk stops at a small step
+budget with its own form, and a settled point pulls no block.
 """
 import itertools
 import random
@@ -34,6 +35,7 @@ from symkit.partitions import (
     UnboundedFinite,
     conjugator,
 )
+from symkit.localdecomp import decompose_local
 from symkit.perm import (
     FiniteSupportPermutation,
     Permutation,
@@ -42,6 +44,7 @@ from symkit.perm import (
     rule,
     word,
 )
+from symkit.trees import PartitionStabilizerOracle, branch_limit, build_tree
 from symkit.witnesses import (
     EvenShiftWitness,
     _EdgeColoring,
@@ -650,12 +653,24 @@ def _uncertified_half_restriction():
     return _HalfRestriction(h, parts.pairs(), 0)
 
 
-THREAD_CASES = {  # a walker and the window both threads evaluate
-    "half-restriction": (_uncertified_half_restriction, 20_000),
+def _local_factors():
+    """Both factors of a local decomposition, which share one lazy
+    breakpoint sequence, in both directions."""
+    p, q = decompose_local(word(rule("swap-pairs"), rule("shift-z")), 8)
+    return lambda a: (p.forward(a), q.forward(a), p.backward(a), q.backward(a))
+
+
+THREAD_CASES = {  # a point's evaluation and the window both threads evaluate
+    "half-restriction": (lambda: _uncertified_half_restriction().forward, 20_000),
     # spread's block_of costs O(sqrt a), so a shorter window
-    "even-shift": (lambda: EvenShiftWitness(parts.spread()), 5_000),
+    "even-shift": (lambda: EvenShiftWitness(parts.spread()).forward, 5_000),
     "packer": (lambda: _PackerPermutation(parts.intervals_growing(),
-                                          parts.intervals_growing(), 0), 20_000),
+                                          parts.intervals_growing(), 0).forward,
+               20_000),
+    "local-factors": (_local_factors, 3_000),
+    # a branch limit's constant tail grows one Gamma set in place
+    "branch-limit": (lambda: branch_limit(build_tree(PartitionStabilizerOracle(
+        parts.a0()), "binary", 6), (1, 0) * 3).forward, 1_500),
 }
 
 
@@ -664,14 +679,14 @@ def test_walkers_shared_by_two_threads_answer_as_one(name):
     make, window = THREAD_CASES[name]
     points = range(window)
     alone = make()
-    expected = [alone.forward(a) for a in points]
+    expected = [alone(a) for a in points]
     for _ in range(20):
-        g = make()
+        evaluate = make()
         results, errors = [], []
 
         def run():
             try:
-                results.append([g.forward(a) for a in points])
+                results.append([evaluate(a) for a in points])
             except Exception as exc:  # any error, a race's included, fails the case
                 errors.append(exc)
         threads = [threading.Thread(target=run) for _ in range(2)]

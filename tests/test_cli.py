@@ -252,13 +252,14 @@ class TestPerm:
     ["local", "breakpoints", "--perm", "cycles:(0 1)", "--count", "0"],
     ["metric", "classify", "sqrt", "--centers", "-1"],
     ["classify", "full", "--budget", "0"],
+    ["witness", "even-shift"],
 ], ids=["rotate-size-0", "rotate-size-abc", "overlapping-cycles",
         "negative-cycle-point", "refine-pair-dash", "pattern-non-bit",
         "branch-choice", "verify-pi", "classify-radius", "refine-radius",
         "refine-radius-zero-denominator", "budget-over-ceiling",
         "window-negative", "norm-window-negative", "window-zero",
         "depth-zero", "depth-negative", "e-tree-depth-zero", "count-zero",
-        "centers-negative", "budget-zero"])
+        "centers-negative", "budget-zero", "even-shift-no-partition"])
 def test_malformed_input_exit_1(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert_error_exit(code, err)

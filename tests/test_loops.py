@@ -4,17 +4,22 @@ replaced.
 Each oracle below is a loop as it stood when every point paid its own
 top-level ``forward``/``backward`` entry.  A metered loop must give the same
 answer and, under ``evaluation_budget(10**9)``, charge the same primitive
-steps.  Two exceptions test fewer points: a word's ``moved_points``, which
-with every factor certified tests only its factors' moved points, gathered
-through inner words without evaluating them, so it charges at most what the
-scan below ``support_bound`` charged, and ``net_flow`` of a certified
-permutation, which tests only moved points.
+steps.  These exceptions test fewer points, so they give the same answer
+and charge at most what the per-call loop charged: a word's
+``moved_points``, which with every factor certified tests only its factors'
+moved points, gathered through inner words without evaluating them;
+``net_flow``, which tests only the moved points of a certified permutation
+and evaluates each point of an uncertified one once, however many cut
+windows hold it; ``Breakpoints`` (against ``PerCallBreakpoints``), which for
+a certified permutation tests only its candidate points; and the certified
+word ``h`` of a decomposition, which answers from its support bound up
+without running its factors.
 """
 import threading
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import symkit.partitions as parts
@@ -329,6 +334,10 @@ def per_call_branch_limit(tree, choice):
 
 
 class PerCallBreakpoints(Breakpoints):
+    def __init__(self, f, count):
+        self._scanned = self._max_seen = 0
+        super().__init__(f, count)
+
     def ensure(self, count):
         while len(self.a) <= count:
             prev = self.a[-1]
@@ -530,10 +539,12 @@ def test_breakpoints_and_decompose_match(f, count, window):
             return [h.forward(g.forward(a)) for a in range(window)], g.bp.a
         return metered_cost(go)
 
-    assert run(lambda: decompose_local(f, count)) == \
-        run(lambda: pair_crossers(f, PerCallBreakpoints(f, count)))
-    assert metered_cost(lambda: Breakpoints(f, count).a) == \
-        metered_cost(lambda: PerCallBreakpoints(f, count).a)
+    answer, spent = run(lambda: decompose_local(f, count))
+    ref_answer, ref_spent = run(lambda: pair_crossers(f, PerCallBreakpoints(f, count)))
+    assert answer == ref_answer and spent <= ref_spent
+    a, spent = metered_cost(lambda: Breakpoints(f, count).a)
+    ref_a, ref_spent = metered_cost(lambda: PerCallBreakpoints(f, count).a)
+    assert a == ref_a and spent <= ref_spent
 
 
 @settings(max_examples=150, deadline=None)
@@ -554,7 +565,8 @@ def test_net_flow_matches(finite, k, reach):
     f = word(finite, *([t] * k if k >= 0 else [t.inverse()] * -k) or [t, t.inverse()])
     cuts = range(-reach, reach + 1)
     flow, spent = metered_cost(net_flow, f, cuts)
-    assert (flow.per_cut, spent) == metered_cost(per_call_net_flow, f, cuts)
+    ref_per_cut, ref_spent = metered_cost(per_call_net_flow, f, cuts)
+    assert flow.per_cut == ref_per_cut and spent <= ref_spent
 
 
 @settings(max_examples=100, deadline=None)
@@ -567,6 +579,9 @@ def test_certified_net_flow_matches(f, reach):
 
 @settings(max_examples=200, deadline=None)
 @given(perms | certified)
+# a sole factor's own scan, without running the word on its moved points
+@example(word(_HalfRestriction(FiniteSupportPermutation({0: 1, 1: 0}),
+                               parts.pairs(), 0)))
 def test_moved_points_and_parity_match(p):
     if p.support_bound is None:
         return
@@ -597,6 +612,28 @@ def test_word_moved_points_charge_at_most_the_factorwise_scan(p):
     ref_moved, ref_spent = metered_cost(per_factor_moved_points, p)
     assert moved == ref_moved
     assert spent <= ref_spent
+
+
+def test_certified_breakpoints_test_candidate_points_only():
+    """Only the three moved points can lift the running maximum; the scan
+    below a(n) took 12 * 10^6 steps."""
+    f = word(FiniteSupportPermutation({0: 3_000_000, 3_000_000: 0}),
+             FiniteSupportPermutation({1: 3_000_000, 3_000_000: 1}))
+    a, spent = metered_cost(lambda: Breakpoints(f, 8).a)
+    assert a == [0, 1] + list(range(3_000_001, 3_000_008))
+    assert spent <= 3 * 4  # each moved point once each way through two factors
+    assert (f.forward(0), f.backward(0)) == (1, 3_000_000)
+
+
+def test_certified_word_answers_from_its_support_bound_for_free():
+    w = word(FiniteSupportPermutation({0: 5, 5: 0}), rule("identity"))
+    assert w.support_bound == 6
+    for a in (6, 7, 10**9):
+        assert metered_cost(w.forward, a) == (a, 0)
+        assert metered_cost(w.backward, a) == (a, 0)
+    assert metered_cost(w.forward, 5) == (0, 2)
+    _, h = decompose_local(FiniteSupportPermutation({0: 3, 3: 0}), 4)
+    assert metered_cost(h.forward, h.support_bound) == (h.support_bound, 0)
 
 
 def test_nested_word_moved_points_evaluate_only_the_top_word():
@@ -638,6 +675,35 @@ def test_verify_window_and_is_local_match(p, n):
         q = word(p, rule("swap-pairs"))
         assert metered_cost(agrees_on_window, p, q, n) == metered_cost(
             lambda: all(p.forward(a) == q.forward(a) for a in range(n)))
+
+
+def _window_cost(window):
+    """Steps and calls into the tail element of a depth-8 stab-a0 branch
+    limit, built and forwarded over [0, window)."""
+    tree = build_tree(PartitionStabilizerOracle(parts.a0()), "binary", 8)
+    element = tree.perm((1, 0) * 4)
+    calls = [0]
+
+    def counted(method):
+        def call(alpha):
+            calls[0] += 1
+            return method(alpha)
+        return call
+    element._fwd, element._bwd = counted(element._fwd), counted(element._bwd)
+
+    def run():
+        g = branch_limit(tree, (1, 0) * 4)
+        return [g.forward(a) for a in range(window)]
+    _, spent = metered_cost(run)
+    return spent / window, calls[0] / window
+
+
+def test_branch_limit_cost_per_point_stays_flat():
+    """A constant-tail level checks only its new point, where each level
+    used to check every earlier one again."""
+    small, large = _window_cost(1000), _window_cost(8000)
+    assert large[0] <= 1.05 * small[0]
+    assert large[1] <= 1.05 * small[1]
 
 
 # --------------------------------------------------------------------------
