@@ -102,7 +102,9 @@ class _PairedExchanger(Permutation):
         self._crossers: dict = {}
         self._paired: set = set()
         self._k = self._frontier = 0
+        self._points = None  # a certified f's candidates: no other point crosses
         if f.support_bound is not None:
+            self._points = f._candidates()
             i = 0
             while bp.value(2 * i) < f.support_bound:
                 i += 1
@@ -113,9 +115,12 @@ class _PairedExchanger(Permutation):
         if i in self._paired:
             return self._crossers
         lo, mid, hi = (self.bp.value(2 * i + k) for k in range(3))
-        f = self.f
-        ups = [x for x in range(lo, mid) if f.forward(x) >= mid]
-        downs = [x for x in range(mid, hi) if f.forward(x) < mid]
+        f, xs = self.f, self._points
+        xs = range(lo, hi) if xs is None else \
+            xs[bisect.bisect_left(xs, lo):bisect.bisect_left(xs, hi)]
+        split = bisect.bisect_left(xs, mid)
+        ups = [x for x in xs[:split] if f.forward(x) >= mid]
+        downs = [x for x in xs[split:] if f.forward(x) < mid]
         if len(ups) != len(downs):
             raise PreconditionError(
                 f"crossing counts differ at boundary {mid}: {len(ups)} up vs "

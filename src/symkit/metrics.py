@@ -82,7 +82,8 @@ INF = _Infinity()
 Distance = Union[int, Fraction, _Infinity]
 
 BALL_CAP = 4096
-# entries a refined metric keeps in its neighbor cache
+# points a refined metric keeps in its neighbor cache, each entry built at the
+# largest radius asked for that point
 NEIGHBOR_CACHE_CAP = 2048
 
 
@@ -451,11 +452,12 @@ def metric_from_partition(A: Partition) -> PartitionMetric:
 # unit-cost moves by the permutations of U.
 
 
-def _as_int_if_integral(d):
-    """d as an int when it is an integral Fraction, else d unchanged."""
-    if isinstance(d, Fraction) and d.denominator == 1:
-        return d.numerator
-    return d
+def _exact(r) -> Union[int, Fraction]:
+    """r as an int when integral, else as a Fraction: integral costs and radii
+    add, compare and hash as ints, several times faster than Fractions, and
+    a fractional step still mixes in exactly."""
+    r = r if isinstance(r, (int, Fraction)) else Fraction(r)
+    return r.numerator if r.denominator == 1 else r
 
 
 @dataclass
@@ -477,96 +479,81 @@ class RefinedMetric(GeneralizedMetric):
                     f"refinement input fails verify_window: {rep.failure}")
         self.base = base
         self.U = list(U)
-        self._moves = []
-        for u in self.U:
-            self._moves.append(u)
-            self._moves.append(u.inverse())
+        self._moves = [m for u in self.U for m in (u, u.inverse())]
         self.default_radius = Fraction(default_radius)
         self.key = f"refine({base.key};|U|={len(self.U)})"
         self.all_finite = base.all_finite
         self._neighbor_cache: dict = {}
         if base.uniform_bound is not None:
-            nmoves = len(self._moves)
-            base_bound = base.uniform_bound
+            k, base_bound = max(1, len(self._moves)), base.uniform_bound
+            # each unit-cost move adds 1 to a path's cost: fewer than r of them
+            self.uniform_bound = lambda r: sum(
+                base_bound(r) ** (n + 1) * k ** n for n in range(_ceil_int(r)))
 
-            def bound(r, nmoves=nmoves, base_bound=base_bound):
-                total = 0
-                n = 0
-                while n < r:  # each unit-cost move contributes 1 to the sum
-                    total += base_bound(r) ** (n + 1) * max(1, nmoves) ** n
-                    n += 1
-                return total
+    def _neighbors(self, x: int, radius, cap: int) -> tuple:
+        """The cache entry (radius, groups) of x: its edges other than to x,
+        as (cost, points) groups in increasing cost, each point once per
+        group, from the base ball at the full radius.  A search stops at the
+        first cost at or past its limit, so a smaller radius reuses the entry
+        and a larger one replaces it; the oldest goes past NEIGHBOR_CACHE_CAP."""
+        by_cost: dict = {}
+        for y in self.base.ball(x, radius, cap=cap):
+            if y != x:
+                cost = _exact(self.base.dist(x, y))
+                by_cost.setdefault(cost, {})[y] = None
+        by_cost.setdefault(1, {}).update(
+            dict.fromkeys(u._fwd(x) for u in self._moves))
+        by_cost[1].pop(x, None)
+        entry = (radius, tuple((c, tuple(by_cost[c])) for c in sorted(by_cost)))
+        cache = self._neighbor_cache
+        cache.pop(x, None)
+        if len(cache) >= NEIGHBOR_CACHE_CAP:
+            cache.pop(next(iter(cache)), None)
+        cache[x] = entry
+        return entry
 
-            self.uniform_bound = bound
-
-    def _neighbors(self, x: int, radius: Fraction, cap: int) -> tuple:
-        """Edges out of x other than to x itself, as (cost, points) groups in
-        increasing cost, each point once per group; cached per (point,
-        radius), and the oldest entry goes past NEIGHBOR_CACHE_CAP.
-
-        The base ball is taken at the full radius: surplus neighbors relax to
-        costs past the budget and get pruned, so the answer is unchanged.
-        """
-        key = (x, radius)
-        groups = self._neighbor_cache.get(key)
-        if groups is None:
-            by_cost: dict = {}
-            for y in self.base.ball(x, radius, cap=cap):
-                if y != x:
-                    cost = _as_int_if_integral(self.base.dist(x, y))
-                    by_cost.setdefault(cost, {})[y] = None
-            by_cost.setdefault(1, {}).update(
-                dict.fromkeys(u.forward(x) for u in self._moves))
-            by_cost[1].pop(x, None)
-            groups = tuple((c, tuple(by_cost[c])) for c in sorted(by_cost))
-            if len(self._neighbor_cache) >= NEIGHBOR_CACHE_CAP:
-                del self._neighbor_cache[next(iter(self._neighbor_cache))]
-            self._neighbor_cache[key] = groups
-        return groups
-
-    def _search(self, start: int, radius: Fraction, cap: int = BALL_CAP) -> dict:
-        """Settled points of the ball of radius around start, with their
-        distances (ints where the path sums are integral)."""
-        radius = Fraction(radius)
-        # integral costs add and compare as ints, several times faster than
-        # Fractions; a fractional step still mixes in exactly
-        limit = _as_int_if_integral(radius)
+    def _search(self, start: int, limit, cap: int = BALL_CAP) -> dict:
+        """Settled points of the ball of radius ``limit`` (see _exact) around
+        start, with their distances, under one meter for the moves of U."""
+        cache = self._neighbor_cache
         dist = {start: 0}
         settled: dict = {}
         heap = [(0, start)]
-        while heap:
-            v, x = heapq.heappop(heap)
-            if x in settled:
-                continue
-            if v >= limit:
-                break
-            settled[x] = v
-            if len(settled) > cap:
-                raise NotUncrowdedError(
-                    "refined ball exceeds cap", center=start, radius=radius)
-            for step, ys in self._neighbors(x, radius, cap):
-                w = v + step
-                if w >= limit:
+        with metered():
+            while heap:
+                v, x = heapq.heappop(heap)
+                if x in settled:
+                    continue
+                if v >= limit:
                     break
-                for y in ys:
-                    if y not in dist or w < dist[y]:
-                        dist[y] = w
-                        heapq.heappush(heap, (w, y))
+                settled[x] = v
+                if len(settled) > cap:
+                    raise NotUncrowdedError(
+                        "refined ball exceeds cap", center=start, radius=limit)
+                entry = cache.get(x)
+                if entry is None or entry[0] < limit:
+                    entry = self._neighbors(x, limit, cap)
+                for step, ys in entry[1]:
+                    w = v + step
+                    if w >= limit:
+                        break
+                    for y in ys:
+                        if y not in dist or w < dist[y]:
+                            dist[y] = w
+                            heapq.heappush(heap, (w, y))
         return settled
 
     def dist_budgeted(self, a: int, b: int, radius: Fraction) -> BudgetedDistance:
-        radius = Fraction(radius)
-        if a == b:
-            return BudgetedDistance("exact", Fraction(0))
-        settled = self._search(a, radius)
+        radius = _exact(radius)
+        settled = {a: 0} if a == b else self._search(a, radius)
         if b in settled:
-            return BudgetedDistance("exact", Fraction(settled[b]))
+            return BudgetedDistance("exact", settled[b])
         return BudgetedDistance("atleast", radius)
 
     def dist(self, a, b):
         base_d = self.base.dist(a, b)
         if is_finite(base_d):
-            return self.dist_budgeted(a, b, Fraction(base_d) + 1).value
+            return self.dist_budgeted(a, b, base_d + 1).value
         res = self.dist_budgeted(a, b, self.default_radius)
         if res.kind == "exact":
             return res.value
@@ -575,7 +562,7 @@ class RefinedMetric(GeneralizedMetric):
             f"use dist_budgeted")
 
     def ball(self, a, r, cap=BALL_CAP):
-        return sorted(self._search(a, Fraction(r), cap=cap))
+        return sorted(self._search(a, _exact(r), cap=cap))
 
 
 def refine_metric(d: GeneralizedMetric, U: Sequence[Permutation],
@@ -603,10 +590,22 @@ class NormReport:
         return self.certificate == "infinite"
 
 
+def _farthest(g: Permutation, d: GeneralizedMetric, points) -> Distance:
+    """The largest d(a, a.g) over the points, stopping at INF; run metered."""
+    best: Distance = 0
+    for a in points:
+        v = d.dist(a, g._fwd(a))
+        if v > best:
+            best = v
+            if isinstance(best, _Infinity):
+                break
+    return best
+
+
 def _support_norm(g: Permutation, d: GeneralizedMetric) -> Distance:
     """Exact norm of a certified finite-support permutation."""
     with metered():
-        return max((d.dist(a, g._fwd(a)) for a in g.moved_points()), default=0)
+        return _farthest(g, d, g._candidates())
 
 
 def _certified_bound(g: Permutation, d: GeneralizedMetric) -> Optional[Distance]:
@@ -624,26 +623,20 @@ def _certified_bound(g: Permutation, d: GeneralizedMetric) -> Optional[Distance]
 
 
 def _lower_bound(g: Permutation, d: GeneralizedMetric, window: int) -> Distance:
+    """The largest displacement on [0, window); a certified g moves only its
+    candidates."""
     with metered():
+        points = range(window) if g.support_bound is None else g._candidates()
+        points = points[:bisect.bisect_left(points, window)]
         if d.value_class == "rational":
-            best: Distance = 0
-            for a in range(window):
-                v = d.dist(a, g._fwd(a))
-                if v > best:
-                    best = v
-                    if isinstance(best, _Infinity):
-                        break
-            return best
+            return _farthest(g, d, points)
         # comparison-only: the largest integer threshold some probed pair meets
         best_t = 0
-        for a in range(window):
+        for a in points:
             b = g._fwd(a)
-            if b == a:
-                continue
-            t = best_t
-            while d.dist_cmp(a, b, Fraction(t + 1)) >= 0 and t < window:
-                t += 1
-            best_t = max(best_t, t)
+            while b != a and best_t < window and \
+                    d.dist_cmp(a, b, Fraction(best_t + 1)) >= 0:
+                best_t += 1
         return best_t
 
 
@@ -660,6 +653,9 @@ def norm(g: Permutation, d: GeneralizedMetric, window: int = 256) -> NormReport:
             pairs.append((a, b))
         return NormReport(max(lower, len(pairs)), "infinite",
                           witness_pairs=pairs)
+    if d.key not in g.displacement_bounds and d.value_class == "rational" and \
+            g.support_bound is not None and g.support_bound <= window:
+        return NormReport(lower, "finite", bound=lower)  # the window held it all
     bound = _certified_bound(g, d)
     if bound is not None:
         return NormReport(lower, "finite", bound=max(bound, lower))

@@ -10,14 +10,15 @@ nested calls; a finite or rule leaf's one step needs no meter installed.
 The metered loops: ``moved_points``, ``conjugate``, ``verify_window``,
 ``agrees_on_window``, ``parity``, ``verify_to``, tree rounds,
 ``verify_invariants``, ``Breakpoints.ensure``, ``is_local``, ``net_flow``,
-``norm``'s probes and the lazy witnesses' block walks, which charge one step
-per point tested.  :func:`evaluation_budget` yields a meter for a block, and
-an exhausted meter stays exhausted until it exits.  Loops test a point once
-and skip what a certificate settles: a certified word or half restriction
-answers from its support bound up uncharged, a word's ``moved_points``
-tests its factors' (a sole inner word lends its candidates unrun, another
-sole factor answers for it), certified breakpoints test candidates only,
-and ``net_flow`` evaluates each point once.
+``norm``'s probes, the refined-metric search and the lazy witnesses' block
+walks, which charge one step per point tested.  :func:`evaluation_budget`
+yields a meter for a block, and an exhausted meter stays exhausted until it
+exits.  Loops test a point once and skip what a certificate settles: a
+certified word or half restriction answers from its support bound up
+uncharged, a word's ``moved_points`` tests its factors' (a sole inner word
+lends its candidates unrun, another sole factor answers for it), certified
+breakpoints, crosser pairings and norms test candidates only, ``net_flow``
+evaluates each point once, and a constant tail pulls each point back once.
 
 Values are immutable after construction and safe to share across threads;
 memo tables fill idempotently, and a block walk extends under its walker's
@@ -419,9 +420,7 @@ class ConvergentSequence:
     * coset: g_j agrees with g_{j-1} on every point of Gamma_j.
 
     Together they force g_j to stabilize on the point j-1 in both directions
-    from level j on, so the pointwise limit is again a permutation.  A level
-    with the g and Gamma objects of the one before, Gamma grown in place,
-    checks only its new point j-1.
+    from level j on, so the pointwise limit is again a permutation.
     """
 
     def __init__(self, terms: Callable[[int], tuple], description: str = ""):
@@ -444,9 +443,9 @@ class ConvergentSequence:
                 self.verified_depth = j
 
     def _check_level(self, j: int) -> None:
-        g_prev, gamma_prev = self.term(j - 1)
+        g_prev, _ = self.term(j - 1)
         g_j, gamma_j = self.term(j)
-        for i in range(j - 1 if g_j is g_prev and gamma_j is gamma_prev else 0, j):
+        for i in range(j):
             if i not in gamma_j:
                 raise ConvergenceError(
                     f"point {i} missing from Gamma_{j}", level=j, point=i,
@@ -457,7 +456,7 @@ class ConvergentSequence:
                     f"preimage {pre} of point {i} under g_{j-1} missing from Gamma_{j}",
                     level=j, point=i, condition="containment")
         if g_j is g_prev:
-            return  # a constant tail agrees with itself
+            return  # a constant term agrees with itself
         for c in sorted(gamma_j):
             if g_j._fwd(c) != g_prev._fwd(c):
                 raise ConvergenceError(
@@ -465,29 +464,32 @@ class ConvergentSequence:
                     level=j, point=c, condition="coset")
 
 
-def constant_tail(seq_terms: Callable[[int], tuple], depth: int):
-    """Extend finitely many terms with a constant continuation.
+class ConstantTail(ConvergentSequence):
+    """Finitely many terms, then the last one's g forever.  The tail levels
+    share one Gamma set that their checks grow in place: level j adds j-1
+    and g^-1(j-1), so both conditions hold by construction and each point
+    is pulled back once; the set only grows, so threads may share it."""
 
-    Beyond ``depth`` the permutation is repeated and one Gamma set, shared
-    by every tail level, grows in place to keep both convergence conditions
-    trivially true, so the limit machinery can evaluate at arbitrary points.
-    """
+    def __init__(self, seq_terms: Callable[[int], tuple], depth: int,
+                 description: str = ""):
+        super().__init__(seq_terms, description)
+        self._depth = depth
+        self._gamma: set = set()
 
-    tail: set = set()  # the tail levels' one Gamma, grown in place
-    reach = [0]  # it holds m and g^-1(m) for m < reach[0]
+    def term(self, j: int):
+        if j < self._depth:
+            return super().term(j)
+        g, gamma = super().term(max(self._depth - 1, 0))
+        if not self._gamma:
+            self._gamma.update(gamma)
+        return g, self._gamma
 
-    def terms(j: int):
-        if j < depth:
-            return seq_terms(j)
-        g, gamma = seq_terms(max(depth - 1, 0))
-        if not tail:
-            tail.update(gamma)
-        for m in range(reach[0], j):
-            tail.update((m, g.backward(m)))
-        reach[0] = max(reach[0], j)
-        return g, tail
-
-    return terms
+    def _check_level(self, j: int) -> None:
+        if j < self._depth:
+            return super()._check_level(j)
+        g, gamma = self.term(j)  # verify_to has checked every level below j
+        for m in range(j - 1 if j > self._depth else 0, j):
+            gamma.update((m, g._bwd(m)))
 
 
 class LimitPermutation(Permutation):

@@ -11,7 +11,6 @@ exactly what a depth-bounded construction can observe.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -24,12 +23,12 @@ from .errors import (
 )
 from .partitions import Partition
 from .perm import (
+    ConstantTail,
     ConvergentSequence,
     FiniteSupportPermutation,
     LimitPermutation,
     Permutation,
     WordPermutation,
-    constant_tail,
     identity,
     limit,
     metered,
@@ -487,16 +486,13 @@ def branch_sequence(tree: TreeState, choice: Sequence[int]) -> ConvergentSequenc
     prefixes = _branch_prefixes(tree, choice)
     depth = len(choice)
 
-    @functools.cache  # the constant tail asks for the last term again
-    def base_terms(j: int):
-        j = min(j, depth)
+    def base_terms(j: int):  # j < depth, or j = 0 for a depth-0 branch
         pts = set(tree._points(j))
         prev = tree.perm(prefixes[j])
         lean_gamma = frozenset(pts | {prev.backward(p) for p in pts})
         return tree.perm(prefixes[min(j + 1, depth)]), lean_gamma
 
-    return ConvergentSequence(constant_tail(base_terms, depth),
-                              description=f"branch {choice}")
+    return ConstantTail(base_terms, depth, description=f"branch {choice}")
 
 
 def branch_limit(tree: TreeState, choice: Sequence[int]) -> LimitPermutation:

@@ -51,14 +51,17 @@ def metered_cost(fn):
 
 
 class BlockPairedExchanger(Permutation):
-    """The local factor with one crosser dict per paired block."""
+    """The local factor with one crosser dict per paired block; a block pair
+    of a certified f scans only f's candidates there."""
 
     def __init__(self, f, bp):
         super().__init__()
         self.f = f
         self.bp = bp
         self._cache = {}
+        self._points = None
         if f.support_bound is not None:
+            self._points = list(f._candidates())
             i = 0
             while bp.value(2 * i) < f.support_bound:
                 i += 1
@@ -69,8 +72,12 @@ class BlockPairedExchanger(Permutation):
             return self._cache[i]
         lo, mid, hi = (self.bp.value(2 * i + k) for k in range(3))
         f = self.f
-        ups = [x for x in range(lo, mid) if f.forward(x) >= mid]
-        downs = [x for x in range(mid, hi) if f.forward(x) < mid]
+        below = range(lo, mid) if self._points is None else \
+            [x for x in self._points if lo <= x < mid]
+        above = range(mid, hi) if self._points is None else \
+            [x for x in self._points if mid <= x < hi]
+        ups = [x for x in below if f.forward(x) >= mid]
+        downs = [x for x in above if f.forward(x) < mid]
         if len(ups) != len(downs):
             raise PreconditionError(
                 f"crossing counts differ at boundary {mid}: {len(ups)} up vs "

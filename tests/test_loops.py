@@ -551,9 +551,15 @@ def test_breakpoints_and_decompose_match(f, count, window):
 @given(perms, st.sampled_from([StandardOmega(), StandardZ(), SqrtMetric()]),
        st.integers(0, 120))
 def test_lower_bound_and_norm_match(g, d, window):
-    lower = metered_cost(_lower_bound, g, d, window)
-    assert lower == metered_cost(per_call_lower_bound, g, d, window)
-    assert norm(g, d, window).lower_bound == lower[0]
+    lower, spent = metered_cost(_lower_bound, g, d, window)
+    ref_lower, ref_spent = metered_cost(per_call_lower_bound, g, d, window)
+    assert lower == ref_lower
+    if g.support_bound is None:
+        assert spent == ref_spent
+    else:  # a certified g is tested once at each of its candidates below the window
+        points, found = metered_cost(lambda: [a for a in g._candidates() if a < window])
+        assert spent == found + metered_cost(lambda: [g.forward(a) for a in points])[1]
+    assert norm(g, d, window).lower_bound == lower
     if g.support_bound is not None and d.value_class == "rational":
         assert _support_norm(g, d) == per_call_support_norm(g, d)
 
@@ -704,6 +710,8 @@ def test_branch_limit_cost_per_point_stays_flat():
     small, large = _window_cost(1000), _window_cost(8000)
     assert large[0] <= 1.05 * small[0]
     assert large[1] <= 1.05 * small[1]
+    # one pull-back per point grows the tail's Gamma, one forward answers it
+    assert small[1] <= 2.05
 
 
 # --------------------------------------------------------------------------

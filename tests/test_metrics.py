@@ -2,15 +2,19 @@ import heapq
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symkit.errors import (
+    EvaluationBudgetError,
     InsufficientSetError,
     NoCertificateError,
     NotUncrowdedError,
+    PreconditionError,
+    SymkitError,
     UnsupportedMetricError,
 )
 import symkit.metrics as metrics
@@ -30,6 +34,7 @@ from symkit.metrics import (
     factor_fn_omega,
     fn_contains,
     is_finite,
+    NormReport,
     metric_from_partition,
     net_flow,
     norm,
@@ -47,7 +52,16 @@ from symkit.partitions import (
     pairs,
     stabilizer_membership,
 )
-from symkit.perm import FiniteSupportPermutation, identity, rule, word
+import symkit.perm as perm
+from symkit.localdecomp import UniformBreakpoints, pair_crossers
+from symkit.perm import (
+    FiniteSupportPermutation,
+    WordPermutation,
+    evaluation_budget,
+    identity,
+    rule,
+    word,
+)
 
 RATIONAL_BUILTINS = [StandardOmega, StandardZ, UltraBase2, CayleyZ2, CayleyF2,
                      DiscreteInfinite]
@@ -313,6 +327,68 @@ class TestRefine:
             for a in (0, 5, 40, 200):
                 assert len(ref.ball(a, r)) <= bound
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 5), st.sampled_from([4, NEIGHBOR_CACHE_CAP]),
+           st.lists(st.tuples(
+               st.integers(0, 60), st.integers(-4, 4) | st.integers(0, 120),
+               st.sampled_from([Fraction(2), Fraction(3), Fraction(7, 2),
+                                Fraction(4), Fraction(5)])),
+               min_size=1, max_size=8))
+    def test_point_keyed_cache_matches_best_first(self, config, cache_cap,
+                                                   queries):
+        """One cache entry per point, at the largest radius asked: radii
+        that rise and then fall again over the same points."""
+        base, U = refine_configs()[config]
+        ref = refine_metric(base, U)
+        with mock.patch.object(metrics, "NEIGHBOR_CACHE_CAP", cache_cap):
+            for a, b, radius in queries + queries[::-1]:
+                b = max(0, a + b) if b <= 4 else b
+                expected = best_first(base, U, a, radius)
+                assert ref.ball(a, radius) == sorted(expected)
+                got = ref.dist_budgeted(a, b, radius)
+                if b in expected:
+                    assert (got.kind, got.value) == ("exact", expected[b])
+                else:
+                    assert (got.kind, got.value) == ("atleast", radius)
+                assert len(ref._neighbor_cache) <= cache_cap
+
+    def test_smaller_radius_reuses_the_entry(self):
+        radii = []
+
+        class CountedBalls(StandardOmega):
+            def ball(self, a, r, cap=BALL_CAP):
+                radii.append(r)
+                return super().ball(a, r, cap)
+
+        ref = refine_metric(CountedBalls(), [rule("swap-pairs")])
+        built = []
+        for r in (4, 3, 2):
+            before = len(radii)
+            got = ref.dist_budgeted(100, 102, Fraction(r))
+            assert (got.kind, got.value) == \
+                (("exact", 2) if r > 2 else ("atleast", 2))
+            built.append(len(radii) - before)
+        assert built[0] > 0 and built[1:] == [0, 0]
+        assert set(radii) == {4}  # integral radii reach the base ball as ints
+        assert all(type(r) is int for r in radii)
+
+    def test_search_runs_under_one_meter(self):
+        ref = refine_metric(StandardOmega(), [cyc([0, 1]), cyc([0, 2])])
+        with evaluation_budget(3):
+            with pytest.raises(EvaluationBudgetError) as err:
+                ref.dist_budgeted(0, 5, Fraction(2))  # 0 has four moves
+        assert (err.value.form, err.value.limit) == ("cycles", 3)
+
+    def test_top_level_search_shares_one_default_budget(self, monkeypatch):
+        ref = refine_metric(StandardOmega(), [word(rule("swap-pairs"),
+                                                   rule("swap-pairs"))])
+        # about 80 expanded points, four steps each: one 50-step budget for
+        # the whole search, not one per move
+        monkeypatch.setattr(perm._local.state.default, "limit", 50)
+        with pytest.raises(EvaluationBudgetError) as err:
+            ref.ball(100, Fraction(40))
+        assert (err.value.form, err.value.limit) == ("rule", 50)
+
 
 class TestNorm:
     def test_identity(self):
@@ -350,6 +426,115 @@ class TestNorm:
         d = make()
         for g in perms + [word(*perms)]:
             assert metrics._support_norm(g, d) == scan(g, d)
+
+
+def range_scan_norm(g, d, window):
+    """norm as it was before it tested only a certified g's candidates: the
+    whole window, then the support again through moved_points; kept as the
+    oracle of the one-pass norm."""
+    if d.value_class == "rational":
+        lower = 0
+        for a in range(window):
+            v = d.dist(a, g.forward(a))
+            if v > lower:
+                lower = v
+                if not is_finite(lower):
+                    break
+    else:
+        lower = 0
+        for a in range(window):
+            b = g.forward(a)
+            if b == a:
+                continue
+            t = lower
+            while d.dist_cmp(a, b, Fraction(t + 1)) >= 0 and t < window:
+                t += 1
+            lower = max(lower, t)
+    witness = g.growth_witnesses.get(d.key)
+    if witness is not None:
+        pairs = []
+        for j in range(1, min(window, 16) + 1):
+            a, b = witness(j)
+            if d.dist_cmp(a, b, Fraction(j)) < 0:
+                raise PreconditionError(
+                    f"growth witness pair {j} is closer than {j}")
+            pairs.append((a, b))
+        return NormReport(max(lower, len(pairs)), "infinite",
+                          witness_pairs=pairs)
+
+    def certified(f):
+        if d.key in f.displacement_bounds:
+            return f.displacement_bounds[d.key]
+        if f.support_bound is not None:
+            if d.value_class != "rational":
+                return None
+            return max((d.dist(a, f.forward(a)) for a in f.moved_points()),
+                       default=0)
+        if isinstance(f, WordPermutation):
+            parts = [certified(e) for e in f.factors]
+            if all(p is not None for p in parts):
+                return sum(parts, 0)
+        return None
+
+    bound = certified(g)
+    if bound is not None:
+        return NormReport(lower, "finite", bound=max(bound, lower))
+    return NormReport(lower, "unknown")
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except SymkitError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _finite(span, max_moves=12):
+    return st.lists(st.integers(0, span), unique=True, max_size=max_moves).flatmap(
+        lambda pts: st.permutations(pts).map(
+            lambda img: FiniteSupportPermutation(dict(zip(pts, img)))))
+
+
+NORM_PERMS = st.recursive(
+    _finite(80) | st.sampled_from([
+        rule("swap-pairs"), rule("shift-z"), rule("block-rotate", size=3),
+        rule("identity")]),
+    lambda inner: st.lists(inner, min_size=1, max_size=3).map(
+        lambda fs: word(*fs)) | inner.map(lambda p: p.inverse()),
+    max_leaves=4)
+
+
+class TestOnePassNorm:
+    @settings(max_examples=200, deadline=None)
+    @given(NORM_PERMS | st.builds(
+               lambda k: unbounded_witness_rule(StandardOmega(), lambda i: i + k),
+               st.integers(0, 3)),
+           st.sampled_from(RATIONAL_BUILTINS + [SqrtMetric,
+                                                lambda: metric_from_partition(pairs())]),
+           st.integers(0, 150))
+    def test_matches_range_scan_norm(self, g, make, window):
+        d = make()
+        assert _outcome(norm, g, d, window) == \
+            _outcome(range_scan_norm, g, d, window)
+
+    @settings(max_examples=100, deadline=None)
+    @given(NORM_PERMS, st.integers(1, 120))
+    def test_factors_match_range_scan_norm(self, f, span):
+        ref = range_scan_norm(f, StandardOmega(), max(16, f.support_bound or 0))
+        try:
+            got = factor_fn_omega(f)
+        except NoCertificateError:
+            assert not ref.certified_finite
+            return
+        assert ref.certified_finite
+        n = math.ceil(ref.bound)
+        if n == 0:
+            want = identity(), identity()
+        else:
+            want = pair_crossers(f, UniformBreakpoints(n))
+        for mine, theirs in zip(got, want):
+            assert [mine.forward(a) for a in range(span)] == \
+                [theirs.forward(a) for a in range(span)]
 
 
 class TestUnboundedWitness:
