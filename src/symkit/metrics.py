@@ -623,11 +623,11 @@ def _certified_bound(g: Permutation, d: GeneralizedMetric) -> Optional[Distance]
 
 
 def _lower_bound(g: Permutation, d: GeneralizedMetric, window: int) -> Distance:
-    """The largest displacement on [0, window); a certified g moves only its
-    candidates."""
+    """The largest displacement on [0, window); a window that covers a
+    certified g's support tests only its candidates."""
     with metered():
-        points = range(window) if g.support_bound is None else g._candidates()
-        points = points[:bisect.bisect_left(points, window)]
+        covered = g.support_bound is not None and g.support_bound <= window
+        points = g._candidates() if covered else range(window)
         if d.value_class == "rational":
             return _farthest(g, d, points)
         # comparison-only: the largest integer threshold some probed pair meets
@@ -653,9 +653,9 @@ def norm(g: Permutation, d: GeneralizedMetric, window: int = 256) -> NormReport:
             pairs.append((a, b))
         return NormReport(max(lower, len(pairs)), "infinite",
                           witness_pairs=pairs)
-    if d.key not in g.displacement_bounds and d.value_class == "rational" and \
-            g.support_bound is not None and g.support_bound <= window:
-        return NormReport(lower, "finite", bound=lower)  # the window held it all
+    if g.support_bound is not None and g.support_bound <= window and \
+            d.value_class == "rational" and d.key not in g.displacement_bounds:
+        return NormReport(lower, "finite", bound=lower)  # one pass saw every move
     bound = _certified_bound(g, d)
     if bound is not None:
         return NormReport(lower, "finite", bound=max(bound, lower))
