@@ -104,7 +104,8 @@ class _PairedExchanger(Permutation):
         self._k = self._frontier = 0
         self._points = None  # a certified f's candidates: no other point crosses
         if f.support_bound is not None:
-            self._points = f._candidates()
+            shared = getattr(bp, "f", None) is f  # f's breakpoints have read them
+            self._points = bp._points if shared else f._candidates()
             i = 0
             while bp.value(2 * i) < f.support_bound:
                 i += 1

@@ -61,7 +61,8 @@ class BlockPairedExchanger(Permutation):
         self._cache = {}
         self._points = None
         if f.support_bound is not None:
-            self._points = list(f._candidates())
+            self._points = list(bp._points if isinstance(bp, Breakpoints)
+                                else f._candidates())
             i = 0
             while bp.value(2 * i) < f.support_bound:
                 i += 1
