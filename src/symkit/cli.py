@@ -44,6 +44,14 @@ def _natural_pairs(text: str) -> list:
     return pairs
 
 
+def _needed(args, option: str) -> str:
+    """The value of ``--option``, which this action needs; ParseError if missing."""
+    value = getattr(args, option.replace("-", "_"))
+    if value is None:
+        raise ParseError(f"{args.command} {args.action} needs --{option}")
+    return value
+
+
 # -- subcommands -------------------------------------------------------------
 
 
@@ -87,7 +95,7 @@ def _cmd_metric(args) -> int:
               [f"case: {rep.case}"])
         return 0 if rep.case != "Unknown" else 2
     if args.action == "norm":
-        g = perm.parse_perm(args.perm)
+        g = perm.parse_perm(_needed(args, "perm"))
         rep = metrics.norm(g, d, window=args.window or 256)
         payload = {"metric": d.key, "lower_bound": str(rep.lower_bound),
                    "certificate": rep.certificate,
@@ -97,7 +105,7 @@ def _cmd_metric(args) -> int:
                               f"certificate: {rep.certificate}"])
         return 0 if rep.certificate != "unknown" else 2
     if args.action == "flow":
-        g = perm.parse_perm(args.perm)
+        g = perm.parse_perm(_needed(args, "perm"))
         cuts = range(-(args.window or 4), (args.window or 4) + 1)
         flow = metrics.net_flow(g, cuts)
         payload = {"per_cut": {str(k): v for k, v in flow.per_cut.items()},
@@ -178,9 +186,7 @@ def _cmd_witness(args) -> int:
         _emit(args, payload, [f"f: {payload['f']}", f"g: {payload['g']}"])
         return 0
     if args.action == "even-shift":
-        if args.partition is None:
-            raise ParseError("witness even-shift needs --partition")
-        A = partitions.parse_partition(args.partition)
+        A = partitions.parse_partition(_needed(args, "partition"))
         w = witnesses.even_shift_witness(A)
         marked = {i: w.marked(i) for i in range(-(args.depth or 4),
                                                 4 * (args.depth or 4))}
@@ -204,8 +210,8 @@ def _cmd_witness(args) -> int:
         _emit(args, payload, [f"matches: {payload['matches']}"])
         return 0 if payload["matches"] else 1
     if args.action == "three-cycle":
-        g = perm.parse_perm(args.perm)
-        s = perm.parse_perm(args.perm_b)
+        g = perm.parse_perm(_needed(args, "perm"))
+        s = perm.parse_perm(_needed(args, "perm-b"))
         c = witnesses.three_cycle_extract(g, s)
         _emit(args, {"commutator": perm.format_perm(c)},
               [f"commutator: {perm.format_perm(c)}"])

@@ -10,6 +10,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
@@ -23,12 +24,13 @@ from .errors import (
     UnsupportedMetricError,
 )
 from .localdecomp import UniformBreakpoints, pair_crossers
-from .partitions import Partition, parse_partition
+from .partitions import Partition, extend_while, parse_partition
 from .perm import (
     FiniteSupportPermutation,
     Permutation,
     RulePermutation,
     WordPermutation,
+    _charge,
     identity,
     metered,
     nat_to_z,
@@ -681,154 +683,143 @@ def fn_contains(g: Permutation, d: GeneralizedMetric, window: int = 256) -> Cont
 # Unbounded-element witnesses.
 
 
-def unbounded_witness(d: GeneralizedMetric, sigma: Iterable[int], J: int,
-                      scan_cap: int = 100_000) -> FiniteSupportPermutation:
+WITNESS_SCAN_CAP = 100_000  # points of sigma, or blocks for one pair, then InsufficientSetError
+
+
+def _far_partner(d: GeneralizedMetric, a: int, j: int, candidates: Iterable[int],
+                 used) -> Optional[int]:
+    """The first candidate other than a and not in ``used`` at distance at
+    least j from a, or None; each distance test charges one step."""
+    r = Fraction(j)
+    for b in candidates:
+        if b != a and b not in used:
+            _charge("unbounded-witness")
+            if d.dist_cmp(a, b, r) >= 0:
+                return b
+    return None
+
+
+def unbounded_witness(d: GeneralizedMetric, sigma: Iterable[int],
+                      J: int) -> FiniteSupportPermutation:
     """Swap pairs (a_j, b_j), j = 1..J, drawn from sigma with d(a_j, b_j) >= j.
 
     a_j is the first unused point of sigma; b_j the first unused point of
     sigma outside the open ball B(a_j, j).  All chosen points lie in sigma,
-    so the witness preserves any block containing sigma.
+    so the witness preserves any block containing sigma.  Needing more than
+    ``WITNESS_SCAN_CAP`` points of sigma raises InsufficientSetError.
     """
-    points = []
-    it = iter(sigma)
+    points: list = []
+    rest = iter(sigma)
+
+    def prefix():  # sigma's points in order, pulled on demand
+        yield from points
+        for v in rest:
+            if len(points) == WITNESS_SCAN_CAP:
+                raise InsufficientSetError("scan cap exceeded")
+            points.append(v)
+            yield v
+        raise InsufficientSetError(
+            f"point enumeration exhausted after {len(points)} points")
+
     used: set = set()
     mapping: dict = {}
-
-    def pull(n):
-        while len(points) < n:
-            try:
-                points.append(next(it))
-            except StopIteration:
-                raise InsufficientSetError(
-                    f"point enumeration exhausted after {len(points)} points")
-            if len(points) > scan_cap:
-                raise InsufficientSetError("scan cap exceeded")
-
-    pos = 0
-    for j in range(1, J + 1):
-        a = None
-        while a is None:
-            pull(pos + 1)
-            cand = points[pos]
-            pos += 1
-            if cand not in used:
-                a = cand
-        used.add(a)
-        b = None
-        i = 0
-        while b is None:
-            pull(i + 1)
-            cand = points[i]
-            i += 1
-            if cand in used or cand == a:
-                continue
-            if d.dist_cmp(a, cand, Fraction(j)) >= 0:
-                b = cand
-            if i > scan_cap:
-                raise InsufficientSetError(
-                    f"no point at distance >= {j} from {a} within the scanned "
-                    f"prefix of sigma")
-        used.add(b)
-        mapping[a] = b
-        mapping[b] = a
+    with metered():
+        for j in range(1, J + 1):
+            a = next(p for p in prefix() if p not in used)
+            used.add(a)
+            b = _far_partner(d, a, j, prefix(), used)
+            used.add(b)
+            mapping[a], mapping[b] = b, a
     return FiniteSupportPermutation(mapping)
 
 
 def unbounded_witness_in_stabilizer(d: GeneralizedMetric, A: Partition,
-                                    J: int, scan_cap: int = 100_000
-                                    ) -> FiniteSupportPermutation:
+                                    J: int) -> FiniteSupportPermutation:
     """A block-preserving permutation of unbounded norm under d.
 
-    Each pair (a_j, b_j) is drawn from a single block of A whose diameter
-    under d exceeds j, so the swaps preserve every block while the distances
+    Each pair (a_j, b_j) is drawn from the next block of A with two points
+    at distance >= j, so the swaps preserve every block while the distances
     grow without bound.  Needs unbounded block sizes (and a metric whose
     within-block distances grow with block size, e.g. the standard metric
-    over growing intervals).
+    over growing intervals); ``WITNESS_SCAN_CAP`` blocks without a pair
+    raise InsufficientSetError.
     """
     mapping: dict = {}
-    used: set = set()
     blocks = A.iter_blocks()
-    for j in range(1, J + 1):
-        found = False
-        scanned = 0
-        while not found:
-            try:
-                bid = next(blocks)
-            except StopIteration:
-                raise InsufficientSetError("partition ran out of blocks")
-            scanned += 1
-            if scanned > scan_cap:
-                raise InsufficientSetError("scan cap exceeded")
-            members = [m for m in A.block_members(bid) if m not in used]
-            for a in members:
-                far = [b for b in members
-                       if b != a and d.dist_cmp(a, b, Fraction(j)) >= 0]
-                if far:
-                    b = far[0]
-                    mapping[a] = b
-                    mapping[b] = a
-                    used.update((a, b))
-                    found = True
+    with metered():
+        for j in range(1, J + 1):
+            for _ in range(WITNESS_SCAN_CAP):
+                members = A.block_members(next(blocks))
+                pair = next(((a, b) for a in members
+                             if (b := _far_partner(d, a, j, members, ())) is not None),
+                            None)
+                if pair is not None:
                     break
+            else:
+                raise InsufficientSetError("scan cap exceeded")
+            a, b = pair
+            mapping[a], mapping[b] = b, a
     return FiniteSupportPermutation(mapping)
 
 
-def unbounded_witness_rule(d: GeneralizedMetric, sigma_fn: Callable[[int], int],
-                           prebuild: int = 16) -> RulePermutation:
+class _FarPairWalk:
+    """The rule witness's pairs, from one forward scan of a strictly
+    increasing ``sigma_fn``: a_j is the next point, b_j the next point at
+    distance >= j, and the points skipped in between stay fixed.  So every
+    point up to the last one pulled is settled.  Each pair is committed
+    whole, under the walk's lock (:func:`extend_while`)."""
+
+    def __init__(self, d: GeneralizedMetric, sigma_fn: Callable[[int], int]):
+        self._d = d
+        self._sigma = sigma_fn
+        self._lock = threading.Lock()
+        self._partner: dict = {}
+        self.pairs: list = []
+        self._next = 0   # the next index of sigma_fn
+        self._last = -1  # the last point pulled
+
+    def _step(self) -> None:
+        sigma, i, last = self._sigma, self._next, self._last
+
+        def pull():
+            nonlocal i, last
+            v = sigma(i)
+            if v <= last:
+                raise PreconditionError(
+                    f"sigma_fn must increase strictly over the naturals: "
+                    f"sigma_fn({i}) = {v} after {last}")
+            i, last = i + 1, v
+            return v
+
+        a = pull()
+        b = _far_partner(self._d, a, len(self.pairs) + 1, iter(pull, None), ())
+        self._partner[a], self._partner[b] = b, a
+        self.pairs.append((a, b))
+        self._next, self._last = i, b  # last, so a reader sees the pair first
+
+    def image(self, m: int) -> int:
+        if m > self._last:  # a settled point skips the closure
+            extend_while(self._lock, lambda: m > self._last, self._step)
+        return self._partner.get(m, m)
+
+    def pair(self, j: int) -> Tuple[int, int]:
+        extend_while(self._lock, lambda: len(self.pairs) < j, self._step)
+        return self.pairs[j - 1]
+
+
+def unbounded_witness_rule(d: GeneralizedMetric,
+                           sigma_fn: Callable[[int], int]) -> RulePermutation:
     """A rule permutation swapping an endless family of certified-far pairs.
 
-    ``sigma_fn(i)`` enumerates the ground set.  A single forward-only scan
-    picks a_j as the next point and b_j as the next point at distance >= j;
-    points skipped in between stay fixed forever, so membership is decidable.
-    The permutation carries a growth witness for ``d``, letting norm()
-    certify an infinite norm.
+    ``sigma_fn(i)`` enumerates the ground set in strictly increasing order;
+    a pull that does not increase raises PreconditionError.  The pairs are
+    :class:`_FarPairWalk`'s.  The permutation carries a growth witness for
+    ``d``, letting norm() certify an infinite norm.
     """
-    state = {"pos": 0, "partner": {}, "scanned": set(), "pairs": [],
-             "last": None, "ascending": True}
-
-    def pull():
-        v = sigma_fn(state["pos"])
-        state["pos"] += 1
-        state["scanned"].add(v)
-        if state["last"] is not None and v <= state["last"]:
-            state["ascending"] = False
-        state["last"] = v
-        return v
-
-    def extend(upto_j):
-        while len(state["pairs"]) < upto_j:
-            j = len(state["pairs"]) + 1
-            a = pull()
-            while True:
-                cand = pull()
-                if d.dist_cmp(a, cand, Fraction(j)) >= 0:
-                    break
-            state["partner"][a] = cand
-            state["partner"][cand] = a
-            state["pairs"].append((a, cand))
-
-    extend(prebuild)
-
-    def lookup(m):
-        guard = 0
-        while m not in state["partner"] and m not in state["scanned"]:
-            if state["ascending"] and state["last"] is not None and state["last"] > m:
-                return m  # the enumeration passed m without producing it
-            extend(len(state["pairs"]) + 1)
-            guard += 1
-            if guard > 4096:
-                raise NotUncrowdedError(
-                    "witness scan cannot locate the queried point")
-        return state["partner"].get(m, m)
-
-    p = RulePermutation("unbounded-witness", lookup, lookup,
+    walk = _FarPairWalk(d, sigma_fn)
+    p = RulePermutation("unbounded-witness", walk.image, walk.image,
                         params={"metric": d.key})
-
-    def witness(j):
-        extend(j)
-        return state["pairs"][j - 1]
-
-    p.growth_witnesses[d.key] = witness
+    p.growth_witnesses[d.key] = walk.pair
     return p
 
 

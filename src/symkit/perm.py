@@ -10,8 +10,9 @@ nested calls; a finite or rule leaf's one step needs no meter installed.
 The metered loops: ``moved_points``, ``conjugate``, ``verify_window``,
 ``agrees_on_window``, ``parity``, ``verify_to``, tree rounds,
 ``verify_invariants``, ``Breakpoints.ensure``, ``is_local``, ``net_flow``,
-``norm``'s probes, the refined-metric search and the lazy witnesses' block
-walks, which charge one step per point tested.  :func:`evaluation_budget`
+``norm``'s probes, the refined-metric search, the lazy witnesses' block
+walks, which charge one step per point tested, and the unbounded witnesses'
+far-pair scans, which charge one per distance tested.  :func:`evaluation_budget`
 yields a meter for a block, and an exhausted meter stays exhausted until it
 exits.  Loops test a point once and skip what a certificate settles: a
 certified word or half restriction answers from its support bound up
@@ -21,8 +22,8 @@ breakpoints, crosser pairings and norms test candidates only, ``net_flow``
 evaluates each point once, and a constant tail pulls each point back once.
 
 Values are immutable after construction and safe to share across threads;
-memo tables fill idempotently, and a block walk extends under its walker's
-lock.  User-supplied rules must be pure -- that is a stated contract, not
+memo tables fill idempotently, and a block walk or the rule witness's
+far-pair walk extends under its walker's lock.  User-supplied rules must be pure -- that is a stated contract, not
 something the library can enforce.
 """
 from __future__ import annotations

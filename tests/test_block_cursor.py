@@ -8,8 +8,9 @@ walkers must give the same ids, the same images in both directions and in
 any evaluation order, and the same exception types.  The other tests hold
 the cursor's own promises: walkers shared by two threads answer as one
 thread does (as do the two factors of a local decomposition, over their
-shared breakpoints, and a branch limit), every walk stops at a small step
-budget with its own form, and a settled point pulls no block.
+shared breakpoints, a branch limit and the rule witness's far-pair walk),
+every walk stops at a small step budget with its own form, and a settled
+point pulls no block.
 """
 import itertools
 import random
@@ -36,6 +37,7 @@ from symkit.partitions import (
     conjugator,
 )
 from symkit.localdecomp import decompose_local
+from symkit.metrics import StandardOmega, unbounded_witness_rule
 from symkit.perm import (
     FiniteSupportPermutation,
     Permutation,
@@ -660,6 +662,10 @@ def _local_factors():
     return lambda a: (p.forward(a), q.forward(a), p.backward(a), q.backward(a))
 
 
+def _far_pairs():
+    return unbounded_witness_rule(StandardOmega(), lambda i: i)
+
+
 THREAD_CASES = {  # a point's evaluation and the window both threads evaluate
     "half-restriction": (lambda: _uncertified_half_restriction().forward, 20_000),
     # spread's block_of costs O(sqrt a), so a shorter window
@@ -671,6 +677,7 @@ THREAD_CASES = {  # a point's evaluation and the window both threads evaluate
     # a branch limit's constant tail grows one Gamma set in place
     "branch-limit": (lambda: branch_limit(build_tree(PartitionStabilizerOracle(
         parts.a0()), "binary", 6), (1, 0) * 3).forward, 1_500),
+    "unbounded-witness": (lambda: _far_pairs().forward, 20_000),
 }
 
 
@@ -710,6 +717,7 @@ BUDGET_CASES = {
     "conjugator": lambda: conjugator(parts.pairs(), parts.pairs(), 6),
     "even-shift": lambda: EvenShiftWitness(parts.spread()),
     "half-restriction": _uncertified_half_restriction,
+    "unbounded-witness": _far_pairs,
 }
 
 

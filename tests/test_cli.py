@@ -253,13 +253,17 @@ class TestPerm:
     ["metric", "classify", "sqrt", "--centers", "-1"],
     ["classify", "full", "--budget", "0"],
     ["witness", "even-shift"],
+    ["metric", "norm", "standard-omega"],
+    ["metric", "flow", "standard-z"],
+    ["witness", "three-cycle"],
 ], ids=["rotate-size-0", "rotate-size-abc", "overlapping-cycles",
         "negative-cycle-point", "refine-pair-dash", "pattern-non-bit",
         "branch-choice", "verify-pi", "classify-radius", "refine-radius",
         "refine-radius-zero-denominator", "budget-over-ceiling",
         "window-negative", "norm-window-negative", "window-zero",
         "depth-zero", "depth-negative", "e-tree-depth-zero", "count-zero",
-        "centers-negative", "budget-zero", "even-shift-no-partition"])
+        "centers-negative", "budget-zero", "even-shift-no-partition",
+        "norm-no-perm", "flow-no-perm", "three-cycle-no-perm"])
 def test_malformed_input_exit_1(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert_error_exit(code, err)
