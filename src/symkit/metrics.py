@@ -683,7 +683,7 @@ def fn_contains(g: Permutation, d: GeneralizedMetric, window: int = 256) -> Cont
 # Unbounded-element witnesses.
 
 
-WITNESS_SCAN_CAP = 100_000  # points of sigma, or blocks for one pair, then InsufficientSetError
+WITNESS_SCAN_CAP = 100_000  # points of sigma, or blocks per pair, that may be scanned
 
 
 def _far_partner(d: GeneralizedMetric, a: int, j: int, candidates: Iterable[int],
@@ -726,9 +726,8 @@ def unbounded_witness(d: GeneralizedMetric, sigma: Iterable[int],
     with metered():
         for j in range(1, J + 1):
             a = next(p for p in prefix() if p not in used)
-            used.add(a)
             b = _far_partner(d, a, j, prefix(), used)
-            used.add(b)
+            used.update((a, b))
             mapping[a], mapping[b] = b, a
     return FiniteSupportPermutation(mapping)
 

@@ -12,19 +12,20 @@ The metered loops: ``moved_points``, ``conjugate``, ``verify_window``,
 ``verify_invariants``, ``Breakpoints.ensure``, ``is_local``, ``net_flow``,
 ``norm``'s probes, the refined-metric search, the lazy witnesses' block
 walks, which charge one step per point tested, and the unbounded witnesses'
-far-pair scans, which charge one per distance tested.  :func:`evaluation_budget`
-yields a meter for a block, and an exhausted meter stays exhausted until it
-exits.  Loops test a point once and skip what a certificate settles: a
-certified word or half restriction answers from its support bound up
-uncharged, a word's ``moved_points`` tests its factors' (a sole inner word
-lends its candidates unrun, another sole factor answers for it), certified
-breakpoints, crosser pairings and norms test candidates only, ``net_flow``
-evaluates each point once, and a constant tail pulls each point back once.
+far-pair scans, which charge one per distance tested.
+:func:`evaluation_budget` yields a meter for a block, and an exhausted meter
+stays exhausted until it exits.  Loops test a point once and skip what a
+certificate settles: a certified word or half restriction answers from its
+support bound up uncharged, a word's ``moved_points`` tests its factors' (a
+sole inner word lends its candidates unrun, another sole factor answers for
+it), certified breakpoints, crosser pairings and norms test candidates only,
+``net_flow`` evaluates each point once, and a constant tail pulls each point
+back once.
 
 Values are immutable after construction and safe to share across threads;
 memo tables fill idempotently, and a block walk or the rule witness's
-far-pair walk extends under its walker's lock.  User-supplied rules must be pure -- that is a stated contract, not
-something the library can enforce.
+far-pair walk extends under its walker's lock.  User-supplied rules must be
+pure -- that is a stated contract, not something the library can enforce.
 """
 from __future__ import annotations
 
