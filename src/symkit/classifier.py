@@ -465,16 +465,11 @@ def _classify_partition_stab(desc: Descriptor, A: Partition, budgets: Budgets,
         # every finite set leaves an infinite orbit inside the declared block
         probes = []
         stab = desc if isinstance(desc, PartitionStab) else PartitionStab(A, A.key)
+        block = A.block_of(profile.block)
         for gamma in _initial_segments(budgets):
-            gamma = sorted(set(gamma).union(extra_gamma))
-            block_pt = None
-            m = 0
-            while block_pt is None:
-                if m not in gamma and \
-                        A.block_of(m) == A.block_of(profile.block):
-                    block_pt = m
-                m += 1
-            probes.append(orbit(stab, gamma, block_pt, budgets.orbit_budget))
+            gset = set(gamma).union(extra_gamma)
+            block_pt = A.free_points(block, gset, 1)[0]
+            probes.append(orbit(stab, gset, block_pt, budgets.orbit_budget))
         return _label("C_S", True, "partition-infinite-block",
                       sorted(set(extra_gamma)), probes,
                       budgets, {"block": profile.block})
@@ -556,13 +551,7 @@ def _partition_discreteness(A: Partition, extra: Sequence[int],
         gset = set(gamma) | set(extra)
         found = None
         if infinite_block is not None:
-            free = []
-            m = 0
-            while len(free) < 2 and m < 10**6:
-                if m not in gset and A.block_of(m) == infinite_block:
-                    free.append(m)
-                m += 1
-            found = free if len(free) == 2 else None
+            found = A.free_points(infinite_block, gset, 2)
         else:
             scanned = 0
             for b in A.iter_blocks():

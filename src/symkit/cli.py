@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from fractions import Fraction
 
@@ -42,6 +41,10 @@ def _natural_pairs(text: str) -> list:
                 f"expected a pair of naturals a:b, got {pair!r}")
         pairs.append((int(a), int(b)))
     return pairs
+
+
+def _distance(d) -> str:
+    return "INF" if d == metrics.INF else str(d)
 
 
 def _needed(args, option: str) -> str:
@@ -97,11 +100,11 @@ def _cmd_metric(args) -> int:
     if args.action == "norm":
         g = perm.parse_perm(_needed(args, "perm"))
         rep = metrics.norm(g, d, window=args.window or 256)
-        payload = {"metric": d.key, "lower_bound": str(rep.lower_bound),
+        payload = {"metric": d.key, "lower_bound": _distance(rep.lower_bound),
                    "certificate": rep.certificate,
-                   "bound": str(rep.bound) if rep.bound is not None else None,
+                   "bound": _distance(rep.bound) if rep.bound is not None else None,
                    "witness_pairs": rep.witness_pairs}
-        _emit(args, payload, [f"lower_bound: {rep.lower_bound}",
+        _emit(args, payload, [f"lower_bound: {payload['lower_bound']}",
                               f"certificate: {rep.certificate}"])
         return 0 if rep.certificate != "unknown" else 2
     if args.action == "flow":
@@ -310,8 +313,6 @@ def _shared_flags(parser, suppress: bool) -> None:
     default = argparse.SUPPRESS if suppress else None
     parser.add_argument("--json", action="store_true",
                         default=argparse.SUPPRESS if suppress else False)
-    parser.add_argument("--seed", type=int,
-                        default=argparse.SUPPRESS if suppress else 0)
     parser.add_argument("--window", type=int, default=default)
     parser.add_argument("--budget", type=int, default=default)
 
@@ -393,7 +394,6 @@ def cli_main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    random.seed(args.seed)
     try:
         for name in ("window", "depth", "count", "centers", "budget"):
             value = getattr(args, name, None)  # None: the command's default

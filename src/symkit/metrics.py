@@ -1,9 +1,10 @@
 """Generalized metrics on the naturals, with exact arithmetic.
 
-Distances are exact rationals or the single value INF; comparisons are never
-floating point.  The square-root metric is supported comparison-only: it can
-compare a distance with a rational threshold exactly (via squared integer
-arithmetic) but cannot return the distance itself.
+Distances are exact rationals or INF, which is ``math.inf``: Python compares
+it exactly with every int and Fraction, and no other float arises, so no
+comparison is rounded.  The square-root metric is supported comparison-only:
+it can compare a distance with a rational threshold exactly (via squared
+integer arithmetic) but cannot return the distance itself.
 """
 from __future__ import annotations
 
@@ -41,56 +42,20 @@ from .perm import (
 )
 
 
-class _Infinity:
-    """The top element of the distance order."""
+INF = math.inf
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INF"
-
-    def __eq__(self, other):
-        return isinstance(other, _Infinity)
-
-    def __hash__(self):
-        return hash("symkit-infinity")
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return isinstance(other, _Infinity)
-
-    def __gt__(self, other):
-        return not isinstance(other, _Infinity)
-
-    def __ge__(self, other):
-        return True
-
-    def __add__(self, other):
-        return self
-
-    def __radd__(self, other):
-        return self
-
-
-INF = _Infinity()
-
-Distance = Union[int, Fraction, _Infinity]
+Distance = Union[int, Fraction, float]  # the only float is INF
 
 BALL_CAP = 4096
 # points a refined metric keeps in its neighbor cache, each entry built at the
 # largest radius asked for that point
 NEIGHBOR_CACHE_CAP = 2048
+REFINE_VERIFY_WINDOW = 64  # window each move of U is verified on
+REFINE_SEARCH_RADIUS = 8   # a refined dist's radius across an infinite base distance
 
 
 def is_finite(d: Distance) -> bool:
-    return not isinstance(d, _Infinity)
+    return d != INF
 
 
 def _cmp(a, b) -> int:
@@ -112,10 +77,7 @@ class GeneralizedMetric:
 
     def dist_cmp(self, a: int, b: int, r: Fraction) -> int:
         """Exact comparison of d(a, b) against the rational threshold r."""
-        d = self.dist(a, b)
-        if isinstance(d, _Infinity):
-            return 1
-        return _cmp(d, r)
+        return _cmp(self.dist(a, b), r)
 
     def ball(self, a: int, r: Fraction, cap: int = BALL_CAP) -> List[int]:
         """The open ball B(a, r), raising NotUncrowdedError past ``cap``."""
@@ -469,20 +431,18 @@ class BudgetedDistance:
 
 
 class RefinedMetric(GeneralizedMetric):
-    def __init__(self, base: GeneralizedMetric, U: Sequence[Permutation],
-                 default_radius: Fraction = Fraction(8), verify_win: int = 64):
+    def __init__(self, base: GeneralizedMetric, U: Sequence[Permutation]):
         if base.value_class != "rational":
             raise UnsupportedMetricError(
                 "refinement needs a rational-valued base metric")
         for u in U:
-            rep = verify_window(u, verify_win)
+            rep = verify_window(u, REFINE_VERIFY_WINDOW)
             if not rep.ok:
                 raise PreconditionError(
                     f"refinement input fails verify_window: {rep.failure}")
         self.base = base
         self.U = list(U)
         self._moves = [m for u in self.U for m in (u, u.inverse())]
-        self.default_radius = Fraction(default_radius)
         self.key = f"refine({base.key};|U|={len(self.U)})"
         self.all_finite = base.all_finite
         self._neighbor_cache: dict = {}
@@ -556,20 +516,19 @@ class RefinedMetric(GeneralizedMetric):
         base_d = self.base.dist(a, b)
         if is_finite(base_d):
             return self.dist_budgeted(a, b, base_d + 1).value
-        res = self.dist_budgeted(a, b, self.default_radius)
+        res = self.dist_budgeted(a, b, REFINE_SEARCH_RADIUS)
         if res.kind == "exact":
             return res.value
         raise UnsupportedMetricError(
-            f"distance exceeds the search radius {self.default_radius}; "
+            f"distance exceeds the search radius {REFINE_SEARCH_RADIUS}; "
             f"use dist_budgeted")
 
     def ball(self, a, r, cap=BALL_CAP):
         return sorted(self._search(a, _exact(r), cap=cap))
 
 
-def refine_metric(d: GeneralizedMetric, U: Sequence[Permutation],
-                  default_radius: Fraction = Fraction(8)) -> RefinedMetric:
-    return RefinedMetric(d, U, default_radius=default_radius)
+def refine_metric(d: GeneralizedMetric, U: Sequence[Permutation]) -> RefinedMetric:
+    return RefinedMetric(d, U)
 
 
 # --------------------------------------------------------------------------
@@ -599,7 +558,7 @@ def _farthest(g: Permutation, d: GeneralizedMetric, points) -> Distance:
         v = d.dist(a, g._fwd(a))
         if v > best:
             best = v
-            if isinstance(best, _Infinity):
+            if best == INF:
                 break
     return best
 
@@ -655,11 +614,13 @@ def norm(g: Permutation, d: GeneralizedMetric, window: int = 256) -> NormReport:
             pairs.append((a, b))
         return NormReport(max(lower, len(pairs)), "infinite",
                           witness_pairs=pairs)
+    if lower == INF:  # one displacement is already infinite
+        return NormReport(lower, "infinite")
     if g.support_bound is not None and g.support_bound <= window and \
             d.value_class == "rational" and d.key not in g.displacement_bounds:
         return NormReport(lower, "finite", bound=lower)  # one pass saw every move
     bound = _certified_bound(g, d)
-    if bound is not None:
+    if bound is not None and bound != INF:  # an INF sum bounds nothing
         return NormReport(lower, "finite", bound=max(bound, lower))
     return NormReport(lower, "unknown")
 
@@ -933,8 +894,7 @@ class FlowValue:
     common_value: Optional[int]
 
 
-def net_flow(f: Permutation, cuts: Iterable[int] = range(-4, 5),
-             metric_key: str = "standard-z") -> FlowValue:
+def net_flow(f: Permutation, cuts: Iterable[int] = range(-4, 5)) -> FlowValue:
     """Upward minus downward crossers past each cut, in integer coordinates.
 
     Needs a certified displacement bound for the standard metric on the

@@ -15,7 +15,7 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Union
 
-from .errors import NotIsomorphicError, ParseError, PreconditionError, ProfileViolationError
+from .errors import NotIsomorphicError, ParseError, ProfileViolationError
 from .perm import Permutation, _charge, _Flip, metered, z_to_nat
 
 # Scan caps whose exhaustion decides an answer; any other walk is bounded by
@@ -68,6 +68,24 @@ class Partition:
         """Ids of the blocks meeting [0, window), in increasing order."""
         block_of = self._block_of
         return [a for a in range(window) if block_of(a) == a]
+
+    def free_points(self, block_id: int, gamma, n: int) -> List[int]:
+        """The first ``n`` points of block ``block_id`` outside the set
+        ``gamma``, found through block_of alone, so an infinite block needs
+        no member list.  Each point tested charges one step, added to the
+        meter once the scan ends: block_of charges nothing meanwhile."""
+        block_of, out, m = self._block_of, [], 0
+        with metered() as meter:
+            stop = meter.limit - meter.spent  # the points the meter allows
+            while len(out) < n:
+                if m >= stop:
+                    meter.spent += m
+                    _charge("free-points")  # the budget is spent: raises
+                if m not in gamma and block_of(m) == block_id:
+                    out.append(m)
+                m += 1
+            meter.spent += m
+        return out
 
     def iter_blocks(self):
         """All blocks in increasing id order (infinite iterator)."""
@@ -331,7 +349,7 @@ def z_block_id(z: int) -> int:
 
 
 def explicit(blocks: List[List[int]], profile: Profile,
-             rest_singletons: bool = True, key: str = "explicit") -> Partition:
+             key: str = "explicit") -> Partition:
     block_map: dict = {}
     members_map: dict = {}
     for blk in blocks:
@@ -342,8 +360,6 @@ def explicit(blocks: List[List[int]], profile: Profile,
             if a in block_map:
                 raise ProfileViolationError(f"explicit blocks overlap at {a}")
             block_map[a] = bid
-    if not rest_singletons:
-        raise PreconditionError("explicit partitions must cover the rest with singletons")
 
     def block_of(a):
         return block_map.get(a, a)

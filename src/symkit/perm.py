@@ -11,8 +11,9 @@ The metered loops: ``moved_points``, ``conjugate``, ``verify_window``,
 ``agrees_on_window``, ``parity``, ``verify_to``, tree rounds,
 ``verify_invariants``, ``Breakpoints.ensure``, ``is_local``, ``net_flow``,
 ``norm``'s probes, the refined-metric search, the lazy witnesses' block
-walks, which charge one step per point tested, and the unbounded witnesses'
-far-pair scans, which charge one per distance tested.
+walks and a partition's free-point scans, which charge one step per point
+tested, and the unbounded witnesses' far-pair scans, which charge one per
+distance tested.
 :func:`evaluation_budget` yields a meter for a block, and an exhausted meter
 stays exhausted until it exits.  Loops test a point once and skip what a
 certificate settles: a certified word or half restriction answers from its
@@ -321,6 +322,8 @@ class RulePermutation(_Leaf):
             displacement_bounds=self.displacement_bounds,
             inverted=not self.inverted,
         )
+        for key, pair in self.growth_witnesses.items():  # a.f == b: b.f^-1 == a
+            inv.growth_witnesses[key] = lambda j, pair=pair: pair(j)[::-1]
         return inv
 
 
@@ -329,7 +332,7 @@ class WordPermutation(Permutation):
 
     form = "word"
 
-    def __init__(self, factors: Sequence[Permutation], memo: bool = False):
+    def __init__(self, factors: Sequence[Permutation]):
         super().__init__()
         self.factors = list(factors)
         bounds = [f.support_bound for f in self.factors]
@@ -343,36 +346,25 @@ class WordPermutation(Permutation):
             self.displacement_bounds[k] = sum(
                 f.displacement_bounds[k] for f in self.factors
             )
-        self._memo_f: Optional[dict] = {} if memo else None
-        self._memo_b: Optional[dict] = {} if memo else None
 
     def _fwd(self, alpha):
-        if self._memo_f is not None and alpha in self._memo_f:
-            return self._memo_f[alpha]
         if self.support_bound is not None and alpha >= self.support_bound:
             return alpha  # every factor fixes it
         value = alpha
         for f in self.factors:
             value = f._fwd(value)
-        if self._memo_f is not None:
-            self._memo_f[alpha] = value
         return value
 
     def _bwd(self, alpha):
-        if self._memo_b is not None and alpha in self._memo_b:
-            return self._memo_b[alpha]
         if self.support_bound is not None and alpha >= self.support_bound:
             return alpha
         value = alpha
         for f in reversed(self.factors):
             value = f._bwd(value)
-        if self._memo_b is not None:
-            self._memo_b[alpha] = value
         return value
 
     def inverse(self):
-        return WordPermutation([f.inverse() for f in reversed(self.factors)],
-                               memo=self._memo_f is not None)
+        return WordPermutation([f.inverse() for f in reversed(self.factors)])
 
     def moved_points(self) -> list:
         fs = self.factors  # a sole certified factor that is not a word is the word
@@ -391,8 +383,8 @@ class WordPermutation(Permutation):
         return sorted({a for a in inner if a < self.support_bound})
 
 
-def word(*factors: Permutation, memo: bool = False) -> WordPermutation:
-    return WordPermutation(list(factors), memo=memo)
+def word(*factors: Permutation) -> WordPermutation:
+    return WordPermutation(list(factors))
 
 
 def conjugate(f: Permutation, t: Permutation) -> WordPermutation:
@@ -425,11 +417,10 @@ class ConvergentSequence:
     from level j on, so the pointwise limit is again a permutation.
     """
 
-    def __init__(self, terms: Callable[[int], tuple], description: str = ""):
+    def __init__(self, terms: Callable[[int], tuple]):
         self._producer = terms
         self._cache: dict = {}
         self.verified_depth = 0
-        self.description = description
 
     def term(self, j: int):
         if j not in self._cache:
@@ -472,9 +463,8 @@ class ConstantTail(ConvergentSequence):
     and g^-1(j-1), so both conditions hold by construction and each point
     is pulled back once; the set only grows, so threads may share it."""
 
-    def __init__(self, seq_terms: Callable[[int], tuple], depth: int,
-                 description: str = ""):
-        super().__init__(seq_terms, description)
+    def __init__(self, seq_terms: Callable[[int], tuple], depth: int):
+        super().__init__(seq_terms)
         self._depth = depth
         self._gamma: set = set()
 

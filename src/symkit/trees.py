@@ -35,6 +35,7 @@ from .perm import (
 )
 
 PIVOT_SCAN_CAP = 10_000
+TREE_DEPTH_CAP = 12
 
 
 @dataclass
@@ -97,15 +98,7 @@ class PartitionStabilizerOracle(GroupOracle):
         block_id = A.block_of(alpha)
         if A.profile.kind == "infinite-block" and \
                 block_id == A.block_of(A.profile.block):
-            # the infinite block has no member list: enumerate it through
-            # block_of only
-            pts = []
-            m = 0
-            while len(pts) < n:
-                if m not in gamma and A.block_of(m) == block_id:
-                    pts.append(m)
-                m += 1
-            return OrbitResult("atleast", pts)
+            return OrbitResult("atleast", A.free_points(block_id, gamma, n))
         free = [x for x in A.block_members(block_id) if x not in gamma]
         if alpha not in free or len(free) < 2:
             return OrbitResult("full", [alpha])
@@ -446,14 +439,13 @@ def _compositions(total: int, parts: int):
 
 
 def build_tree(oracle: GroupOracle, mode: str, depth: int,
-               n_sequence: Optional[Sequence[int]] = None,
-               depth_cap: int = 12) -> TreeState:
+               n_sequence: Optional[Sequence[int]] = None) -> TreeState:
     if depth < 0:
         raise PreconditionError(f"depth must be a natural number, got {depth}")
-    if depth > depth_cap:
+    if depth > TREE_DEPTH_CAP:
         raise PreconditionError(
-            f"depth {depth} exceeds the cap {depth_cap}: node counts grow "
-            f"exponentially (raise depth_cap deliberately)")
+            f"depth {depth} exceeds the cap {TREE_DEPTH_CAP}: node counts "
+            f"grow exponentially")
     tree = TreeState(mode, oracle, n_sequence=n_sequence)
     for _ in range(depth):
         tree.build_round()
@@ -492,7 +484,7 @@ def branch_sequence(tree: TreeState, choice: Sequence[int]) -> ConvergentSequenc
         lean_gamma = frozenset(pts | {prev.backward(p) for p in pts})
         return tree.perm(prefixes[min(j + 1, depth)]), lean_gamma
 
-    return ConstantTail(base_terms, depth, description=f"branch {choice}")
+    return ConstantTail(base_terms, depth)
 
 
 def branch_limit(tree: TreeState, choice: Sequence[int]) -> LimitPermutation:

@@ -10,7 +10,7 @@ from symkit.classifier import (
     orbit,
     parse_descriptor,
 )
-from symkit.errors import ProfileViolationError
+from symkit.errors import EvaluationBudgetError, ProfileViolationError
 from symkit.perm import verify_window
 from symkit.trees import (
     FullSymmetricOracle,
@@ -111,6 +111,15 @@ class TestInfiniteBlockDescriptor:
     def test_not_compact(self):
         v = compactness_criterion(parse_descriptor("stab:partition:evens-block"))
         assert v.answer == "no"
+
+    def test_false_infinite_block_runs_out_of_budget(self):
+        # one point in the declared infinite block: no second free point
+        from symkit.classifier import PartitionStab, discreteness
+
+        liar = parts.explicit([], parts.HasInfiniteBlock(1), key="liar")
+        with pytest.raises(EvaluationBudgetError) as err:
+            discreteness(PartitionStab(liar, liar.key))
+        assert err.value.form == "free-points"
 
     def test_not_discrete(self):
         from symkit.classifier import discreteness

@@ -41,12 +41,12 @@ from symkit.localdecomp import (
     pair_crossers,
 )
 from symkit.metrics import (
+    INF,
     SqrtMetric,
     StandardOmega,
     StandardZ,
     _ceil_int,
     _certified_bound,
-    _Infinity,
     _lower_bound,
     _support_norm,
     net_flow,
@@ -386,7 +386,7 @@ def per_call_lower_bound(g, d, window):
             v = d.dist(a, g.forward(a))
             if v > best:
                 best = v
-                if isinstance(best, _Infinity):
+                if best == INF:
                     break
         return best
     best_t = 0

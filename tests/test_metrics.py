@@ -408,6 +408,17 @@ class TestNorm:
         rep = norm(rule("shift-z"), StandardOmega(), window=64)
         assert rep.certificate == "unknown"
 
+    @pytest.mark.parametrize("make", [DiscreteInfinite,
+                                      lambda: metric_from_partition(pairs())])
+    def test_infinite_displacement_is_not_finite(self, make):
+        d, g = make(), cyc([1, 2])
+        rep = norm(g, d, window=256)
+        assert rep.lower_bound == INF and rep.certified_infinite
+        assert fn_contains(g, d).answer == "no"
+        # a window short of the support sees nothing, and an INF bound
+        # from the support scan certifies nothing
+        assert norm(g, d, window=1).certificate == "unknown"
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.lists(st.integers(0, 300), max_size=12, unique=True)
                     .flatmap(lambda pts: st.permutations(pts).map(
@@ -461,6 +472,8 @@ def range_scan_norm(g, d, window):
             pairs.append((a, b))
         return NormReport(max(lower, len(pairs)), "infinite",
                           witness_pairs=pairs)
+    if not is_finite(lower):
+        return NormReport(lower, "infinite")
 
     def certified(f):
         if d.key in f.displacement_bounds:
@@ -477,7 +490,7 @@ def range_scan_norm(g, d, window):
         return None
 
     bound = certified(g)
-    if bound is not None:
+    if bound is not None and is_finite(bound):
         return NormReport(lower, "finite", bound=max(bound, lower))
     return NormReport(lower, "unknown")
 
@@ -577,6 +590,16 @@ class TestUnboundedWitness:
         pairs_seen = rep.report.witness_pairs
         dists = [d.dist(a, b) for a, b in pairs_seen]
         assert all(dists[j] >= j + 1 for j in range(len(dists)))
+
+    def test_rule_witness_inverse_keeps_the_witness(self):
+        d = StandardOmega()
+        p = unbounded_witness_rule(d, lambda i: i)
+        pairs = norm(p, d, 64).witness_pairs
+        rep = norm(p.inverse(), d, 64)
+        assert rep.certified_infinite
+        assert rep.witness_pairs == [(b, a) for a, b in pairs]
+        assert all(p.inverse().forward(b) == a for b, a in rep.witness_pairs)
+        assert norm(p.inverse().inverse(), d, 64).witness_pairs == pairs
 
     def test_rule_witness_under_partition_metric(self):
         d = metric_from_partition(intervals_growing())

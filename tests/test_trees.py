@@ -239,14 +239,13 @@ class TestVerifyConjugation:
 
 
 class FlatWordTree(TreeState):
-    """The reference evaluation: every element a memoised flat word over its
+    """The reference evaluation: every element a flat word over its
     factors, every round gamma rescanned over all points and nodes, and every
     factor checked point by point on its event set."""
 
     def perm(self, key):
         if key not in self._perms:
-            self._perms[key] = WordPermutation(self.nodes[key].factors,
-                                               memo=True)
+            self._perms[key] = WordPermutation(self.nodes[key].factors)
         return self._perms[key]
 
     def _gamma(self, j):
