@@ -13,6 +13,7 @@ phrasing is recorded alongside each label.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -36,7 +37,7 @@ from .partitions import (
     UnboundedFinite,
     parse_partition,
 )
-from .perm import Permutation, parse_perm, parse_points, split_top
+from .perm import Permutation, metered, parse_perm_list, parse_points, split_top
 from .trees import FullSymmetricOracle, GroupOracle, PartitionStabilizerOracle
 
 CLASS_ORDER = ("C_1", "C_Q", "C_P", "C_S")
@@ -202,11 +203,7 @@ def parse_descriptor(s: str) -> Descriptor:
         name = s[len("oracle:"):]
         return OracleG(oracle_plugin(name), name)
     if s.startswith("gens:"):
-        body = s[len("gens:"):].strip()
-        if not (body.startswith("[") and body.endswith("]")):
-            raise ParseError(f"gens needs [...] in {s!r}", len("gens:"))
-        inner = body[1:-1].strip()
-        gens = [parse_perm(p) for p in split_top(inner, ",")] if inner else []
+        inner, gens = parse_perm_list(s[len("gens:"):], "gens", s, len("gens:"))
         return FiniteSupportG(gens, inner)
     raise ParseError(f"unknown descriptor {s!r}", 0)
 
@@ -429,12 +426,7 @@ def _classify_partition_stab(desc: Descriptor, A: Partition, budgets: Budgets,
                       budgets, {"growing_blocks": growing})
     if isinstance(profile, BoundedBy):
         if profile.n >= 2 and profile.nonsingletons == "infinite":
-            ids = []
-            start = 0
-            for _ in range(4):
-                found = A.sample_nonsingleton_blocks(1, start=start)[0]
-                ids.append(found)
-                start = max(A.block_members(found)) + 1
+            ids = A.sample_nonsingleton_blocks(4)
             blocks = [[b, len(A.block_members(b))] for b in ids]
             for b, size in blocks:
                 if size > profile.n:
@@ -447,19 +439,8 @@ def _classify_partition_stab(desc: Descriptor, A: Partition, budgets: Budgets,
                                     "nonsingleton_blocks": blocks})
         # finitely many nonsingletons: the stabilizer of their union is trivial
         count = profile.nonsingletons if isinstance(profile.nonsingletons, int) else 0
-        gamma: List[int] = []
-        found = 0
-        for b in A.iter_blocks():
-            members = A.block_members(b)
-            if len(members) > 1:
-                gamma.extend(members)
-                found += 1
-            if found >= count:
-                break
-            if len(gamma) > 10**5:
-                break
         return _label("C_1", True, "partition-finite-nonsingletons",
-                      sorted(gamma), [], budgets,
+                      _nonsingleton_union(A), [], budgets,
                       {"nonsingleton_count": count})
     if isinstance(profile, HasInfiniteBlock):
         # every finite set leaves an infinite orbit inside the declared block
@@ -474,6 +455,20 @@ def _classify_partition_stab(desc: Descriptor, A: Partition, budgets: Budgets,
                       sorted(set(extra_gamma)), probes,
                       budgets, {"block": profile.block})
     raise PreconditionError("unknown profile")
+
+
+def _nonsingleton_union(A: Partition) -> Optional[List[int]]:
+    """The points of A's nonsingleton blocks if its profile declares finitely
+    many, walked under one meter: a profile that declares more than exist
+    stops there.  None if it declares infinitely many."""
+    p = A.profile
+    if not isinstance(p, BoundedBy) or (p.n >= 2 and p.nonsingletons == "infinite"):
+        return None
+    count = p.nonsingletons if isinstance(p.nonsingletons, int) else 0
+    with metered():
+        found = (b for b in A.iter_blocks() if len(A.block_members(b)) > 1)
+        return sorted(a for b in itertools.islice(found, count)
+                      for a in A.block_members(b))
 
 
 def _classify_fn(desc: FNGroup, budgets: Budgets) -> ClassLabel:
@@ -543,29 +538,21 @@ def discreteness(desc: Descriptor, budgets: Optional[Budgets] = None) -> Verdict
 
 def _partition_discreteness(A: Partition, extra: Sequence[int],
                             budgets: Budgets) -> Verdict:
+    union = _nonsingleton_union(A)
+    if union is not None:
+        return Verdict("yes", "fixing the finitely many nonsingleton blocks "
+                              "pins everything", {"gamma": union})
     witnesses = []
-    infinite_block = None
-    if A.profile.kind == "infinite-block":
-        infinite_block = A.block_of(A.profile.block)
-    for gamma in _initial_segments(budgets):
-        gset = set(gamma) | set(extra)
-        found = None
-        if infinite_block is not None:
-            found = A.free_points(infinite_block, gset, 2)
-        else:
-            scanned = 0
-            for b in A.iter_blocks():
-                scanned += 1
-                if scanned > 10**5:
-                    break
-                free = [x for x in A.block_members(b) if x not in gset]
-                if len(free) >= 2:
-                    found = free[:2]
-                    break
-        if found is None:
-            return Verdict("unknown", "no free block found at budget",
-                           {"witnesses": witnesses})
-        witnesses.append({"gamma": sorted(gset), "moved": found})
+    with metered():
+        for gamma in _initial_segments(budgets):
+            gset = set(gamma) | set(extra)
+            if isinstance(A.profile, HasInfiniteBlock):
+                found = A.free_points(A.block_of(A.profile.block), gset, 2)
+            else:
+                free = ([x for x in A.block_members(b) if x not in gset]
+                        for b in A.iter_blocks())
+                found = next(f[:2] for f in free if len(f) >= 2)
+            witnesses.append({"gamma": sorted(gset), "moved": found})
     return Verdict("no", "every probed set leaves a free block transposition",
                    {"witnesses": witnesses})
 

@@ -78,7 +78,8 @@ def _cmd_classify(args) -> int:
 def _cmd_orbit(args) -> int:
     desc = classifier.parse_descriptor(args.descriptor)
     gamma = perm.parse_points(args.gamma)
-    rep = classifier.orbit(desc, gamma, args.alpha, args.budget or 4096)
+    budget = classifier.Budgets(orbit_budget=args.budget or 4096).orbit_budget
+    rep = classifier.orbit(desc, gamma, args.alpha, budget)
     payload = rep.to_dict()
     _emit(args, payload, [f"kind: {rep.kind}", f"size: {rep.size}",
                           f"points: {rep.points[:16]}"])
@@ -263,20 +264,15 @@ def _cmd_tree(args) -> int:
                    "pivot_images": {str(k): v for k, v in images.items()}}
         _emit(args, payload, [f"pivot images: {images}"])
         return 0
-    if args.action == "s":
-        family = trees.FullTupleFamily()
+    if args.action in ("s", "verify"):
         bps = perm.parse_points(args.breakpoints or "0,1,3,6")
-        etree = trees.build_e_tree(family, bps, depth=args.depth or 3)
+        etree = trees.build_e_tree(trees.FullTupleFamily(), bps, depth=args.depth or 3)
         s = trees.build_s(etree)
-        _emit(args, {"s": perm.format_perm(s),
-                     "levels": [len(lv) for lv in etree.levels]},
-              [f"s: {perm.format_perm(s)}"])
-        return 0
-    if args.action == "verify":
-        family = trees.FullTupleFamily()
-        bps = perm.parse_points(args.breakpoints or "0,1,3,6")
-        etree = trees.build_e_tree(family, bps, depth=args.depth or 3)
-        s = trees.build_s(etree)
+        if args.action == "s":
+            _emit(args, {"s": perm.format_perm(s),
+                         "levels": [len(lv) for lv in etree.levels]},
+                  [f"s: {perm.format_perm(s)}"])
+            return 0
         pi = dict(_natural_pairs(args.pi)) if args.pi else {}
         rep = trees.verify_conjugation(etree, s, pi, args.window or 8)
         payload = {"ok": rep.ok, "checked": rep.checked, "failure": rep.failure}

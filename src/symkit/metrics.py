@@ -35,8 +35,7 @@ from .perm import (
     identity,
     metered,
     nat_to_z,
-    parse_perm,
-    split_top,
+    parse_perm_list,
     verify_window,
     z_to_nat,
 )
@@ -616,9 +615,12 @@ def norm(g: Permutation, d: GeneralizedMetric, window: int = 256) -> NormReport:
                           witness_pairs=pairs)
     if lower == INF:  # one displacement is already infinite
         return NormReport(lower, "infinite")
-    if g.support_bound is not None and g.support_bound <= window and \
-            d.value_class == "rational" and d.key not in g.displacement_bounds:
-        return NormReport(lower, "finite", bound=lower)  # one pass saw every move
+    if g.support_bound is not None and d.value_class == "rational" and \
+            d.key not in g.displacement_bounds:  # a scan of the support is exact
+        exact = lower if g.support_bound <= window else _support_norm(g, d)
+        if exact == INF:
+            return NormReport(INF, "infinite")
+        return NormReport(lower, "finite", bound=exact)
     bound = _certified_bound(g, d)
     if bound is not None and bound != INF:  # an INF sum bounds nothing
         return NormReport(lower, "finite", bound=max(bound, lower))
@@ -983,11 +985,6 @@ def parse_metric(spec: str) -> GeneralizedMetric:
             u = parts[1].strip()
             if not u.startswith("U="):
                 raise ParseError(f"expected U=... in {spec!r}")
-            body = u[2:].strip()
-            if not (body.startswith("[") and body.endswith("]")):
-                raise ParseError(f"U needs [...] in {spec!r}")
-            inner_list = body[1:-1].strip()
-            if inner_list:
-                perms = [parse_perm(p) for p in split_top(inner_list, ",")]
+            perms = parse_perm_list(u[2:], "U", spec)[1]
         return refine_metric(base, perms)
     raise ParseError(f"unknown metric {spec!r}")

@@ -88,9 +88,14 @@ class Partition:
         return out
 
     def iter_blocks(self):
-        """All blocks in increasing id order (infinite iterator)."""
-        block_of = self._block_of
-        return (a for a in itertools.count() if block_of(a) == a)
+        """All blocks in increasing id order (infinite iterator).  Each point
+        tested charges one step under form ``blocks``, to the caller's meter
+        or else to a fresh budget for each block."""
+        a = -1
+        while True:
+            with metered():
+                a = _next_block(self._block_of, a + 1, "blocks", _charge)
+            yield a
 
     def spot_verify(self, window: int) -> None:
         """Check coverage, disjointness, and the declared profile on a window."""
@@ -147,6 +152,17 @@ class Partition:
         return out
 
 
+def _next_block(block_of: Callable[[int], int], a: int, form: str,
+                charge: Callable[[str], None]) -> int:
+    """The least block id from point ``a`` on; each point tested calls
+    ``charge(form)``."""
+    charge(form)
+    while block_of(a) != a:
+        a += 1
+        charge(form)
+    return a
+
+
 class BlockCursor:
     """One partition's blocks in increasing id order, pulled on demand.
 
@@ -173,12 +189,7 @@ class BlockCursor:
 
     def pull(self) -> int:
         """The next block's id."""
-        block_of, form, charge = self._block_of, self.form, self._charge
-        a = self._next
-        charge(form)
-        while block_of(a) != a:
-            a += 1
-            charge(form)
+        a = _next_block(self._block_of, self._next, self.form, self._charge)
         if self._record is not None:
             self._record(a)
         self.ids.append(a)
@@ -370,22 +381,39 @@ def explicit(blocks: List[List[int]], profile: Profile,
     return Partition(key, block_of, members, profile)
 
 
+def _natural(value, least: int = 0) -> bool:
+    return type(value) is int and value >= least
+
+
 def from_file(path: str) -> Partition:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    prof = payload.get("profile", {})
-    kind = prof.get("kind")
-    if kind == "bounded":
-        profile: Profile = BoundedBy(int(prof["n"]), prof.get("nonsingletons", "infinite"))
+    """An explicit partition read from JSON: a profile, rest:singletons and
+    blocks that are nonempty lists of naturals; ParseError otherwise."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ParseError(f"cannot read partition file {path!r}: {exc}") from None
+    if not isinstance(payload, dict) or not isinstance(payload.get("profile"), dict):
+        raise ParseError(f"partition file {path!r} needs an object with a profile")
+    prof = payload["profile"]
+    kind, count = prof.get("kind"), prof.get("nonsingletons", "infinite")
+    if kind == "bounded" and _natural(prof.get("n"), 1) and \
+            (count == "infinite" or _natural(count)):
+        profile: Profile = BoundedBy(prof["n"], count)
     elif kind == "unbounded-finite":
         profile = UnboundedFinite()
-    elif kind == "infinite-block":
-        profile = HasInfiniteBlock(int(prof["block"]))
+    elif kind == "infinite-block" and _natural(prof.get("block")):
+        profile = HasInfiniteBlock(prof["block"])
     else:
-        raise ParseError(f"unknown profile kind {kind!r}")
-    if payload.get("rest") != "singletons":
-        raise ParseError("explicit partition file must declare rest:singletons")
-    return explicit(payload["blocks"], profile, key=payload.get("key", "explicit"))
+        raise ParseError(f"bad profile {prof!r}: n must be a natural >= 1, "
+                         "nonsingletons a natural or 'infinite', block a natural")
+    blocks = payload.get("blocks")
+    if payload.get("rest") != "singletons" or not isinstance(blocks, list) or \
+            not all(isinstance(blk, list) and blk and all(map(_natural, blk))
+                    for blk in blocks):
+        raise ParseError("explicit partition file must declare rest:singletons "
+                         "and blocks that are nonempty lists of naturals")
+    return explicit(blocks, profile, key=payload.get("key", "explicit"))
 
 
 BUILTIN_PARTITIONS = {

@@ -10,10 +10,10 @@ nested calls; a finite or rule leaf's one step needs no meter installed.
 The metered loops: ``moved_points``, ``conjugate``, ``verify_window``,
 ``agrees_on_window``, ``parity``, ``verify_to``, tree rounds,
 ``verify_invariants``, ``Breakpoints.ensure``, ``is_local``, ``net_flow``,
-``norm``'s probes, the refined-metric search, the lazy witnesses' block
-walks and a partition's free-point scans, which charge one step per point
-tested, and the unbounded witnesses' far-pair scans, which charge one per
-distance tested.
+``norm``'s probes, the refined-metric search, and a partition's block
+walks (``iter_blocks`` and the lazy witnesses' cursors) and free-point
+scans, which charge one step per point tested, and the unbounded witnesses'
+far-pair scans, which charge one per distance tested.
 :func:`evaluation_budget` yields a meter for a block, and an exhausted meter
 stays exhausted until it exits.  Loops test a point once and skip what a
 certificate settles: a certified word or half restriction answers from its
@@ -719,7 +719,18 @@ def parse_points(text: str) -> list:
     return points
 
 
-def parse_perm(text: str, pos: int = 0) -> Permutation:
+def parse_perm_list(body: str, name: str, text: str, pos=None):
+    """The inner text of ``body``, a bracketed list ``[p, q, ...]``, and its
+    permutations; ParseError ``{name} needs [...]`` quoting ``text``, at
+    ``pos``, when a bracket is missing."""
+    body = body.strip()
+    if not (body.startswith("[") and body.endswith("]")):
+        raise ParseError(f"{name} needs [...] in {text!r}", pos)
+    inner = body[1:-1].strip()
+    return inner, [parse_perm(p) for p in split_top(inner, ",")] if inner else []
+
+
+def parse_perm(text: str) -> Permutation:
     s = text.strip()
     inverted = False
     if s.endswith("^-1"):
@@ -731,21 +742,21 @@ def parse_perm(text: str, pos: int = 0) -> Permutation:
         i = 0
         while i < len(body):
             if body[i] != "(":
-                raise ParseError(f"expected '(' in {text!r}", pos + i)
+                raise ParseError(f"expected '(' in {text!r}", i)
             j = body.find(")", i)
             if j < 0:
-                raise ParseError(f"unclosed cycle in {text!r}", pos + i)
+                raise ParseError(f"unclosed cycle in {text!r}", i)
             inner = body[i + 1:j].replace(",", " ").split()
             if inner:
                 try:
                     cycles.append([int(x) for x in inner])
                 except ValueError:
-                    raise ParseError(f"bad cycle entry in {text!r}", pos + i)
+                    raise ParseError(f"bad cycle entry in {text!r}", i)
             i = j + 1
         try:
             p = FiniteSupportPermutation.from_cycles(cycles)
         except ValueError as exc:
-            raise ParseError(f"{exc} in {text!r}", pos) from None
+            raise ParseError(f"{exc} in {text!r}", 0) from None
     elif s.startswith("rule:"):
         body = s[len("rule:"):]
         pieces = body.split(";")
@@ -753,27 +764,19 @@ def parse_perm(text: str, pos: int = 0) -> Permutation:
         params = {}
         for piece in pieces[1:]:
             if "=" not in piece:
-                raise ParseError(f"bad rule parameter {piece!r}", pos)
+                raise ParseError(f"bad rule parameter {piece!r}", 0)
             k, v = piece.split("=", 1)
             params[k] = int(v) if v.lstrip("-").isdigit() else v
         if name not in BUILTIN_RULES:
-            raise ParseError(f"unknown rule {name!r}", pos)
+            raise ParseError(f"unknown rule {name!r}", 0)
         try:
             p = BUILTIN_RULES[name](params)
         except ValueError as exc:
-            raise ParseError(f"{exc} in {text!r}", pos) from None
+            raise ParseError(f"{exc} in {text!r}", 0) from None
     elif s.startswith("word:"):
-        body = s[len("word:"):].strip()
-        if not (body.startswith("[") and body.endswith("]")):
-            raise ParseError(f"word needs [...] in {text!r}", pos)
-        inner = body[1:-1].strip()
-        factors = []
-        if inner:
-            for part in split_top(inner, ","):
-                factors.append(parse_perm(part, pos))
-        p = WordPermutation(factors)
+        p = WordPermutation(parse_perm_list(s[len("word:"):], "word", text, 0)[1])
     else:
-        raise ParseError(f"unknown permutation form {text!r}", pos)
+        raise ParseError(f"unknown permutation form {text!r}", 0)
     return p.inverse() if inverted else p
 
 

@@ -38,6 +38,12 @@ PIVOT_SCAN_CAP = 10_000
 TREE_DEPTH_CAP = 12
 
 
+def _first_outside(avoid, n: int) -> List[int]:
+    """The ``n`` least naturals not in ``avoid``."""
+    return list(itertools.islice(
+        itertools.filterfalse(avoid.__contains__, itertools.count()), n))
+
+
 @dataclass
 class OrbitResult:
     kind: str          # "full" | "atleast"
@@ -65,13 +71,7 @@ class FullSymmetricOracle(GroupOracle):
     def orbit(self, gamma, alpha, n):
         if alpha in gamma:
             return OrbitResult("full", [alpha])
-        pts = []
-        m = 0
-        while len(pts) < n:
-            if m not in gamma:
-                pts.append(m)
-            m += 1
-        return OrbitResult("atleast", pts)
+        return OrbitResult("atleast", _first_outside(gamma, n))
 
     def act(self, gamma, alpha, target):
         if alpha == target:
@@ -105,15 +105,10 @@ class PartitionStabilizerOracle(GroupOracle):
         return OrbitResult("full", sorted(free))
 
     def act(self, gamma, alpha, target):
-        if alpha == target:
-            return identity()
         if self.A.block_of(alpha) != self.A.block_of(target):
             raise HypothesisFailureError(
                 f"{alpha} and {target} lie in different blocks")
-        if alpha in gamma or target in gamma:
-            raise HypothesisFailureError(
-                f"cannot move {alpha} to {target} while fixing gamma")
-        return FiniteSupportPermutation({alpha: target, target: alpha})
+        return FullSymmetricOracle.act(self, gamma, alpha, target)
 
 
 # --------------------------------------------------------------------------
@@ -243,6 +238,17 @@ class TreeState:
         self.nodes[key] = TreeNode(
             key, [factor] + self.nodes[parent].factors, factor, parent, event)
 
+    def _pivot(self, gamma: frozenset, need: int, ask: int):
+        """The least point outside gamma whose orbit, asked for ``ask``
+        points, shows at least ``need``, with that orbit; (None, None) when
+        no point below PIVOT_SCAN_CAP does."""
+        for cand in range(PIVOT_SCAN_CAP):
+            if cand not in gamma:
+                r = self.oracle.orbit(gamma, cand, ask)
+                if len(r.points) >= need:
+                    return cand, r
+        return None, None
+
     # -- mode-specific rounds ------------------------------------------------
 
     def _round_binary(self) -> None:
@@ -253,22 +259,15 @@ class TreeState:
         if M is None or M < 2:
             raise PreconditionError(
                 "binary mode needs an oracle with a declared orbit bound >= 2")
-        pivot_orbit = None
-        for alpha in range(PIVOT_SCAN_CAP):
-            if alpha in gamma:
-                continue
-            r = self.oracle.orbit(gamma, alpha, M + 1)
-            if r.kind == "atleast" or len(r.points) > M:
-                raise HypothesisFailureError(
-                    f"orbit of {alpha} exceeds the declared maximum {M}",
-                    level=j, gamma=gamma)
-            if len(r.points) == M:
-                pivot_orbit = sorted(r.points)
-                break
-        if pivot_orbit is None:
+        alpha, r = self._pivot(gamma, M, M + 1)
+        if alpha is None:
             raise HypothesisFailureError(
                 f"no orbit of size {M} found", level=j, gamma=gamma)
-        a, b = pivot_orbit[0], pivot_orbit[1]
+        if r.kind == "atleast" or len(r.points) > M:
+            raise HypothesisFailureError(
+                f"orbit of {alpha} exceeds the declared maximum {M}",
+                level=j, gamma=gamma)
+        a, b = sorted(r.points)[:2]
         self.alphas.append(a)
         self.betas.append(b)
         for key in self.level_keys(j):
@@ -277,7 +276,6 @@ class TreeState:
                 pre = g._bwd(target)
                 h = self.oracle.act(gamma, a, pre)
                 self._add_node(key + (bit,), h, gamma)
-        self.rounds += 1
 
     def _round_unbounded(self) -> None:
         j = self.rounds
@@ -285,17 +283,11 @@ class TreeState:
         self.gammas.append(gamma)
         level = self.level_keys(j)
         need = max(2, len(level) * self.n_at(j))
-        alpha = orbit_pts = None
-        for cand in range(PIVOT_SCAN_CAP):
-            if cand in gamma:
-                continue
-            r = self.oracle.orbit(gamma, cand, need)
-            if len(r.points) >= need:
-                alpha, orbit_pts = cand, sorted(r.points)
-                break
+        alpha, r = self._pivot(gamma, need, need)
         if alpha is None:
             raise HypothesisFailureError(
                 f"no orbit of size >= {need} found", level=j, gamma=gamma)
+        orbit_pts = sorted(r.points)
         self.alphas.append(alpha)
         used_images: set = set()
         for key in level:
@@ -310,7 +302,6 @@ class TreeState:
                 used_images.add(g._fwd(chosen))
                 self._add_node(key + (k,),
                                self.oracle.act(gamma, alpha, chosen), gamma)
-        self.rounds += 1
 
     def _round_inf(self) -> None:
         """One round of the open-ended recursion.
@@ -328,14 +319,7 @@ class TreeState:
         self.gammas.append(gamma_sel)
         while len(self.alphas) < j:
             need = 16 + 2 * len(self.nodes)
-            pivot = None
-            for cand in range(PIVOT_SCAN_CAP):
-                if cand in gamma_sel:
-                    continue
-                r = self.oracle.orbit(gamma_sel, cand, need)
-                if len(r.points) >= need:
-                    pivot = cand
-                    break
+            pivot = self._pivot(gamma_sel, need, need)[0]
             if pivot is None:
                 raise HypothesisFailureError(
                     "no point with a large enough orbit", level=j,
@@ -374,13 +358,13 @@ class TreeState:
             self._used_targets.add(chosen)
             h = self.oracle.act(frozenset(lam), pivot, chosen)
             self._add_node(key, h, frozenset(lam))
-        self.rounds += 1
 
     def build_round(self) -> None:
         with metered():
             {"binary": self._round_binary,
              "unbounded": self._round_unbounded,
              "inf": self._round_inf}[self.mode]()
+        self.rounds += 1
 
     @property
     def depth(self) -> int:
@@ -518,14 +502,8 @@ class FullTupleFamily(DFamily):
         return i
 
     def extensions(self, token, count, forbidden):
-        out = []
-        m = 0
-        avoid = set(token) | set(forbidden)
-        while len(out) < count:
-            if m not in avoid:
-                out.append((m, tuple(token) + (m,)))
-            m += 1
-        return out
+        return [(m, tuple(token) + (m,))
+                for m in _first_outside(set(token) | set(forbidden), count)]
 
     def realize(self, token):
         mapping = {}
@@ -616,7 +594,7 @@ class ETree:
         self.levels: List[Dict[tuple, ENode]] = [
             {(): ENode((), (), (), (), ())}]
         self.used_components: set = set()
-        self.jump_indices: List[int] = []
+        self.positions: List[int] = []  # the D-family level of each base position
         self.jump_bounds: List[dict] = []
 
     def interval(self, r: int) -> Tuple[int, int]:
@@ -666,38 +644,28 @@ def build_e_tree(family: DFamily, breakpoints: Sequence[int], depth: int,
                 jumps.append(i)
                 i += 1
             next_d_level = i
-            tree.jump_indices.extend(jumps)
             tree.jump_bounds.append({"level": r, "bound": bound, "jumps": jumps})
+        positions = tuple(jumps) if mode == "jump" else tuple(range(lo, hi))
+        tree.positions.extend(positions)
         new_level: Dict[tuple, ENode] = {}
         for pis, parent in prev.items():
             for pi in _sym(width):
                 token = parent.token
                 fresh: List[int] = []
-                if mode == "jump":
-                    for target in jumps:
-                        while len(token) < target:
-                            opts = family.extensions(token, 1, set())
-                            if not opts:
-                                raise HypothesisFailureError(
-                                    f"family exhausted filling to level {target}")
-                            token = opts[0][1]
-                        opts = family.extensions(
-                            token, 1, tree.used_components | set(fresh))
+                for target in positions:  # a plain token has length lo already
+                    while len(token) < target:
+                        opts = family.extensions(token, 1, set())
                         if not opts:
                             raise HypothesisFailureError(
-                                f"family exhausted at level {len(token)}")
-                        value, token = opts[0]
-                        fresh.append(value)
-                else:
-                    for _ in range(width):
-                        opts = family.extensions(
-                            token, 1, tree.used_components | set(fresh))
-                        if not opts:
-                            raise HypothesisFailureError(
-                                f"family exhausted at level {len(token)}")
-                        value, token = opts[0]
-                        fresh.append(value)
-                positions = tuple(jumps) if mode == "jump" else tuple(range(lo, hi))
+                                f"family exhausted filling to level {target}")
+                        token = opts[0][1]
+                    opts = family.extensions(
+                        token, 1, tree.used_components | set(fresh))
+                    if not opts:
+                        raise HypothesisFailureError(
+                            f"family exhausted at level {len(token)}")
+                    value, token = opts[0]
+                    fresh.append(value)
                 node = ENode(parent.pis + (pi,), token,
                              parent.components + tuple(fresh),
                              tuple(fresh), positions)
@@ -757,19 +725,12 @@ def verify_conjugation(tree: ETree, s: Permutation, pi: Dict[int, int],
     checked = []
     top = min(window, tree.breakpoints[levels] if levels else 0)
     for i in range(top):
-        a = tree.family.alpha(_level_index(tree, i))
+        a = tree.family.alpha(tree.positions[i])
         lhs = s.forward(g.forward(a))
         img = pi.get(i, i)
-        rhs = g.forward(tree.family.alpha(_level_index(tree, img)))
+        rhs = g.forward(tree.family.alpha(tree.positions[img]))
         if lhs != rhs:
             return ConjugationReport(False, checked,
                                      {"i": i, "lhs": lhs, "rhs": rhs})
         checked.append(i)
     return ConjugationReport(True, checked)
-
-
-def _level_index(tree: ETree, i: int) -> int:
-    """The D-family level holding the component at base position i."""
-    if tree.mode != "jump":
-        return i
-    return tree.jump_indices[i]

@@ -327,6 +327,22 @@ class TestDiscreteness:
         v = discreteness(parse_descriptor("gens:[cycles:(0 1)]"))
         assert v.answer == "yes" and v.evidence["gamma"] == [0, 1]
 
+    @pytest.mark.parametrize("desc", [
+        "stab:partition:singletons", "fn:partition@singletons",
+        "stab:partition:explicit@{}"])
+    def test_finitely_many_nonsingletons_yes_as_classified(self, tmp_path, desc):
+        # statement (iv): a C_1 certificate from the union of the
+        # nonsingleton blocks is a trivial stabilizer, so discrete
+        path = tmp_path / "few.json"
+        path.write_text(json.dumps({
+            "blocks": [[0, 3], [5, 6, 7]], "rest": "singletons",
+            "profile": {"kind": "bounded", "n": 3, "nonsingletons": 2}}))
+        desc = desc.format(path)
+        lab = classify(desc)
+        assert lab.label == "C_1" and lab.certified
+        v = discreteness(parse_descriptor(desc))
+        assert v.answer == "yes" and v.evidence["gamma"] == lab.gamma
+
 
 class TestCompactness:
     def test_pairs_yes(self):

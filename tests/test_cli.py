@@ -23,6 +23,19 @@ def assert_error_exit(code, err):
     assert "Traceback" not in err
 
 
+def run_subprocess(argv):
+    """stderr of ``symkit argv`` run in a subprocess, which must end in one
+    error line; the timeout keeps a scan that never stops from stalling the
+    suite."""
+    src = str(pathlib.Path(symkit.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "symkit", *argv],
+        capture_output=True, text=True, timeout=30,
+        env={**os.environ, "PYTHONPATH": src})
+    assert_error_exit(proc.returncode, proc.stderr)
+    return proc.stderr
+
+
 class TestClassify:
     def test_pairs_is_cq(self, capsys):
         code, out, _ = run(capsys, "classify", "stab:partition:pairs")
@@ -79,13 +92,18 @@ class TestClassify:
         path.write_text(json.dumps({
             "key": "liar", "profile": {"kind": "infinite-block", "block": 1},
             "rest": "singletons", "blocks": []}))
-        src = str(pathlib.Path(symkit.__file__).parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-m", "symkit", *(a.format(path) for a in argv)],
-            capture_output=True, text=True, timeout=30,
-            env={**os.environ, "PYTHONPATH": src})
-        assert_error_exit(proc.returncode, proc.stderr)
-        assert "form free-points" in proc.stderr
+        stderr = run_subprocess([a.format(path) for a in argv])
+        assert "form free-points" in stderr
+
+    def test_false_finite_profile_exit_1(self, tmp_path):
+        # three nonsingletons declared, one listed: the walk for the rest
+        # of their union stops only at the meter
+        path = tmp_path / "few.json"
+        path.write_text(json.dumps({
+            "key": "few", "profile": {"kind": "bounded", "n": 2, "nonsingletons": 3},
+            "rest": "singletons", "blocks": [[0, 1]]}))
+        stderr = run_subprocess(["classify", f"stab:partition:explicit@{path}"])
+        assert "form blocks" in stderr
 
 
 class TestOrbit:
@@ -254,6 +272,27 @@ class TestPerm:
         assert_error_exit(code, err)
 
 
+# explicit partition files that break the format, by file name
+_REST = '"rest": "singletons"'
+PARTITION_FILES = {
+    "not-json.json": "{",
+    "list.json": "[]",
+    "no-blocks.json": '{"profile": {"kind": "bounded", "n": 2}, %s}' % _REST,
+    "empty-block.json":
+        '{"profile": {"kind": "bounded", "n": 2}, %s, "blocks": [[]]}' % _REST,
+    "n-abc.json":
+        '{"profile": {"kind": "bounded", "n": "abc"}, %s, "blocks": []}' % _REST,
+    "nonsingletons-lots.json": '{"profile": {"kind": "bounded", "n": 2, '
+        '"nonsingletons": "lots"}, %s, "blocks": [[0, 1]]}' % _REST,
+    "nonsingletons-negative.json": '{"profile": {"kind": "bounded", "n": 2, '
+        '"nonsingletons": -1}, %s, "blocks": [[0, 1]]}' % _REST,
+    "negative-point.json": '{"profile": {"kind": "bounded", "n": 2, '
+        '"nonsingletons": 0}, %s, "blocks": [[-2, 5]]}' % _REST,
+    "block-abc.json": '{"profile": {"kind": "infinite-block", "block": "abc"}, '
+        '%s, "blocks": []}' % _REST,
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["perm", "eval", "--perm", "rule:block-rotate;size=0"],
     ["perm", "eval", "--perm", "rule:block-rotate;size=abc"],
@@ -281,16 +320,22 @@ class TestPerm:
     ["metric", "norm", "standard-omega"],
     ["metric", "flow", "standard-z"],
     ["witness", "three-cycle"],
-], ids=["rotate-size-0", "rotate-size-abc", "overlapping-cycles",
+    ["orbit", "full", "--alpha", "0", "--budget", "65537"],
+] + [["classify", f"stab:partition:explicit@<dir>/{name}"]
+     for name in ["missing.json", *PARTITION_FILES]], ids=["rotate-size-0", "rotate-size-abc", "overlapping-cycles",
         "negative-cycle-point", "refine-pair-dash", "pattern-non-bit",
         "branch-choice", "verify-pi", "classify-radius", "refine-radius",
         "refine-radius-zero-denominator", "budget-over-ceiling",
         "window-negative", "norm-window-negative", "window-zero",
         "depth-zero", "depth-negative", "e-tree-depth-zero", "count-zero",
         "centers-negative", "budget-zero", "even-shift-no-partition",
-        "norm-no-perm", "flow-no-perm", "three-cycle-no-perm"])
-def test_malformed_input_exit_1(capsys, argv):
-    code, _, err = run(capsys, *argv)
+        "norm-no-perm", "flow-no-perm", "three-cycle-no-perm",
+        "orbit-budget-over-ceiling", "partition-file-missing",
+        *(f"partition-file-{name[:-5]}" for name in PARTITION_FILES)])
+def test_malformed_input_exit_1(capsys, tmp_path, argv):
+    for name, text in PARTITION_FILES.items():
+        (tmp_path / name).write_text(text)
+    code, _, err = run(capsys, *(a.replace("<dir>", str(tmp_path)) for a in argv))
     assert_error_exit(code, err)
 
 

@@ -56,6 +56,7 @@ import symkit.perm as perm
 from symkit.localdecomp import UniformBreakpoints, pair_crossers
 from symkit.perm import (
     FiniteSupportPermutation,
+    RulePermutation,
     WordPermutation,
     evaluation_budget,
     identity,
@@ -415,9 +416,14 @@ class TestNorm:
         rep = norm(g, d, window=256)
         assert rep.lower_bound == INF and rep.certified_infinite
         assert fn_contains(g, d).answer == "no"
-        # a window short of the support sees nothing, and an INF bound
-        # from the support scan certifies nothing
-        assert norm(g, d, window=1).certificate == "unknown"
+        # a window short of the support sees nothing, but the support scan
+        # is exact, so its INF certifies; a word's summed INF bound does not
+        for h in (g, word(g, cyc([4, 6]))):
+            assert norm(h, d, window=1) == NormReport(INF, "infinite")
+            assert fn_contains(h, d, window=1).answer == "no"
+        idle = RulePermutation("idle", lambda a: a, lambda a: a,
+                               displacement_bounds={d.key: 0})
+        assert norm(word(g, idle), d, window=1).certificate == "unknown"
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.lists(st.integers(0, 300), max_size=12, unique=True)
@@ -490,6 +496,9 @@ def range_scan_norm(g, d, window):
         return None
 
     bound = certified(g)
+    if bound is not None and not is_finite(bound) and \
+            g.support_bound is not None and d.key not in g.displacement_bounds:
+        return NormReport(INF, "infinite")  # the support scan is exact
     if bound is not None and is_finite(bound):
         return NormReport(lower, "finite", bound=max(bound, lower))
     return NormReport(lower, "unknown")
