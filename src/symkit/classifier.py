@@ -21,7 +21,6 @@ from .chain import StabilizerChain
 from .errors import (
     ParseError,
     PreconditionError,
-    ProfileViolationError,
     SymkitError,
 )
 from .metrics import (
@@ -426,14 +425,8 @@ def _classify_partition_stab(desc: Descriptor, A: Partition, budgets: Budgets,
                       budgets, {"growing_blocks": growing})
     if isinstance(profile, BoundedBy):
         if profile.n >= 2 and profile.nonsingletons == "infinite":
-            ids = A.sample_nonsingleton_blocks(4)
-            blocks = [[b, len(A.block_members(b))] for b in ids]
-            for b, size in blocks:
-                if size > profile.n:
-                    raise ProfileViolationError(
-                        f"{A.key}: block {b} has size {size} > declared bound "
-                        f"{profile.n}")
-            probes = [orbit(desc, [], b, budgets.orbit_budget) for b in ids]
+            blocks = A.sample_bounded_blocks(4)
+            probes = [orbit(desc, [], b, budgets.orbit_budget) for b, _ in blocks]
             return _label("C_Q", True, "partition-profile-bounded", [], probes,
                           budgets, {"bound": profile.n,
                                     "nonsingleton_blocks": blocks})
@@ -502,90 +495,72 @@ class Verdict:
     evidence: dict
 
 
+def _peel(desc: Descriptor):
+    """desc with every fix(…) removed, and the union of the removed sets.
+    H = G_(Γ) has H_(Δ) = G_(Γ ∪ Δ), so each of statements (i)-(iv) holds
+    for H exactly when it holds for G."""
+    fixed = set()
+    while isinstance(desc, PointwiseStab):
+        fixed |= set(desc.gamma)
+        desc = desc.inner
+    return desc, fixed
+
+
 def discreteness(desc: Descriptor, budgets: Optional[Budgets] = None) -> Verdict:
-    """Is some finite-set stabilizer trivial?  Searched over initial segments."""
+    """Is some finite-set stabilizer trivial?  Statement (iv), read off the
+    certified class of desc with every fix(…) peeled: it holds exactly in
+    C_1.  The witnesses of a ``no`` are orbits that the peeled group's record
+    probed.  A metric with every distance finite gives every transposition a
+    finite norm, so its group is not discrete either."""
+    desc, fixed = _peel(desc)
     budgets = budgets or Budgets()
-    if isinstance(desc, TrivialG):
-        return Verdict("yes", "trivial stabilizer at the empty set",
-                       {"gamma": []})
-    if isinstance(desc, FiniteSupportG):
-        pts = sorted({a for g in desc.gens for a in g.moved_points()})
-        return Verdict("yes", "finite group: fixing the support pins everything",
-                       {"gamma": pts})
-    if isinstance(desc, FullS):
+    if isinstance(desc, FNGroup) and desc.metric.all_finite:
         witnesses = [{"gamma": g, "moved": [len(g), len(g) + 1]}
                      for g in _initial_segments(budgets)]
-        return Verdict("no", "every initial segment leaves a transposition",
-                       {"witnesses": witnesses})
-    if isinstance(desc, PartitionStab):
-        return _partition_discreteness(desc.A, (), budgets)
-    if isinstance(desc, PointwiseStab) and isinstance(desc.inner, PartitionStab):
-        return _partition_discreteness(desc.inner.A, desc.gamma, budgets)
-    if isinstance(desc, FNGroup):
-        m = desc.metric
-        if isinstance(m, PartitionMetric):
-            return _partition_discreteness(m.partition, (), budgets)
-        if m.discrete_infinite:
-            return Verdict("yes", "only the identity has finite norm",
-                           {"gamma": []})
-        if m.all_finite:
-            witnesses = [{"gamma": g, "moved": [len(g), len(g) + 1]}
-                         for g in _initial_segments(budgets)]
-            return Verdict("no", "transpositions beyond any finite set have "
-                                 "finite norm", {"witnesses": witnesses})
+        return Verdict("no", "transpositions beyond any finite set have "
+                             "finite norm", {"witnesses": witnesses})
+    lab = classify_group(desc, budgets)
+    if lab.certified and lab.label == "C_1":
+        return Verdict("yes", "certified C_1: fixing gamma pins everything",
+                       {"gamma": sorted(fixed.union(lab.gamma))})
+    if lab.certified:
+        witnesses = [{"gamma": p.gamma, "moved": p.points[:2]}
+                     for p in lab.probes if len(p.points) >= 2]
+        return Verdict("no", f"certified {lab.label}: no finite set has a "
+                             "trivial stabilizer", {"witnesses": witnesses})
     return Verdict("unknown", "no certificate either way", {})
-
-
-def _partition_discreteness(A: Partition, extra: Sequence[int],
-                            budgets: Budgets) -> Verdict:
-    union = _nonsingleton_union(A)
-    if union is not None:
-        return Verdict("yes", "fixing the finitely many nonsingleton blocks "
-                              "pins everything", {"gamma": union})
-    witnesses = []
-    with metered():
-        for gamma in _initial_segments(budgets):
-            gset = set(gamma) | set(extra)
-            if isinstance(A.profile, HasInfiniteBlock):
-                found = A.free_points(A.block_of(A.profile.block), gset, 2)
-            else:
-                free = ([x for x in A.block_members(b) if x not in gset]
-                        for b in A.iter_blocks())
-                found = next(f[:2] for f in free if len(f) >= 2)
-            witnesses.append({"gamma": sorted(gset), "moved": found})
-    return Verdict("no", "every probed set leaves a free block transposition",
-                   {"witnesses": witnesses})
 
 
 def compactness_criterion(desc: Descriptor,
                           budgets: Optional[Budgets] = None) -> Verdict:
-    """Compact iff closed with all orbits finite; both read at budget."""
-    budgets = budgets or Budgets()
+    """Compact iff closed with every orbit finite, for desc with every
+    fix(…) peeled.  A closed subgroup of a compact group is compact, and a
+    certified C_S has an infinite orbit at every finite set (statement
+    (i))."""
+    desc, _ = _peel(desc)
     closed, closed_basis = _closed_flag(desc)
-    probes = []
-    all_finite = True
-    for alpha in (0, 1, 5, 17, 64):
-        rep = orbit(desc, [], alpha, budgets.orbit_budget)
-        probes.append(rep.to_dict())
-        if rep.kind != "full":
-            all_finite = False
-    evidence = {"closed": closed, "closed_basis": closed_basis,
-                "orbit_probes": probes}
-    if closed is None:
-        return Verdict("unknown", "closedness not declared", evidence)
-    if not closed:
+    evidence = {"closed": closed, "closed_basis": closed_basis}
+    if closed is False:
         return Verdict("no", "not closed in the function topology", evidence)
-    if not all_finite:
-        return Verdict("no", "an orbit exceeds the probe budget", evidence)
-    return Verdict("yes", "closed with finite probed orbits", evidence)
+    # a partition metric has finite blocks; its group is their stabilizer
+    finite_orbits = (isinstance(desc, (TrivialG, FiniteSupportG))
+                     or isinstance(desc, FNGroup) and (
+                         desc.metric.discrete_infinite
+                         or isinstance(desc.metric, PartitionMetric))
+                     or isinstance(desc, PartitionStab)
+                     and not isinstance(desc.A.profile, HasInfiniteBlock))
+    if finite_orbits:
+        return Verdict("yes", "closed with every orbit finite by construction",
+                       evidence)
+    lab = classify_group(desc, budgets)
+    if lab.certified and lab.label == "C_S":
+        return Verdict("no", "certified C_S: an orbit is infinite", evidence)
+    return Verdict("unknown", "no certificate either way", evidence)
 
 
 def _closed_flag(desc: Descriptor):
     if isinstance(desc, (FullS, TrivialG, PartitionStab, FiniteSupportG)):
         return True, "closed by construction"
-    if isinstance(desc, PointwiseStab):
-        flag, basis = _closed_flag(desc.inner)
-        return flag, basis
     if isinstance(desc, FNGroup):
         m = desc.metric
         if isinstance(m, PartitionMetric):

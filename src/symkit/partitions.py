@@ -117,12 +117,15 @@ class Partition:
                     raise ProfileViolationError(
                         f"{self.key}: blocks overlap at point {m}")
             sizes_seen[b] = len(members)
-        if isinstance(self.profile, BoundedBy):
-            for b, s in sizes_seen.items():
-                if s > self.profile.n:
-                    raise ProfileViolationError(
-                        f"{self.key}: block {b} has size {s} > declared bound "
-                        f"{self.profile.n}")
+        for b, s in sizes_seen.items():
+            self._check_size(b, s)
+
+    def _check_size(self, b: int, size: int) -> None:
+        """ProfileViolationError if block b's size passes a declared bound."""
+        if isinstance(self.profile, BoundedBy) and size > self.profile.n:
+            raise ProfileViolationError(
+                f"{self.key}: block {b} has size {size} > declared bound "
+                f"{self.profile.n}")
 
     def sample_growing_blocks(self, count: int) -> List[int]:
         """Ids of blocks with strictly increasing sizes (UnboundedFinite evidence)."""
@@ -149,6 +152,15 @@ class Partition:
             raise ProfileViolationError(
                 f"{self.key}: declared infinitely many nonsingletons but found "
                 f"only {len(out)} past {start}")
+        return out
+
+    def sample_bounded_blocks(self, count: int) -> List[List[int]]:
+        """[id, size] of the first ``count`` nonsingleton blocks, each checked
+        against the declared size bound."""
+        out = [[b, len(self._block_members(b))]
+               for b in self.sample_nonsingleton_blocks(count)]
+        for b, size in out:
+            self._check_size(b, size)
         return out
 
 
@@ -386,8 +398,11 @@ def _natural(value, least: int = 0) -> bool:
 
 
 def from_file(path: str) -> Partition:
-    """An explicit partition read from JSON: a profile, rest:singletons and
-    blocks that are nonempty lists of naturals; ParseError otherwise."""
+    """An explicit partition read from JSON: rest:singletons, blocks that are
+    nonempty lists of naturals, and a profile true of them; ParseError
+    otherwise.  Finitely many finite blocks have one true kind of profile:
+    bounded, with n at least the largest block and nonsingletons the number
+    of blocks of two or more points."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -395,25 +410,22 @@ def from_file(path: str) -> Partition:
         raise ParseError(f"cannot read partition file {path!r}: {exc}") from None
     if not isinstance(payload, dict) or not isinstance(payload.get("profile"), dict):
         raise ParseError(f"partition file {path!r} needs an object with a profile")
-    prof = payload["profile"]
-    kind, count = prof.get("kind"), prof.get("nonsingletons", "infinite")
-    if kind == "bounded" and _natural(prof.get("n"), 1) and \
-            (count == "infinite" or _natural(count)):
-        profile: Profile = BoundedBy(prof["n"], count)
-    elif kind == "unbounded-finite":
-        profile = UnboundedFinite()
-    elif kind == "infinite-block" and _natural(prof.get("block")):
-        profile = HasInfiniteBlock(prof["block"])
-    else:
-        raise ParseError(f"bad profile {prof!r}: n must be a natural >= 1, "
-                         "nonsingletons a natural or 'infinite', block a natural")
     blocks = payload.get("blocks")
     if payload.get("rest") != "singletons" or not isinstance(blocks, list) or \
             not all(isinstance(blk, list) and blk and all(map(_natural, blk))
                     for blk in blocks):
         raise ParseError("explicit partition file must declare rest:singletons "
                          "and blocks that are nonempty lists of naturals")
-    return explicit(blocks, profile, key=payload.get("key", "explicit"))
+    prof = payload["profile"]
+    n, count = prof.get("n"), prof.get("nonsingletons")
+    sizes = [len(set(blk)) for blk in blocks]
+    largest, nonsingletons = max(sizes, default=1), sum(s > 1 for s in sizes)
+    if prof.get("kind") != "bounded" or not _natural(n, largest) or \
+            not _natural(count) or count != nonsingletons:
+        raise ParseError(f"partition file {path!r} declares a false profile "
+                         f"{prof!r}: its blocks need kind 'bounded', "
+                         f"n >= {largest} and nonsingletons {nonsingletons}")
+    return explicit(blocks, BoundedBy(n, count), key=payload.get("key", "explicit"))
 
 
 BUILTIN_PARTITIONS = {
@@ -461,7 +473,7 @@ def classify_partition(A: Partition) -> PartitionClassTag:
             "InP", f"declared unbounded finite sizes; growing blocks {samples}")
     if isinstance(p, BoundedBy):
         if p.n >= 2 and p.nonsingletons == "infinite":
-            samples = A.sample_nonsingleton_blocks(4)
+            samples = [b for b, _ in A.sample_bounded_blocks(4)]
             return PartitionClassTag(
                 "InQ",
                 f"sizes bounded by {p.n} with infinitely many nonsingletons; "

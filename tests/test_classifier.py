@@ -343,6 +343,17 @@ class TestDiscreteness:
         v = discreteness(parse_descriptor(desc))
         assert v.answer == "yes" and v.evidence["gamma"] == lab.gamma
 
+    @pytest.mark.parametrize("desc,answer,gamma", [
+        ("fix(full;{})".format(",".join(str(p) for p in range(100))), "no", None),
+        ("fix(full;3)", "no", None),
+        ("fix(gens:[cycles:(0 1 2)];5)", "yes", [0, 1, 2, 5])],
+        ids=["full-fix-0-to-99", "full-fix-3", "gens-fix-5"])
+    def test_fix_has_the_answer_of_its_inner_group(self, desc, answer, gamma):
+        # H = G_(Γ) has H_(Δ) = G_(Γ ∪ Δ): statement (iv) holds for H iff
+        # for G, and H's trivial stabilizer fixes Γ as well
+        v = discreteness(parse_descriptor(desc))
+        assert (v.answer, v.evidence.get("gamma")) == (answer, gamma)
+
 
 class TestCompactness:
     def test_pairs_yes(self):
@@ -363,6 +374,39 @@ class TestCompactness:
         v = compactness_criterion(
             parse_descriptor("stab:partition:intervals-growing"))
         assert v.answer == "yes"
+
+    @pytest.mark.parametrize("inner,gamma", [
+        ("full", range(100)), ("stab:partition:evens-block", range(0, 129, 2))],
+        ids=["full", "evens-block"])
+    def test_certified_cs_fix_no(self, inner, gamma):
+        # a certified C_S leaves an infinite orbit off every finite set,
+        # though the points 0, 1, 5, 17 and 64 lie in gamma or are singletons
+        assert classify(inner).label == "C_S"
+        desc = "fix({};{})".format(inner, ",".join(str(p) for p in gamma))
+        assert compactness_criterion(parse_descriptor(desc)).answer == "no"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(REPLAY_CORPUS),
+       st.sets(st.integers(0, 63), min_size=1, max_size=8))
+def test_verdicts_read_off_the_class_record(desc, gamma):
+    fixed = "fix({};{})".format(desc, ",".join(str(p) for p in sorted(gamma)))
+    D, H = parse_descriptor(desc), parse_descriptor(fixed)
+    for verdict in (discreteness, compactness_criterion):
+        assert verdict(H).answer == verdict(D).answer
+    v = discreteness(H)
+    if v.answer == "yes":
+        assert v.evidence["gamma"] == sorted(gamma.union(discreteness(D).evidence["gamma"]))
+    if not desc.startswith("fix("):
+        lab = classify(desc)
+        v = discreteness(D)
+        assert (v.answer == "yes") == (lab.certified and lab.label == "C_1")
+        if v.answer == "yes":
+            assert v.evidence["gamma"] == lab.gamma
+    for d in (desc, fixed):
+        lab = classify(d)
+        if lab.certified and lab.label == "C_S":
+            assert compactness_criterion(parse_descriptor(d)).answer != "yes"
 
 
 class TestParse:

@@ -1,12 +1,7 @@
 import json
-import os
-import pathlib
-import subprocess
-import sys
 
 import pytest
 
-import symkit
 from symkit.cli import cli_main
 from symkit.perm import evaluation_budget
 
@@ -21,19 +16,6 @@ def assert_error_exit(code, err):
     assert code == 1
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
-
-
-def run_subprocess(argv):
-    """stderr of ``symkit argv`` run in a subprocess, which must end in one
-    error line; the timeout keeps a scan that never stops from stalling the
-    suite."""
-    src = str(pathlib.Path(symkit.__file__).parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-m", "symkit", *argv],
-        capture_output=True, text=True, timeout=30,
-        env={**os.environ, "PYTHONPATH": src})
-    assert_error_exit(proc.returncode, proc.stderr)
-    return proc.stderr
 
 
 class TestClassify:
@@ -84,26 +66,26 @@ class TestClassify:
         ["classify", "stab:partition:explicit@{}"],
         ["orbit", "stab:partition:explicit@{}", "--alpha", "1"]],
         ids=["classify", "orbit"])
-    def test_false_infinite_block_exit_1(self, tmp_path, argv):
-        # the declared infinite block holds one point, so a scan for its
-        # free points stops only at the meter; a subprocess with a timeout
-        # keeps a scan that never stops from stalling the suite
+    def test_false_infinite_block_exit_1(self, capsys, tmp_path, argv):
+        # a file lists finitely many finite blocks, so no block is infinite
         path = tmp_path / "liar.json"
         path.write_text(json.dumps({
             "key": "liar", "profile": {"kind": "infinite-block", "block": 1},
             "rest": "singletons", "blocks": []}))
-        stderr = run_subprocess([a.format(path) for a in argv])
-        assert "form free-points" in stderr
+        code, _, err = run(capsys, *(a.format(path) for a in argv))
+        assert_error_exit(code, err)
+        assert "declares a false profile" in err
 
-    def test_false_finite_profile_exit_1(self, tmp_path):
-        # three nonsingletons declared, one listed: the walk for the rest
-        # of their union stops only at the meter
+    def test_false_finite_profile_exit_1(self, capsys, tmp_path):
+        # three nonsingletons declared, one listed
         path = tmp_path / "few.json"
         path.write_text(json.dumps({
             "key": "few", "profile": {"kind": "bounded", "n": 2, "nonsingletons": 3},
             "rest": "singletons", "blocks": [[0, 1]]}))
-        stderr = run_subprocess(["classify", f"stab:partition:explicit@{path}"])
-        assert "form blocks" in stderr
+        code, _, err = run(capsys, "classify",
+                           f"stab:partition:explicit@{path}")
+        assert_error_exit(code, err)
+        assert "declares a false profile" in err
 
 
 class TestOrbit:

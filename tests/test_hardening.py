@@ -121,6 +121,24 @@ class TestInfiniteBlockDescriptor:
             discreteness(PartitionStab(liar, liar.key))
         assert err.value.form == "free-points"
 
+    def test_false_infinite_block_orbit_runs_out_of_budget(self):
+        from symkit.classifier import PartitionStab
+
+        liar = parts.explicit([], parts.HasInfiniteBlock(1), key="liar")
+        with pytest.raises(EvaluationBudgetError) as err:
+            orbit(PartitionStab(liar, liar.key), [], 1)
+        assert err.value.form == "free-points"
+
+    def test_false_finite_profile_runs_out_of_budget(self):
+        # three nonsingletons declared, one listed: the walk for the rest of
+        # their union stops only at the meter
+        from symkit.classifier import PartitionStab
+
+        few = parts.explicit([[0, 1]], parts.BoundedBy(2, 3), key="few")
+        with pytest.raises(EvaluationBudgetError) as err:
+            classify_group(PartitionStab(few, few.key))
+        assert err.value.form == "blocks"
+
     def test_not_discrete(self):
         from symkit.classifier import discreteness
 

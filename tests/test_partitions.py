@@ -1,6 +1,8 @@
+import json
+
 import pytest
 
-from symkit.errors import NotIsomorphicError, ProfileViolationError
+from symkit.errors import NotIsomorphicError, ParseError, ProfileViolationError
 from symkit.partitions import (
     BoundedBy,
     UnboundedFinite,
@@ -18,6 +20,7 @@ from symkit.partitions import (
     z_pair_blocks,
 )
 from symkit.perm import FiniteSupportPermutation, identity
+from symkit.witnesses import q_equiv_witness
 
 
 def cyc(*cycles):
@@ -77,6 +80,15 @@ class TestClassify:
         A = explicit([[0, 1, 2]], BoundedBy(2, "infinite"), key="liar")
         with pytest.raises(ProfileViolationError):
             A.spot_verify(10)
+
+    def test_sampled_block_past_the_bound_refused(self):
+        # a triple, then pairs: the first sampled nonsingleton breaks n = 2
+        A = explicit([[0, 1, 2]] + [[2 * k + 1, 2 * k + 2] for k in range(2, 50)],
+                     BoundedBy(2, "infinite"), key="liar")
+        with pytest.raises(ProfileViolationError, match="block 0 has size 3"):
+            classify_partition(A)
+        with pytest.raises(ProfileViolationError, match="block 0 has size 3"):
+            q_equiv_witness(A, depth=6)
 
 
 class TestMembership:
@@ -186,3 +198,27 @@ class TestParse:
         A = parse_partition(f"explicit@{path}")
         assert A.block_members(2) == [2, 3, 4]
         assert A.block_members(7) == [7]
+
+    @pytest.mark.parametrize("profile", [
+        {"kind": "bounded", "n": 3, "nonsingletons": 1},
+        {"kind": "bounded", "n": 3, "nonsingletons": 3},
+        {"kind": "bounded", "n": 2, "nonsingletons": 2},
+        {"kind": "bounded", "n": 3, "nonsingletons": "infinite"},
+        {"kind": "unbounded-finite"},
+        {"kind": "infinite-block", "block": 0}],
+        ids=["too-few", "too-many", "bound-too-small", "infinitely-many",
+             "unbounded", "infinite-block"])
+    def test_false_profile_refused(self, tmp_path, profile):
+        # finitely many finite blocks, two of them nonsingletons ([9, 9] is
+        # the singleton {9}): only a bounded profile with n >= 3 and
+        # nonsingletons 2 is true of them
+        blocks = [[0, 1], [2, 3, 4], [9, 9]]
+        path = tmp_path / "part.json"
+        path.write_text(json.dumps({"blocks": blocks, "rest": "singletons",
+                                    "profile": profile}))
+        with pytest.raises(ParseError, match="false profile"):
+            parse_partition(f"explicit@{path}")
+        path.write_text(json.dumps({
+            "blocks": blocks, "rest": "singletons",
+            "profile": {"kind": "bounded", "n": 4, "nonsingletons": 2}}))
+        assert parse_partition(f"explicit@{path}").block_members(9) == [9]
