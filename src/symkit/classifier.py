@@ -21,6 +21,7 @@ from .chain import StabilizerChain
 from .errors import (
     ParseError,
     PreconditionError,
+    ProfileViolationError,
     SymkitError,
 )
 from .metrics import (
@@ -29,13 +30,7 @@ from .metrics import (
     classify_metric,
     parse_metric,
 )
-from .partitions import (
-    BoundedBy,
-    HasInfiniteBlock,
-    Partition,
-    UnboundedFinite,
-    parse_partition,
-)
+from .partitions import parse_partition
 from .perm import Permutation, metered, parse_perm_list, parse_points, split_top
 from .trees import FullSymmetricOracle, GroupOracle, PartitionStabilizerOracle
 
@@ -354,7 +349,7 @@ def classify_group(desc: Descriptor, budgets: Optional[Budgets] = None) -> Class
         return _label("C_1", True, "trivial-group", [], [], budgets)
 
     if isinstance(desc, PartitionStab):
-        return _classify_partition_stab(desc, desc.A, budgets, extra_gamma=())
+        return _classify_partition_stab(desc, budgets, extra_gamma=())
 
     if isinstance(desc, PointwiseStab):
         if _is_initial_segment(desc.gamma):
@@ -364,7 +359,7 @@ def classify_group(desc: Descriptor, budgets: Optional[Budgets] = None) -> Class
                           list(desc.gamma), [], budgets,
                           {"inner": inner.evidence()})
         if isinstance(desc.inner, PartitionStab):
-            return _classify_partition_stab(desc.inner, desc.inner.A, budgets,
+            return _classify_partition_stab(desc.inner, budgets,
                                             extra_gamma=desc.gamma)
         probes = _probe_full_style(desc, budgets)
         return _label("Unknown", False, "no-certificate", list(desc.gamma),
@@ -388,80 +383,70 @@ def classify_group(desc: Descriptor, budgets: Optional[Budgets] = None) -> Class
     raise PreconditionError(f"no classifier for {desc!r}")
 
 
-def _classify_partition_stab(desc: Descriptor, A: Partition, budgets: Budgets,
+def _classify_partition_stab(desc: PartitionStab, budgets: Budgets,
                              extra_gamma: Sequence[int]) -> ClassLabel:
-    profile = A.profile
+    """The class of desc's declared profile, with its evidence.  Under a finite
+    extra_gamma Γ a C_1 or C_S profile keeps its certified answer, since
+    G_(Γ)_(Δ) = G_(Γ ∪ Δ); a C_Q or C_P one answers at the window budget."""
+    A, profile = desc.A, desc.A.profile
+    label = profile.label
     window = budgets.samples * 4
-    if extra_gamma and not isinstance(profile, HasInfiniteBlock):
+    if label == "C_S":
+        # every finite set leaves an infinite orbit inside the declared block
+        probes = []
+        block = A.block_of(profile.block)
+        for gamma in _initial_segments(budgets):
+            gset = set(gamma).union(extra_gamma)
+            block_pt = A.free_points(block, gset, 1)[0]
+            probes.append(orbit(desc, gset, block_pt, budgets.orbit_budget))
+        return _label("C_S", True, "partition-infinite-block",
+                      sorted(set(extra_gamma)), probes,
+                      budgets, {"block": profile.block})
+    if label == "C_1":
+        # finitely many nonsingletons: the stabilizer of their union is
+        # trivial.  One metered walk takes them and spot-checks a window past
+        # them for one more, so a profile that declares more than exist stops
+        # at the meter and one that declares fewer raises.
+        count = profile.nonsingletons if isinstance(profile.nonsingletons, int) else 0
+        with metered():
+            blocks = A.iter_blocks()
+            found = (b for b in blocks if len(A.block_members(b)) > 1)
+            union = sorted(a for b in itertools.islice(found, count)
+                           for a in A.block_members(b))
+            end = (union[-1] + 1 if union else 0) + window
+            for b in itertools.takewhile(lambda b: b < end, blocks):
+                if len(A.block_members(b)) > 1:
+                    raise ProfileViolationError(
+                        f"{A.key}: block {b} is a nonsingleton past the "
+                        f"{count} declared")
+        return _label("C_1", True, "partition-finite-nonsingletons", union, [],
+                      budgets, {"nonsingleton_count": count})
+    if extra_gamma:
         # an arbitrary finite set pins finitely many blocks; report what the
         # probes can actually certify at this budget
         gset = set(extra_gamma)
         blocks = A.blocks_within(window)
-        unmet = []
-        probes = []
-        for b in blocks:
-            members = A.block_members(b)
-            free = [x for x in members if x not in gset]
-            if len(members) > 1 and len(free) >= 2:
-                unmet.append(b)
-        sample_points = [p for p in range(0, window, max(1, window // budgets.samples))]
-        for alpha in sample_points[:budgets.samples]:
-            probes.append(orbit(desc if isinstance(desc, PartitionStab)
-                                else PartitionStab(A, A.key),
-                                gset, alpha, budgets.orbit_budget))
+        unmet = [b for b in blocks if len(set(A.block_members(b)) - gset) >= 2]
+        step = max(1, window // budgets.samples)
+        probes = [orbit(desc, gset, alpha, budgets.orbit_budget)
+                  for alpha in range(0, window, step)[:budgets.samples]]
         if not unmet:
             return _label("C_1", False, "budget-trivial", sorted(gset), probes,
                           budgets, {"window": window,
                                     "blocks_checked": len(blocks)})
-        return _label("C_Q" if profile.kind == "bounded" else "C_P",
-                      False, "budget-surviving-orbits", sorted(gset), probes,
-                      budgets, {"window": window, "unmet_blocks": unmet[:16]})
-
-    if isinstance(profile, UnboundedFinite):
+        return _label(label, False, "budget-surviving-orbits", sorted(gset),
+                      probes, budgets,
+                      {"window": window, "unmet_blocks": unmet[:16]})
+    if label == "C_P":
         ids = A.sample_growing_blocks(6)
         growing = [[b, len(A.block_members(b))] for b in ids]
         probes = [orbit(desc, [], b, budgets.orbit_budget) for b in ids[:4]]
         return _label("C_P", True, "partition-profile-unbounded", [], probes,
                       budgets, {"growing_blocks": growing})
-    if isinstance(profile, BoundedBy):
-        if profile.n >= 2 and profile.nonsingletons == "infinite":
-            blocks = A.sample_bounded_blocks(4)
-            probes = [orbit(desc, [], b, budgets.orbit_budget) for b, _ in blocks]
-            return _label("C_Q", True, "partition-profile-bounded", [], probes,
-                          budgets, {"bound": profile.n,
-                                    "nonsingleton_blocks": blocks})
-        # finitely many nonsingletons: the stabilizer of their union is trivial
-        count = profile.nonsingletons if isinstance(profile.nonsingletons, int) else 0
-        return _label("C_1", True, "partition-finite-nonsingletons",
-                      _nonsingleton_union(A), [], budgets,
-                      {"nonsingleton_count": count})
-    if isinstance(profile, HasInfiniteBlock):
-        # every finite set leaves an infinite orbit inside the declared block
-        probes = []
-        stab = desc if isinstance(desc, PartitionStab) else PartitionStab(A, A.key)
-        block = A.block_of(profile.block)
-        for gamma in _initial_segments(budgets):
-            gset = set(gamma).union(extra_gamma)
-            block_pt = A.free_points(block, gset, 1)[0]
-            probes.append(orbit(stab, gset, block_pt, budgets.orbit_budget))
-        return _label("C_S", True, "partition-infinite-block",
-                      sorted(set(extra_gamma)), probes,
-                      budgets, {"block": profile.block})
-    raise PreconditionError("unknown profile")
-
-
-def _nonsingleton_union(A: Partition) -> Optional[List[int]]:
-    """The points of A's nonsingleton blocks if its profile declares finitely
-    many, walked under one meter: a profile that declares more than exist
-    stops there.  None if it declares infinitely many."""
-    p = A.profile
-    if not isinstance(p, BoundedBy) or (p.n >= 2 and p.nonsingletons == "infinite"):
-        return None
-    count = p.nonsingletons if isinstance(p.nonsingletons, int) else 0
-    with metered():
-        found = (b for b in A.iter_blocks() if len(A.block_members(b)) > 1)
-        return sorted(a for b in itertools.islice(found, count)
-                      for a in A.block_members(b))
+    blocks = A.sample_bounded_blocks(4)
+    probes = [orbit(desc, [], b, budgets.orbit_budget) for b, _ in blocks]
+    return _label("C_Q", True, "partition-profile-bounded", [], probes,
+                  budgets, {"bound": profile.n, "nonsingleton_blocks": blocks})
 
 
 def _classify_fn(desc: FNGroup, budgets: Budgets) -> ClassLabel:
@@ -510,25 +495,27 @@ def discreteness(desc: Descriptor, budgets: Optional[Budgets] = None) -> Verdict
     """Is some finite-set stabilizer trivial?  Statement (iv), read off the
     certified class of desc with every fix(…) peeled: it holds exactly in
     C_1.  The witnesses of a ``no`` are orbits that the peeled group's record
-    probed.  A metric with every distance finite gives every transposition a
-    finite norm, so its group is not discrete either."""
+    probed, so the evidence names a nonempty peeled set.  A metric with every
+    distance finite gives every transposition a finite norm, so its group is
+    not discrete either."""
     desc, fixed = _peel(desc)
+    peeled = {"peeled": sorted(fixed)} if fixed else {}
     budgets = budgets or Budgets()
     if isinstance(desc, FNGroup) and desc.metric.all_finite:
         witnesses = [{"gamma": g, "moved": [len(g), len(g) + 1]}
                      for g in _initial_segments(budgets)]
         return Verdict("no", "transpositions beyond any finite set have "
-                             "finite norm", {"witnesses": witnesses})
+                             "finite norm", {"witnesses": witnesses, **peeled})
     lab = classify_group(desc, budgets)
     if lab.certified and lab.label == "C_1":
         return Verdict("yes", "certified C_1: fixing gamma pins everything",
-                       {"gamma": sorted(fixed.union(lab.gamma))})
+                       {"gamma": sorted(fixed.union(lab.gamma)), **peeled})
     if lab.certified:
         witnesses = [{"gamma": p.gamma, "moved": p.points[:2]}
                      for p in lab.probes if len(p.points) >= 2]
         return Verdict("no", f"certified {lab.label}: no finite set has a "
-                             "trivial stabilizer", {"witnesses": witnesses})
-    return Verdict("unknown", "no certificate either way", {})
+                             "trivial stabilizer", {"witnesses": witnesses, **peeled})
+    return Verdict("unknown", "no certificate either way", peeled)
 
 
 def compactness_criterion(desc: Descriptor,
@@ -548,7 +535,7 @@ def compactness_criterion(desc: Descriptor,
                          desc.metric.discrete_infinite
                          or isinstance(desc.metric, PartitionMetric))
                      or isinstance(desc, PartitionStab)
-                     and not isinstance(desc.A.profile, HasInfiniteBlock))
+                     and desc.A.profile.label != "C_S")
     if finite_orbits:
         return Verdict("yes", "closed with every orbit finite by construction",
                        evidence)

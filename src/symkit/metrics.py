@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedMetricError,
 )
 from .localdecomp import UniformBreakpoints, pair_crossers
-from .partitions import Partition, extend_while, parse_partition
+from .partitions import BoundedBy, Partition, extend_while, parse_partition
 from .perm import (
     FiniteSupportPermutation,
     Permutation,
@@ -223,12 +223,12 @@ class PartitionMetric(GeneralizedMetric):
     """Distance 1 inside a block, INF across blocks."""
 
     def __init__(self, A: Partition):
-        if A.profile.kind == "infinite-block":
+        if A.profile.label == "C_S":
             raise UnsupportedMetricError(
                 "partition metric needs finite blocks (balls must be finite)")
         self.partition = A
         self.key = f"partition@{A.key}"
-        if A.profile.kind == "bounded":
+        if isinstance(A.profile, BoundedBy):
             n = A.profile.n
             self.uniform_bound = lambda r, n=n: 1 if r <= 1 else n
 

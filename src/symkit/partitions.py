@@ -20,29 +20,33 @@ from .perm import Permutation, _charge, _Flip, metered, z_to_nat
 
 # Scan caps whose exhaustion decides an answer; any other walk is bounded by
 # the evaluation meter alone.
-SAMPLE_SCAN_POINTS = 10**6     # profile samples: points scanned for evidence
 ELIGIBLE_SCAN_BLOCKS = 50_000  # packer: blocks skipped for one big enough
 MATCH_SCAN_BLOCKS = 20_000     # conjugator: blocks pulled on either side
 
 
+# A profile settles which of statements (i)-(iv) its stabilizer satisfies, so
+# it carries that class as its ``label``.
 @dataclass(frozen=True)
 class BoundedBy:
     n: int
     nonsingletons: Union[int, str]  # a count, or "infinite"
 
-    kind = "bounded"
+    @property
+    def label(self) -> str:
+        """C_Q with infinitely many blocks of two or more points, else C_1."""
+        return "C_Q" if self.n >= 2 and self.nonsingletons == "infinite" else "C_1"
 
 
 @dataclass(frozen=True)
 class UnboundedFinite:
-    kind = "unbounded-finite"
+    label = "C_P"
 
 
 @dataclass(frozen=True)
 class HasInfiniteBlock:
     block: int
 
-    kind = "infinite-block"
+    label = "C_S"
 
 
 Profile = Union[BoundedBy, UnboundedFinite, HasInfiniteBlock]
@@ -65,9 +69,11 @@ class Partition:
         return self._block_members(block_id)
 
     def blocks_within(self, window: int) -> List[int]:
-        """Ids of the blocks meeting [0, window), in increasing order."""
-        block_of = self._block_of
-        return [a for a in range(window) if block_of(a) == a]
+        """Ids of the blocks meeting [0, window), in increasing order, walked
+        under one meter."""
+        with metered():
+            return list(itertools.takewhile(lambda b: b < window,
+                                            self.iter_blocks()))
 
     def free_points(self, block_id: int, gamma, n: int) -> List[int]:
         """The first ``n`` points of block ``block_id`` outside the set
@@ -128,31 +134,26 @@ class Partition:
                 f"{self.profile.n}")
 
     def sample_growing_blocks(self, count: int) -> List[int]:
-        """Ids of blocks with strictly increasing sizes (UnboundedFinite evidence)."""
+        """Ids of blocks with strictly increasing sizes (UnboundedFinite
+        evidence).  Samples walk iter_blocks under one meter, so a profile
+        that promises more blocks than exist stops there (form ``blocks``)."""
         out: List[int] = []
         best = 0
-        for a in range(SAMPLE_SCAN_POINTS):
-            if len(out) >= count:
-                break
-            if self._block_of(a) == a and (s := len(self._block_members(a))) > best:
-                best = s
-                out.append(a)
-        if len(out) < count:
-            raise ProfileViolationError(
-                f"{self.key}: declared unbounded sizes but found only "
-                f"{len(out)} growing blocks within {SAMPLE_SCAN_POINTS} points")
+        with metered():
+            blocks = self.iter_blocks()
+            while len(out) < count:
+                b = next(blocks)
+                if (s := len(self._block_members(b))) > best:
+                    best = s
+                    out.append(b)
         return out
 
     def sample_nonsingleton_blocks(self, count: int, start: int = 0) -> List[int]:
-        """Ids of the first ``count`` nonsingleton blocks from ``start`` on."""
-        found = (a for a in range(start, start + SAMPLE_SCAN_POINTS)
-                 if self._block_of(a) == a and len(self._block_members(a)) > 1)
-        out = list(itertools.islice(found, count))
-        if len(out) < count:
-            raise ProfileViolationError(
-                f"{self.key}: declared infinitely many nonsingletons but found "
-                f"only {len(out)} past {start}")
-        return out
+        """Ids of the first ``count`` nonsingleton blocks from id ``start`` on."""
+        with metered():
+            found = (b for b in self.iter_blocks()
+                     if b >= start and len(self._block_members(b)) > 1)
+            return list(itertools.islice(found, count))
 
     def sample_bounded_blocks(self, count: int) -> List[List[int]]:
         """[id, size] of the first ``count`` nonsingleton blocks, each checked
@@ -467,17 +468,17 @@ class PartitionClassTag:
 
 def classify_partition(A: Partition) -> PartitionClassTag:
     p = A.profile
-    if isinstance(p, UnboundedFinite):
+    if p.label == "C_P":
         samples = A.sample_growing_blocks(4)
         return PartitionClassTag(
             "InP", f"declared unbounded finite sizes; growing blocks {samples}")
-    if isinstance(p, BoundedBy):
-        if p.n >= 2 and p.nonsingletons == "infinite":
-            samples = [b for b, _ in A.sample_bounded_blocks(4)]
-            return PartitionClassTag(
-                "InQ",
-                f"sizes bounded by {p.n} with infinitely many nonsingletons; "
-                f"samples {samples}")
+    if p.label == "C_Q":
+        samples = [b for b, _ in A.sample_bounded_blocks(4)]
+        return PartitionClassTag(
+            "InQ",
+            f"sizes bounded by {p.n} with infinitely many nonsingletons; "
+            f"samples {samples}")
+    if p.label == "C_1":
         return PartitionClassTag(
             "Neither", f"sizes bounded by {p.n} with nonsingletons={p.nonsingletons}")
     return PartitionClassTag("Neither", "has an infinite block")

@@ -21,7 +21,7 @@ from .errors import (
     IllFormedTreeError,
     PreconditionError,
 )
-from .partitions import Partition
+from .partitions import BoundedBy, Partition
 from .perm import (
     ConstantTail,
     ConvergentSequence,
@@ -88,7 +88,7 @@ class PartitionStabilizerOracle(GroupOracle):
     def __init__(self, A: Partition):
         self.A = A
         self.name = f"stab:{A.key}"
-        if A.profile.kind == "bounded":
+        if isinstance(A.profile, BoundedBy):
             self.max_orbit = A.profile.n
 
     def orbit(self, gamma, alpha, n):
@@ -96,7 +96,7 @@ class PartitionStabilizerOracle(GroupOracle):
             return OrbitResult("full", [alpha])
         A = self.A
         block_id = A.block_of(alpha)
-        if A.profile.kind == "infinite-block" and \
+        if A.profile.label == "C_S" and \
                 block_id == A.block_of(A.profile.block):
             return OrbitResult("atleast", A.free_points(block_id, gamma, n))
         free = [x for x in A.block_members(block_id) if x not in gamma]

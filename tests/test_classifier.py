@@ -10,6 +10,7 @@ import symkit.classifier as classifier
 from symkit.classifier import (
     CLASS_ORDER,
     LAMBDA_CASE,
+    PartitionStab,
     check_evidence,
     class_lt,
     classify_group,
@@ -18,8 +19,9 @@ from symkit.classifier import (
     orbit,
     parse_descriptor,
 )
-from symkit.errors import ParseError, PreconditionError
+from symkit.errors import ParseError, PreconditionError, ProfileViolationError
 from symkit.metrics import MetricCaseReport
+from symkit.partitions import BoundedBy, explicit
 
 
 def classify(s, budgets=None):
@@ -168,6 +170,28 @@ class TestClassify:
         assert all({1, 3} <= set(p.gamma) for p in lab.probes)
         assert check_evidence(desc, lab.evidence())
         assert check_evidence(desc, json.loads(json.dumps(lab.evidence())))
+
+    @pytest.mark.parametrize("desc", [
+        "fix(stab:partition:explicit@{};5)", "fix(stab:partition:singletons;1,3)"],
+        ids=["one-pair-file", "singletons"])
+    def test_fix_of_finitely_many_nonsingletons_is_certified_c1(
+            self, tmp_path, desc):
+        # G_(Γ)_(Δ) = G_(Γ ∪ Δ): the union that pins G pins G_(Γ) too
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({
+            "key": "one", "blocks": [[0, 1]], "rest": "singletons",
+            "profile": {"kind": "bounded", "n": 2, "nonsingletons": 1}}))
+        desc = desc.format(path)
+        lab = classify(desc)
+        assert (lab.label, lab.certified) == ("C_1", True)
+        assert lab.basis == "partition-finite-nonsingletons"
+        assert check_evidence(desc, lab.evidence())
+
+    def test_undeclared_nonsingleton_refused(self):
+        # two pairs declared as one: fixing [0, 1] would leave the orbit [2, 3]
+        A = explicit([[0, 1], [2, 3]], BoundedBy(2, 1), key="under")
+        with pytest.raises(ProfileViolationError, match="block 2"):
+            classify_group(PartitionStab(A, A.key))
 
     def test_finite_nonsingleton_partition_is_countable(self):
         import json
@@ -353,6 +377,17 @@ class TestDiscreteness:
         # for G, and H's trivial stabilizer fixes Γ as well
         v = discreteness(parse_descriptor(desc))
         assert (v.answer, v.evidence.get("gamma")) == (answer, gamma)
+
+
+    def test_fix_names_the_peeled_set(self):
+        # the witnesses are the inner group's probes, so the verdict says
+        # which set was peeled off to reach it
+        for desc, peeled in (("fix(full;3,7)", [3, 7]),
+                             ("fix(fix(stab:partition:pairs;1);2,1)", [1, 2]),
+                             ("fix(trivial;4)", [4])):
+            assert discreteness(parse_descriptor(desc)).evidence["peeled"] == peeled
+        for desc in ("full", "trivial", "stab:partition:pairs", "oracle:full-sym"):
+            assert "peeled" not in discreteness(parse_descriptor(desc)).evidence
 
 
 class TestCompactness:

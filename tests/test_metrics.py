@@ -314,6 +314,14 @@ class TestRefine:
         assert parse_metric("refine(partition@pairs;U=[])").key.startswith(
             "refine(partition@pairs")
 
+    def test_dist_across_an_infinite_base_distance(self):
+        # the discrete base puts every pair at INF: dist searches to its
+        # radius, and past it asks for dist_budgeted
+        ref = parse_metric("refine(discrete;U=[rule:swap-pairs])")
+        assert ref.dist(0, 1) == 1
+        with pytest.raises(UnsupportedMetricError, match="search radius"):
+            ref.dist(0, 40)
+
     def test_crowded_base_detected(self):
         ref = refine_metric(UniformHalf(), [])
         with pytest.raises(NotUncrowdedError):

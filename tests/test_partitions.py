@@ -1,8 +1,24 @@
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from symkit.errors import NotIsomorphicError, ParseError, ProfileViolationError
+from symkit.classifier import (
+    PartitionStab,
+    check_evidence,
+    classify_group,
+    orbit,
+    parse_descriptor,
+)
+from symkit.errors import (
+    EvaluationBudgetError,
+    NotIsomorphicError,
+    ParseError,
+    ProfileViolationError,
+)
 from symkit.partitions import (
     BoundedBy,
     UnboundedFinite,
@@ -19,7 +35,7 @@ from symkit.partitions import (
     stabilizer_membership,
     z_pair_blocks,
 )
-from symkit.perm import FiniteSupportPermutation, identity
+from symkit.perm import FiniteSupportPermutation, evaluation_budget, identity
 from symkit.witnesses import q_equiv_witness
 
 
@@ -108,6 +124,13 @@ class TestMembership:
 
         rep = stabilizer_membership(rule("swap-pairs"), a0(), 40)
         assert rep.answer in ("no", "unknown")
+
+    def test_preserved_probes_without_certificate_unknown(self):
+        # swap-pairs preserves every block of pairs, but has no finite support
+        from symkit.perm import rule
+
+        rep = stabilizer_membership(rule("swap-pairs"), pairs(), 40)
+        assert (rep.answer, rep.checked_blocks) == ("unknown", 20)
 
 
 class TestConjugator:
@@ -222,3 +245,82 @@ class TestParse:
             "blocks": blocks, "rest": "singletons",
             "profile": {"kind": "bounded", "n": 4, "nonsingletons": 2}}))
         assert parse_partition(f"explicit@{path}").block_members(9) == [9]
+
+
+# --------------------------------------------------------------------------
+# Finitely many finite blocks: the profile and the class come from the blocks.
+
+
+@st.composite
+def block_lists(draw, span=60):
+    """Disjoint finite blocks over [0, span), each of 1 to 5 points; every
+    other point is a singleton."""
+    points = draw(st.permutations(range(span)))
+    blocks = []
+    for size in draw(st.lists(st.integers(1, 5), max_size=8)):
+        blocks.append(sorted(points[:size]))
+        points = points[size:]
+    return blocks
+
+
+def _truth(blocks):
+    """The largest block size and the number of blocks of two or more points."""
+    sizes = [len(blk) for blk in blocks]
+    return max(sizes, default=1), sum(s > 1 for s in sizes)
+
+
+profiles = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("bounded"), "n": st.integers(0, 6),
+                           "nonsingletons": st.integers(0, 9) | st.just("infinite")}),
+    st.just({"kind": "unbounded-finite"}),
+    st.just({"kind": "infinite-block", "block": 0}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_lists(), profiles)
+def test_file_profile_and_class_come_from_the_blocks(blocks, declared):
+    largest, count = _truth(blocks)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "part.json")
+
+        def write(profile):
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump({"blocks": blocks, "rest": "singletons",
+                           "profile": profile}, fh)
+
+        # accepted exactly when the declared profile is true of the blocks
+        write(declared)
+        true = declared["kind"] == "bounded" and \
+            declared["n"] >= largest and declared["nonsingletons"] == count
+        if true:
+            assert parse_partition(f"explicit@{path}").profile.label == "C_1"
+        else:
+            with pytest.raises(ParseError, match="false profile"):
+                parse_partition(f"explicit@{path}")
+        write({"kind": "bounded", "n": largest, "nonsingletons": count})
+        desc = f"stab:partition:explicit@{path}"
+        lab = classify_group(parse_descriptor(desc))
+        union = sorted(a for blk in blocks if len(blk) > 1 for a in blk)
+        assert (lab.label, lab.certified, lab.gamma) == ("C_1", True, union)
+        assert check_evidence(desc, lab.evidence())
+        # fixing the union pins every point
+        G = parse_descriptor(desc)
+        for alpha in range(80):
+            rep = orbit(G, lab.gamma, alpha)
+            assert (rep.kind, rep.points) == ("full", [alpha])
+
+
+@settings(max_examples=40, deadline=None)
+@given(block_lists(), st.integers(1, 3))
+def test_explicit_miscounted_nonsingletons_refused(blocks, off):
+    # the walk takes the declared count: too few leaves a nonsingleton block
+    # in the window past the union, too many walks on to the meter
+    largest, count = _truth(blocks)
+    if count >= off:
+        A = explicit(blocks, BoundedBy(largest, count - off), key="under")
+        with pytest.raises(ProfileViolationError, match="nonsingleton past"):
+            classify_group(PartitionStab(A, A.key))
+    A = explicit(blocks, BoundedBy(largest, count + off), key="over")
+    with evaluation_budget(20_000), pytest.raises(EvaluationBudgetError) as info:
+        classify_group(PartitionStab(A, A.key))
+    assert info.value.form == "blocks"

@@ -193,6 +193,26 @@ class TestETree:
             build_e_tree(fam, [0, 2, 4], depth=2, mode="jump")
 
 
+    def test_jump_mode_fills_skipped_levels(self):
+        # multiplicities 1, 2, 3, 4, ...: width 2 needs 4, so the jumps skip
+        # levels 0-2 and each token is filled up to level 3 first
+        tree = build_tree(oracle_plugin("full-sym"), "unbounded", 1,
+                          n_sequence=[1, 2, 3, 4])
+        fam = TreeDFamily(tree, grow=True)
+        et = build_e_tree(fam, [0, 2], depth=1, mode="jump")
+        assert et.jump_bounds == [{"level": 1, "bound": 4, "jumps": [3, 4]}]
+        assert all(len(node.token) == 5 for node in et.levels[1].values())
+        s = build_s(et)
+        assert verify_conjugation(et, s, {0: 1, 1: 0}, window=2).ok
+
+    def test_multiplicity_by_mode(self):
+        unbounded = build_tree(oracle_plugin("full-sym"), "unbounded", 1,
+                               n_sequence=[1, 2, 3, 4])
+        assert [TreeDFamily(unbounded).multiplicity(i) for i in range(6)] == \
+            [1, 2, 3, 4, 5, 6]
+        inf = build_tree(oracle_plugin("full-sym"), "inf", 2)
+        assert TreeDFamily(inf).multiplicity(0) is None
+
 class TestVerifyConjugation:
     def test_identity_pi(self):
         et = build_e_tree(FullTupleFamily(), [0, 1, 3, 6], depth=3)
