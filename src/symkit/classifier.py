@@ -406,16 +406,21 @@ def _classify_partition_stab(desc: PartitionStab, budgets: Budgets,
         # finitely many nonsingletons: the stabilizer of their union is
         # trivial.  One metered walk takes them and spot-checks a window past
         # them for one more, so a profile that declares more than exist stops
-        # at the meter and one that declares fewer raises.
+        # at the meter and one that declares fewer raises; every block it
+        # reads must keep the declared size bound.
         count = profile.nonsingletons if isinstance(profile.nonsingletons, int) else 0
+
+        def members(b):
+            out = A.block_members(b)
+            A._check_size(b, len(out))
+            return out
         with metered():
             blocks = A.iter_blocks()
-            found = (b for b in blocks if len(A.block_members(b)) > 1)
-            union = sorted(a for b in itertools.islice(found, count)
-                           for a in A.block_members(b))
+            found = (m for m in map(members, blocks) if len(m) > 1)
+            union = sorted(a for m in itertools.islice(found, count) for a in m)
             end = (union[-1] + 1 if union else 0) + window
             for b in itertools.takewhile(lambda b: b < end, blocks):
-                if len(A.block_members(b)) > 1:
+                if len(members(b)) > 1:
                     raise ProfileViolationError(
                         f"{A.key}: block {b} is a nonsingleton past the "
                         f"{count} declared")

@@ -1,8 +1,8 @@
 """Command-line surface: classification, metrics, witnesses, trees, and
 permutation plumbing, with JSON evidence output.
 
-Exit status: 0 for definite answers, 2 for unknown-at-budget answers, 1 for
-errors (including malformed descriptor strings).
+Exit status: 0 for certified answers, 2 for uncertified or unknown-at-budget
+answers, 1 for errors (including malformed descriptor strings).
 """
 from __future__ import annotations
 
@@ -72,7 +72,7 @@ def _cmd_classify(args) -> int:
         f"certified: {label.certified}",
         f"basis: {label.basis}",
     ])
-    return 0 if label.label != "Unknown" else 2
+    return 0 if label.certified else 2
 
 
 def _cmd_orbit(args) -> int:
@@ -129,7 +129,6 @@ def _cmd_metric(args) -> int:
         _emit(args, {"metric": refined.key, "distances": out},
               [f"{o['a']}..{o['b']}: {o['kind']} {o['value']}" for o in out])
         return 0
-    raise SymkitError(f"unknown metric action {args.action!r}")
 
 
 def _cmd_local(args) -> int:
@@ -155,7 +154,6 @@ def _cmd_local(args) -> int:
                    "stuck_at": rep.stuck_at, "basis": rep.basis}
         _emit(args, payload, [f"answer: {rep.answer}", f"basis: {rep.basis}"])
         return 0 if rep.answer == "yes" else 2
-    raise SymkitError(f"unknown local action {args.action!r}")
 
 
 def _finite_repr(p, window: int) -> str:
@@ -220,13 +218,11 @@ def _cmd_witness(args) -> int:
         _emit(args, {"commutator": perm.format_perm(c)},
               [f"commutator: {perm.format_perm(c)}"])
         return 0
-    raise SymkitError(f"unknown witness action {args.action!r}")
 
 
 def _tree_from_args(args) -> trees.TreeState:
     oracle = classifier.oracle_plugin(args.oracle or "stab-a0")
-    mode = {"inf": "inf", "unbounded": "unbounded", "binary": "binary"}[
-        args.mode or "binary"]
+    mode = args.mode or "binary"
     n_seq = None
     if mode == "unbounded":
         n_seq = [i + 1 for i in range(args.depth or 4)]
@@ -278,7 +274,6 @@ def _cmd_tree(args) -> int:
         payload = {"ok": rep.ok, "checked": rep.checked, "failure": rep.failure}
         _emit(args, payload, [f"ok: {rep.ok}"])
         return 0 if rep.ok else 1
-    raise SymkitError(f"unknown tree action {args.action!r}")
 
 
 def _cmd_perm(args) -> int:
@@ -296,7 +291,6 @@ def _cmd_perm(args) -> int:
         _emit(args, payload, [f"ok: {rep.ok}"] +
               ([f"failure: {rep.failure}"] if rep.failure else []))
         return 0 if rep.ok else 1
-    raise SymkitError(f"unknown perm action {args.action!r}")
 
 
 # -- argument plumbing --------------------------------------------------------

@@ -176,9 +176,9 @@ def is_local(f: Permutation, probe_prefix: int) -> LocalityReport:
     """Look for invariant initial segments [0, j).
 
     Certified finite support gives a genuine yes.  Otherwise the answer is
-    yes when witnesses keep appearing in the upper half of the probed range,
-    and no-at-budget when the largest witness leaves the rest of the range
-    bare.
+    unknown when witnesses keep appearing in the upper half of the probed
+    range, and no-at-budget when the largest witness leaves the rest of the
+    range bare.
     """
     if probe_prefix <= 0:
         return LocalityReport("unknown", [], probe=probe_prefix,
@@ -194,7 +194,7 @@ def is_local(f: Permutation, probe_prefix: int) -> LocalityReport:
         return LocalityReport("yes", witnesses, probe=probe_prefix,
                               basis="finite support certificate")
     if witnesses and witnesses[-1] > probe_prefix // 2:
-        return LocalityReport("yes", witnesses, probe=probe_prefix,
+        return LocalityReport("unknown", witnesses, probe=probe_prefix,
                               basis="invariant prefixes persist through the probe")
     stuck = witnesses[-1] if witnesses else 0
     return LocalityReport("no-at-budget", witnesses, stuck_at=stuck,

@@ -25,13 +25,14 @@ from .errors import (
     UnsupportedMetricError,
 )
 from .localdecomp import UniformBreakpoints, pair_crossers
-from .partitions import BoundedBy, Partition, extend_while, parse_partition
+from .partitions import BoundedBy, Partition, parse_partition
 from .perm import (
     FiniteSupportPermutation,
     Permutation,
     RulePermutation,
     WordPermutation,
     _charge,
+    extend_while,
     identity,
     metered,
     nat_to_z,
@@ -59,6 +60,14 @@ def is_finite(d: Distance) -> bool:
 
 def _cmp(a, b) -> int:
     return (a > b) - (a < b)
+
+
+def _fits(size: int, cap: int, a, r) -> int:
+    """``size``, the point count of the ball B(a, r); NotUncrowdedError past
+    ``cap``, raised before any point is listed."""
+    if size > cap:
+        raise NotUncrowdedError("ball exceeds cap", center=a, radius=r)
+    return size
 
 
 class GeneralizedMetric:
@@ -90,8 +99,8 @@ class StandardOmega(GeneralizedMetric):
     key = "standard-omega"
     all_finite = True
 
-    def __init__(self):
-        self.uniform_bound = lambda r: 2 * _ceil_int(r) + 1
+    def uniform_bound(self, r):
+        return 2 * _ceil_int(r) + 1
 
     def dist(self, a, b):
         return abs(a - b)
@@ -99,9 +108,9 @@ class StandardOmega(GeneralizedMetric):
     def ball(self, a, r, cap=BALL_CAP):
         lo = max(0, _floor_strict(a - r) + 1) if a - r >= 0 else 0
         hi = _ceil_strict(a + r) - 1
+        _fits(hi - lo - 1, cap, a, r)  # [lo, hi] less at most its two ends
         out = [m for m in range(lo, hi + 1) if abs(m - a) < r]
-        if len(out) > cap:
-            raise NotUncrowdedError("ball exceeds cap", center=a, radius=r)
+        _fits(len(out), cap, a, r)
         return out
 
 
@@ -111,27 +120,28 @@ class StandardZ(GeneralizedMetric):
     key = "standard-z"
     all_finite = True
 
-    def __init__(self):
-        self.uniform_bound = lambda r: 2 * _ceil_int(r) + 1
+    def uniform_bound(self, r):
+        return 2 * _ceil_int(r) + 1
 
     def dist(self, a, b):
         return abs(nat_to_z(a) - nat_to_z(b))
 
     def ball(self, a, r, cap=BALL_CAP):
-        z = nat_to_z(a)
-        out = []
         k = _ceil_int(r)
-        for dz in range(-k, k + 1):
-            if abs(dz) < r:
-                out.append(z_to_nat(z + dz))
-        if len(out) > cap:
-            raise NotUncrowdedError("ball exceeds cap", center=a, radius=r)
-        return sorted(out)
+        _fits(2 * k - 1 if r > 0 else 0, cap, a, r)
+        z = nat_to_z(a)
+        return sorted(z_to_nat(z + dz) for dz in range(-k, k + 1) if abs(dz) < r)
 
 
 def _ceil_int(r) -> int:
     f = Fraction(r)
     return -((-f.numerator) // f.denominator)
+
+
+def _below(r) -> int:
+    """The largest natural strictly below r, or 0: the farthest whole
+    distance inside an open ball of radius r > 0."""
+    return max(0, _ceil_int(r) - 1)
 
 
 def _floor_strict(r) -> int:
@@ -179,8 +189,7 @@ class SqrtMetric(GeneralizedMetric):
         hi = a + _last_true(lambda k: self.dist_cmp(a, a + k, r) < 0, reach)
         lo = a - _last_true(lambda k: self.dist_cmp(a, a - k, r) < 0,
                             min(a, reach))
-        if hi - lo + 1 > cap:
-            raise NotUncrowdedError("ball exceeds cap", center=a, radius=r)
+        _fits(hi - lo + 1, cap, a, r)
         return list(range(lo, hi + 1))
 
 
@@ -200,8 +209,8 @@ class UltraBase2(GeneralizedMetric):
     key = "ultra-base2"
     all_finite = True
 
-    def __init__(self):
-        self.uniform_bound = lambda r: 2 ** max(0, _floor_strict(r))
+    def uniform_bound(self, r):
+        return 2 ** _below(r)
 
     def dist(self, a, b):
         if a == b:
@@ -209,12 +218,9 @@ class UltraBase2(GeneralizedMetric):
         return (a ^ b).bit_length()
 
     def ball(self, a, r, cap=BALL_CAP):
-        k = _floor_strict(r)
-        if k < 0:
+        if r <= 0:
             return []
-        size = 2 ** k
-        if size > cap:
-            raise NotUncrowdedError("ball exceeds cap", center=a, radius=r)
+        size = _fits(self.uniform_bound(r), cap, a, r)
         base = a - (a % size)
         return list(range(base, base + size))
 
@@ -243,8 +249,7 @@ class PartitionMetric(GeneralizedMetric):
         if r <= 1:
             return [a]
         members = self.partition.block_members(self.partition.block_of(a))
-        if len(members) > cap:
-            raise NotUncrowdedError("ball exceeds cap", center=a, radius=r)
+        _fits(len(members), cap, a, r)
         return list(members)
 
 
@@ -254,8 +259,8 @@ class DiscreteInfinite(GeneralizedMetric):
     key = "discrete"
     discrete_infinite = True
 
-    def __init__(self):
-        self.uniform_bound = lambda r: 1
+    def uniform_bound(self, r):
+        return 1
 
     def dist(self, a, b):
         return 0 if a == b else INF
@@ -287,12 +292,9 @@ class CayleyZ2(GeneralizedMetric):
     key = "cayley-z2"
     all_finite = True
 
-    def __init__(self):
-        def bound(r):
-            k = max(0, _ceil_int(r) - 1)
-            return 2 * k * k + 2 * k + 1
-
-        self.uniform_bound = bound
+    def uniform_bound(self, r):
+        k = _below(r)
+        return 2 * k * k + 2 * k + 1
 
     @staticmethod
     def decode(m: int) -> Tuple[int, int]:
@@ -316,17 +318,13 @@ class CayleyZ2(GeneralizedMetric):
         return abs(xa - xb) + abs(ya - yb)
 
     def ball(self, a, r, cap=BALL_CAP):
+        """The diamond |dx| + |dy| <= k for k = _below(r)."""
+        if not _fits(self.uniform_bound(r) if r > 0 else 0, cap, a, r):
+            return []
         x, y = self.decode(a)
-        k = max(0, _ceil_int(r) - 1)
-        out = []
-        for dx in range(-k, k + 1):
-            rem = k - abs(dx)
-            for dy in range(-rem, rem + 1):
-                if abs(dx) + abs(dy) < r:
-                    out.append(self.encode(x + dx, y + dy))
-        if len(out) > cap:
-            raise NotUncrowdedError("ball exceeds cap", center=a, radius=r)
-        return sorted(out)
+        k = _below(r)
+        return sorted(self.encode(x + dx, y + dy) for dx in range(-k, k + 1)
+                      for dy in range(abs(dx) - k, k - abs(dx) + 1))
 
 
 class CayleyF2(GeneralizedMetric):
@@ -344,12 +342,8 @@ class CayleyF2(GeneralizedMetric):
     key = "cayley-f2"
     all_finite = True
 
-    def __init__(self):
-        def bound(r):
-            k = max(0, _ceil_int(r) - 1)
-            return 2 * 3 ** k - 1 if k > 0 else 1
-
-        self.uniform_bound = bound
+    def uniform_bound(self, r):
+        return 2 * 3 ** _below(r) - 1
 
     @staticmethod
     def _decode(m: int) -> Tuple[int, int]:
@@ -381,12 +375,9 @@ class CayleyF2(GeneralizedMetric):
         return na + nb - 2 * n
 
     def ball(self, a, r, cap=BALL_CAP):
-        k = max(0, _ceil_int(r) - 1)
-        size = 2 * 3 ** k - 1 if r > 0 else 0
-        if size > cap:
-            raise NotUncrowdedError("ball exceeds cap", center=a, radius=r)
-        if not size:
+        if not _fits(self.uniform_bound(r) if r > 0 else 0, cap, a, r):
             return []
+        k = _below(r)
         # walk up from the center; j steps up, take the ancestor and the
         # subtrees of its children, but not the child leading back down
         out = []
@@ -954,26 +945,17 @@ def factor_fn_omega(f: Permutation, d: Optional[GeneralizedMetric] = None,
 # Metric spec strings.
 
 
+BUILTIN_METRICS = {m.key: m for m in (
+    StandardOmega, StandardZ, SqrtMetric, UltraBase2, DiscreteInfinite,
+    UniformHalf, CayleyZ2, CayleyF2)}
+
+
 def parse_metric(spec: str) -> GeneralizedMetric:
     s = spec.strip()
     if s.startswith("metric:"):
         s = s[len("metric:"):]
-    if s == "standard-omega":
-        return StandardOmega()
-    if s == "standard-z":
-        return StandardZ()
-    if s == "sqrt":
-        return SqrtMetric()
-    if s == "ultra-base2":
-        return UltraBase2()
-    if s == "discrete":
-        return DiscreteInfinite()
-    if s == "uniform-half":
-        return UniformHalf()
-    if s == "cayley-z2":
-        return CayleyZ2()
-    if s == "cayley-f2":
-        return CayleyF2()
+    if s in BUILTIN_METRICS:
+        return BUILTIN_METRICS[s]()
     if s.startswith("partition@"):
         return PartitionMetric(parse_partition(s[len("partition@"):]))
     if s.startswith("refine(") and s.endswith(")"):

@@ -11,12 +11,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Union
 
 from .errors import NotIsomorphicError, ParseError, ProfileViolationError
-from .perm import Permutation, _charge, _Flip, metered, z_to_nat
+from .perm import LazyTable, Permutation, _charge, extend_while, metered, z_to_nat
 
 # Scan caps whose exhaustion decides an answer; any other walk is bounded by
 # the evaluation meter alone.
@@ -186,7 +185,7 @@ class BlockCursor:
     An owner whose walk has another declared bound builds it uncharged.
     A block is taken once the owner's ``record(id)``, if any, returns, so a
     block whose record raises stays next.  Pulls run under the owner's lock
-    (:func:`extend_while`)."""
+    (:func:`perm.extend_while`)."""
 
     __slots__ = ("_block_of", "form", "_charge", "_record", "ids", "index", "_next")
 
@@ -213,19 +212,6 @@ class BlockCursor:
     def passed(self, point: int) -> bool:
         """Whether every point up to ``point`` has been tested."""
         return point < self._next
-
-
-def extend_while(lock, pending: Callable[[], bool], step: Callable[[], object]) -> None:
-    """Run ``step`` while ``pending()``, all inside one meter.  Each step runs
-    under ``lock`` and re-checks ``pending`` there, so threads sharing a
-    walker extend it one step at a time; a walker already far enough takes
-    neither lock nor meter."""
-    if pending():
-        with metered():
-            while pending():
-                with lock:
-                    if pending():
-                        step()
 
 
 # --------------------------------------------------------------------------
@@ -521,13 +507,13 @@ def stabilizer_membership(f: Permutation, A: Partition, window: int) -> Membersh
 # Conjugation: a permutation carrying the blocks of A onto the blocks of B.
 
 
-class ConjugatorPermutation(Permutation):
+class ConjugatorPermutation(LazyTable):
     """Greedy size-matched assignment in increasing block-id order.
 
     The k-th A-block of size s (in id order) is carried onto the k-th B-block
-    of size s, least points first.  Evaluation extends the matching on demand
-    and fails with NotIsomorphicError when one side runs out within
-    MATCH_SCAN_BLOCKS blocks.  The inverse reads the same matching backwards.
+    of size s, least points first.  Each step matches the next A-block and
+    settles its points in both tables; a step fails with NotIsomorphicError
+    once either side has pulled MATCH_SCAN_BLOCKS blocks.
     """
 
     form = "conjugator"
@@ -538,55 +524,28 @@ class ConjugatorPermutation(Permutation):
         self.B = B
         self._a = BlockCursor(A, self.form)
         self._b = BlockCursor(B, self.form)
-        self._lock = threading.Lock()
-        self._b_queues: dict = {}  # size -> list of unused B-block ids
-        self._match: dict = {}     # A block id -> B block id
-        self._rmatch: dict = {}
+        self._b_queues: dict = {}  # size -> member lists of unused B-blocks
+        self.matched = 0           # A-blocks matched so far
 
-    def _advance_a(self) -> None:
-        a = self._a.pull()
-        size = len(self.A.block_members(a))
-        queue = self._b_queues.get(size, [])
+    def _step(self) -> None:
+        if len(self._a.ids) >= MATCH_SCAN_BLOCKS:
+            raise NotIsomorphicError(
+                f"no block of {self.A.key} left to match within "
+                f"{MATCH_SCAN_BLOCKS} blocks")
+        src = self.A.block_members(self._a.pull())
+        queue = self._b_queues.setdefault(len(src), [])
         while not queue:
             if len(self._b.ids) >= MATCH_SCAN_BLOCKS:
                 raise NotIsomorphicError(
-                    f"no unused block of size {size} found in {self.B.key} "
+                    f"no unused block of size {len(src)} found in {self.B.key} "
                     f"after scanning {len(self._b.ids)} blocks")
-            b = self._b.pull()
-            self._b_queues.setdefault(len(self.B.block_members(b)), []).append(b)
-            queue = self._b_queues.get(size, [])
-        b = queue.pop(0)
-        self._match[a] = b
-        self._rmatch[b] = a
+            dst = self.B.block_members(self._b.pull())
+            self._b_queues.setdefault(len(dst), []).append(dst)
+        self._settle(zip(src, queue.pop(0)))
+        self.matched += 1
 
     def ensure_blocks(self, count: int) -> None:
-        extend_while(self._lock, lambda: len(self._match) < count, self._advance_a)
-
-    def _matched(self, table: dict, block: int, failure: str) -> int:
-        """``table[block]``, advancing the A side until it is there."""
-        def step():
-            if len(self._a.ids) >= MATCH_SCAN_BLOCKS:
-                raise NotIsomorphicError(failure.format(block))
-            self._advance_a()
-        extend_while(self._lock, lambda: block not in table, step)
-        return table[block]
-
-    def _fwd(self, alpha):
-        a_block = self.A.block_of(alpha)
-        b_block = self._matched(self._match, a_block,
-                                "A-block {} not reached within scan cap")
-        src = self.A.block_members(a_block)
-        return self.B.block_members(b_block)[src.index(alpha)]
-
-    def _bwd(self, alpha):
-        b_block = self.B.block_of(alpha)
-        a_block = self._matched(self._rmatch, b_block,
-                                "B-block {} never matched within scan cap")
-        dst = self.B.block_members(b_block)
-        return self.A.block_members(a_block)[dst.index(alpha)]
-
-    def inverse(self):
-        return _Flip(self)
+        extend_while(self._lock, lambda: self.matched < count, self._step)
 
 
 def conjugator(A: Partition, B: Partition, depth: int) -> ConjugatorPermutation:

@@ -287,6 +287,56 @@ class _Flip(Permutation):
         return self.base
 
 
+def extend_while(lock, pending: Callable[[], bool], step: Callable[[], object]) -> None:
+    """Run ``step`` while ``pending()``, all inside one meter.  Each step runs
+    under ``lock`` and re-checks ``pending`` there, so threads sharing a
+    walker extend it one step at a time; a walker already far enough takes
+    neither lock nor meter."""
+    if pending():
+        with metered():
+            while pending():
+                with lock:
+                    if pending():
+                        step()
+
+
+class LazyTable(Permutation):
+    """A permutation read off two point tables that the subclass's ``_step``
+    grows: each step writes every point it settles into both ``_fmap`` and
+    ``_bmap``.  A point not yet in its table runs steps until it is
+    (:func:`extend_while`); the inverse reads the same tables."""
+
+    def __init__(self):
+        super().__init__()
+        self._lock = threading.Lock()
+        self._fmap: dict = {}
+        self._bmap: dict = {}
+
+    def _step(self) -> None:
+        raise NotImplementedError
+
+    def _settle(self, pairs) -> None:
+        """Write each (point, image) pair into both tables."""
+        for a, b in pairs:
+            self._fmap[a] = b
+            self._bmap[b] = a
+
+    def _fwd(self, alpha):
+        fmap = self._fmap
+        if alpha not in fmap:  # a settled point skips the closure
+            extend_while(self._lock, lambda: alpha not in fmap, self._step)
+        return fmap[alpha]
+
+    def _bwd(self, alpha):
+        bmap = self._bmap
+        if alpha not in bmap:
+            extend_while(self._lock, lambda: alpha not in bmap, self._step)
+        return bmap[alpha]
+
+    def inverse(self):
+        return _Flip(self)
+
+
 def identity() -> FiniteSupportPermutation:
     return FiniteSupportPermutation({})
 
@@ -485,12 +535,14 @@ class ConstantTail(ConvergentSequence):
 
 
 class LimitPermutation(Permutation):
+    """The pointwise limit; each direction keeps its own memo, and a miss in
+    one verifies the sequence to the level that point needs."""
+
     form = "limit"
 
-    def __init__(self, seq: ConvergentSequence, inverted: bool = False):
+    def __init__(self, seq: ConvergentSequence):
         super().__init__()
         self.seq = seq
-        self.inverted = inverted
         self._memo_f: dict = {}
         self._memo_b: dict = {}
 
@@ -505,13 +557,13 @@ class LimitPermutation(Permutation):
         return value
 
     def _fwd(self, alpha):
-        return self._eval(alpha, back=self.inverted)
+        return self._eval(alpha, back=False)
 
     def _bwd(self, alpha):
-        return self._eval(alpha, back=not self.inverted)
+        return self._eval(alpha, back=True)
 
     def inverse(self):
-        return LimitPermutation(self.seq, inverted=not self.inverted)
+        return _Flip(self)
 
 
 def limit(seq: ConvergentSequence, depth: int) -> LimitPermutation:
@@ -660,7 +712,7 @@ def rule(name: str, **params) -> RulePermutation:
 
 
 # --------------------------------------------------------------------------
-# Text and JSON formats.
+# Text format.
 #
 #   cycles:(0 1 2)(5 6)      finite support
 #   rule:shift-z             built-in rule; parameters as ;key=value
@@ -778,28 +830,3 @@ def parse_perm(text: str) -> Permutation:
     else:
         raise ParseError(f"unknown permutation form {text!r}", 0)
     return p.inverse() if inverted else p
-
-
-def perm_to_json(p: Permutation) -> dict:
-    if isinstance(p, FiniteSupportPermutation):
-        return {"form": "cycles", "cycles": [list(c) for c in p.cycles()]}
-    if isinstance(p, RulePermutation):
-        out = {"form": "rule", "rule": p.name, "params": p.params}
-        if p.inverted:
-            out["inverse"] = True
-        return out
-    if isinstance(p, WordPermutation):
-        return {"form": "word", "factors": [perm_to_json(f) for f in p.factors]}
-    return {"form": p.form}
-
-
-def perm_from_json(obj: dict) -> Permutation:
-    form = obj.get("form")
-    if form == "cycles":
-        return FiniteSupportPermutation.from_cycles(obj["cycles"])
-    if form == "rule":
-        p = rule(obj["rule"], **(obj.get("params") or {}))
-        return p.inverse() if obj.get("inverse") else p
-    if form == "word":
-        return WordPermutation([perm_from_json(f) for f in obj["factors"]])
-    raise ParseError(f"unknown permutation form {form!r}")

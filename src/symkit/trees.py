@@ -578,9 +578,7 @@ class TreeDFamily(DFamily):
 class ENode:
     pis: tuple                 # (pi_1, ..., pi_r), each a tuple of offsets
     token: tuple               # D-family token realizing the components
-    components: tuple          # the fresh components, in level order
     fresh: tuple               # the components added at this level
-    positions: tuple           # base-sequence indices of the fresh components
 
 
 class ETree:
@@ -592,7 +590,7 @@ class ETree:
         self.breakpoints = bp
         self.mode = mode
         self.levels: List[Dict[tuple, ENode]] = [
-            {(): ENode((), (), (), (), ())}]
+            {(): ENode((), (), ())}]
         self.used_components: set = set()
         self.positions: List[int] = []  # the D-family level of each base position
         self.jump_bounds: List[dict] = []
@@ -666,9 +664,7 @@ def build_e_tree(family: DFamily, breakpoints: Sequence[int], depth: int,
                             f"family exhausted at level {len(token)}")
                     value, token = opts[0]
                     fresh.append(value)
-                node = ENode(parent.pis + (pi,), token,
-                             parent.components + tuple(fresh),
-                             tuple(fresh), positions)
+                node = ENode(parent.pis + (pi,), token, tuple(fresh))
                 new_level[node.pis] = node
                 tree.used_components.update(fresh)
         tree.levels.append(new_level)

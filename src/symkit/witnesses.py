@@ -20,15 +20,16 @@ from .partitions import (
     a0,
     classify_partition,
     conjugator,
-    extend_while,
     stabilizer_membership,
     z_block_id,
 )
 from .perm import (
     FiniteSupportPermutation,
+    LazyTable,
     Permutation,
     WordPermutation,
     _Flip,
+    extend_while,
     metered,
     nat_to_z,
     parity,
@@ -40,7 +41,7 @@ from .perm import (
 # Packing one partition's blocks inside block images of another.
 
 
-class _PackerPermutation(Permutation):
+class _PackerPermutation(LazyTable):
     """Carries A-blocks onto a chosen half of B's blocks, lazily.
 
     Round k packs the k-th target block (the B-blocks of the chosen index
@@ -57,11 +58,8 @@ class _PackerPermutation(Permutation):
         self.A = A
         self.B = B
         self.side = side
-        self._fmap: dict = {}
-        self._bmap: dict = {}
         self._a = BlockCursor(A, self.form)
         self._b = BlockCursor(B, self.form)
-        self._lock = threading.Lock()
         self._pending_targets: list = []
         self._fill_queue: list = []   # points of the other half, in order
         self._leftovers: list = []
@@ -89,41 +87,23 @@ class _PackerPermutation(Permutation):
             f"{self.A.key}: no block of size >= {need} within "
             f"{ELIGIBLE_SCAN_BLOCKS + 1} blocks despite an unbounded-sizes profile")
 
-    def _round(self) -> None:
+    def _step(self) -> None:
         target = self._next_target_block()
         tgt_members = self.B.block_members(target)
         sacrifice = self._next_eligible_a(len(tgt_members))
         self._leftovers.extend(sacrifice)
         src_members = self._next_eligible_a(len(tgt_members))
-        for s, t in zip(src_members, tgt_members):
-            self._fmap[s] = t
-            self._bmap[t] = s
+        self._settle(zip(src_members, tgt_members))
         self._leftovers.extend(src_members[len(tgt_members):])
         while len(self._fill_queue) < len(self._leftovers):
             self._pull_b()
-        for s in self._leftovers:
-            t = self._fill_queue.pop(0)
-            self._fmap[s] = t
-            self._bmap[t] = s
+        self._settle((s, self._fill_queue.pop(0)) for s in self._leftovers)
         self._leftovers = []
         self.packing.append({"target": target,
                              "source": self.A.block_of(src_members[0])})
 
     def ensure_rounds(self, k: int) -> None:
-        extend_while(self._lock, lambda: len(self.packing) < k, self._round)
-
-    def _fwd(self, alpha):
-        if alpha not in self._fmap:  # a settled point skips the closure
-            extend_while(self._lock, lambda: alpha not in self._fmap, self._round)
-        return self._fmap[alpha]
-
-    def _bwd(self, alpha):
-        if alpha not in self._bmap:
-            extend_while(self._lock, lambda: alpha not in self._bmap, self._round)
-        return self._bmap[alpha]
-
-    def inverse(self):
-        return _Flip(self)
+        extend_while(self._lock, lambda: len(self.packing) < k, self._step)
 
 
 @dataclass

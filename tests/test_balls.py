@@ -1,8 +1,11 @@
-"""The sqrt and cayley-f2 balls, checked against the scans they replaced.
+"""The built-in balls, checked against the scans they replaced.
 
 ``scan_sqrt_ball`` walks out from the center one point at a time with the
 Fraction form of the sqrt comparison, and ``bfs_f2_ball`` enumerates reduced
-words as strings; both are kept here as the oracles."""
+words as strings.  The standard-omega, standard-z, ultra-base2 and
+cayley-z2 balls as they stood before they counted their points first, and
+the bounds as they stood before they became methods, are kept beside them;
+all of them are the oracles."""
 import math
 from fractions import Fraction
 
@@ -10,8 +13,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import symkit.metrics as metrics
 from symkit.errors import NotUncrowdedError
-from symkit.metrics import BALL_CAP, CayleyF2, SqrtMetric
+from symkit.metrics import (
+    BALL_CAP,
+    BUILTIN_METRICS,
+    CayleyF2,
+    CayleyZ2,
+    SqrtMetric,
+    StandardZ,
+)
+from symkit.perm import nat_to_z, z_to_nat
 
 # --------------------------------------------------------------------------
 # Oracles.
@@ -123,6 +135,62 @@ def bfs_f2_ball(a, r, cap):
     return sorted(set(out))
 
 
+def _refuse(a, r):
+    raise NotUncrowdedError("ball exceeds cap", center=a, radius=r)
+
+
+def listed_omega_ball(a, r, cap):
+    lo, hi = max(0, math.ceil(a - r)), math.floor(a + r)
+    out = [m for m in range(lo, hi + 1) if abs(m - a) < r]
+    return _refuse(a, r) if len(out) > cap else out
+
+
+def listed_z_ball(a, r, cap):
+    z, k = nat_to_z(a), math.ceil(r)
+    out = [z_to_nat(z + dz) for dz in range(-k, k + 1) if abs(dz) < r]
+    return _refuse(a, r) if len(out) > cap else sorted(out)
+
+
+def listed_ultra_ball(a, r, cap):
+    k = math.ceil(r) - 1  # the largest integer below r
+    if k < 0:
+        return []
+    size = 2 ** k
+    if size > cap:
+        _refuse(a, r)
+    return list(range(a - a % size, a - a % size + size))
+
+
+def listed_z2_ball(a, r, cap):
+    x, y = CayleyZ2.decode(a)
+    k = max(0, math.ceil(r) - 1)
+    out = []
+    for dx in range(-k, k + 1):
+        rem = k - abs(dx)
+        for dy in range(-rem, rem + 1):
+            if abs(dx) + abs(dy) < r:
+                out.append(CayleyZ2.encode(x + dx, y + dy))
+    return _refuse(a, r) if len(out) > cap else sorted(out)
+
+
+LISTED_BALLS = {"standard-omega": listed_omega_ball, "standard-z": listed_z_ball,
+                "ultra-base2": listed_ultra_ball, "cayley-z2": listed_z2_ball}
+
+
+def _k(r):
+    return max(0, math.ceil(r) - 1)
+
+
+OLD_BOUNDS = {
+    "standard-omega": lambda r: 2 * math.ceil(r) + 1,
+    "standard-z": lambda r: 2 * math.ceil(r) + 1,
+    "ultra-base2": lambda r: 2 ** max(0, math.ceil(r) - 1),
+    "discrete": lambda r: 1,
+    "cayley-z2": lambda r: 2 * _k(r) * _k(r) + 2 * _k(r) + 1,
+    "cayley-f2": lambda r: 2 * 3 ** _k(r) - 1 if _k(r) > 0 else 1,
+}
+
+
 def outcome(ball, a, r, cap):
     """The ball, or the refusal with its message, center and radius."""
     try:
@@ -183,6 +251,38 @@ def test_sqrt_refusal_respects_cap():
     with pytest.raises(NotUncrowdedError, match="ball exceeds cap"):
         d.ball(10 ** 9, Fraction(8), cap=100)
     assert d.calls <= 200
+
+
+@pytest.mark.parametrize("key", sorted(LISTED_BALLS))
+@settings(max_examples=150, deadline=None)
+@given(a=centers, r=radii, cap=caps)
+def test_counted_balls_match_the_listings(key, a, r, cap):
+    assert outcome(BUILTIN_METRICS[key]().ball, a, r, cap) == \
+        outcome(LISTED_BALLS[key], a, r, cap)
+
+
+@pytest.mark.parametrize("key", sorted(OLD_BOUNDS))
+@settings(max_examples=100, deadline=None)
+@given(a=centers, r=radii)
+def test_bounds_match_and_size_the_counted_balls(key, a, r):
+    d = BUILTIN_METRICS[key]()
+    bound = d.uniform_bound(r)
+    assert bound == OLD_BOUNDS[key](r)
+    if r > 0 and key in ("cayley-z2", "cayley-f2", "ultra-base2"):
+        assert len(d.ball(a, r, cap=bound)) == bound
+
+
+def _listing(*args):
+    raise AssertionError("a point was listed")
+
+
+def test_refusals_list_no_point(monkeypatch):
+    monkeypatch.setattr(CayleyZ2, "encode", staticmethod(_listing))
+    with pytest.raises(NotUncrowdedError, match="ball exceeds cap"):
+        CayleyZ2().ball(0, 300)  # 179,401 points
+    monkeypatch.setattr(metrics, "z_to_nat", _listing)
+    with pytest.raises(NotUncrowdedError, match="ball exceeds cap"):
+        StandardZ().ball(0, 10 ** 7)
 
 
 @pytest.mark.parametrize("a", [0, 1, 4, 5, 17, 161, 10 ** 6])

@@ -669,6 +669,12 @@ def _far_pairs():
     return unbounded_witness_rule(StandardOmega(), lambda i: i)
 
 
+def _conjugator():
+    """One conjugator's point tables, grown from both directions."""
+    f = conjugator(parts.a0(), parts.z_pair_blocks(), 8)
+    return lambda a: (f.forward(a), f.backward(a))
+
+
 THREAD_CASES = {  # a point's evaluation and the window both threads evaluate
     "half-restriction": (lambda: _uncertified_half_restriction().forward, 20_000),
     # spread's block_of costs O(sqrt a), so a shorter window
@@ -681,6 +687,7 @@ THREAD_CASES = {  # a point's evaluation and the window both threads evaluate
     "branch-limit": (lambda: branch_limit(build_tree(PartitionStabilizerOracle(
         parts.a0()), "binary", 6), (1, 0) * 3).forward, 1_500),
     "unbounded-witness": (lambda: _far_pairs().forward, 20_000),
+    "conjugator": (_conjugator, 5_000),
 }
 
 

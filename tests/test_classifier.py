@@ -193,6 +193,13 @@ class TestClassify:
         with pytest.raises(ProfileViolationError, match="block 2"):
             classify_group(PartitionStab(A, A.key))
 
+    def test_declared_block_past_the_size_bound_refused(self):
+        # a block of three under a declared bound of two: the partition
+        # metric's uniform_bound(2) would be 2 for a ball of three points
+        A = explicit([[0, 1, 2]], BoundedBy(2, 1), key="oversized")
+        with pytest.raises(ProfileViolationError, match="size 3 > declared bound 2"):
+            classify_group(PartitionStab(A, A.key))
+
     def test_finite_nonsingleton_partition_is_countable(self):
         import json
 

@@ -45,6 +45,15 @@ class TestClassify:
         code, _, _ = run(capsys, "classify", "oracle:full-sym")
         assert code == 2
 
+    @pytest.mark.parametrize("gamma", ["0,2,4", ",".join(map(str, range(1, 258)))],
+                             ids=["three-points", "window-rule-c1"])
+    def test_uncertified_label_exit_2(self, capsys, gamma):
+        # a label read off the window budget carries no certificate; the
+        # window rule's C_1 for 1..257 is even wrong (the class is C_Q)
+        code, out, _ = run(capsys, "classify", f"fix(stab:partition:pairs;{gamma})")
+        assert code == 2
+        assert "certified: False" in out
+
     def test_parse_error_exit_1(self, capsys):
         code, _, err = run(capsys, "classify", "bogus:thing")
         assert code == 1
@@ -171,6 +180,12 @@ class TestLocal:
         code, out, _ = run(capsys, "local", "check", "--perm", "rule:shift-z")
         assert code == 2
         assert "no-at-budget" in out
+
+    def test_check_without_certificate_exit_2(self, capsys):
+        # invariant prefixes all through the probe are no certificate
+        code, out, _ = run(capsys, "local", "check", "--perm", "rule:swap-pairs")
+        assert code == 2
+        assert "answer: unknown" in out
 
 
 class TestWitness:

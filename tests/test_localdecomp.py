@@ -119,6 +119,11 @@ class TestIsLocal:
     def test_empty_probe(self):
         assert is_local(identity(), 0).answer == "unknown"
 
+    def test_persisting_prefixes_without_certificate_unknown(self):
+        rep = is_local(rule("swap-pairs"), 400)
+        assert rep.answer == "unknown"
+        assert rep.invariant_prefixes[-1] == 400
+
 
 # --------------------------------------------------------------------------
 # The fixed region above support_bound, against the unshortcut pairing.

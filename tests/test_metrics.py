@@ -13,6 +13,7 @@ from symkit.errors import (
     InsufficientSetError,
     NoCertificateError,
     NotUncrowdedError,
+    ParseError,
     PreconditionError,
     SymkitError,
     UnsupportedMetricError,
@@ -20,6 +21,7 @@ from symkit.errors import (
 import symkit.metrics as metrics
 from symkit.metrics import (
     BALL_CAP,
+    BUILTIN_METRICS,
     INF,
     NEIGHBOR_CACHE_CAP,
     CayleyF2,
@@ -307,6 +309,16 @@ class TestRefine:
     def test_comparison_only_rejected(self):
         with pytest.raises(UnsupportedMetricError):
             refine_metric(SqrtMetric(), [])
+
+    def test_every_builtin_key_parses_to_its_class(self):
+        assert sorted(BUILTIN_METRICS) == sorted(
+            ["standard-omega", "standard-z", "sqrt", "ultra-base2", "discrete",
+             "uniform-half", "cayley-z2", "cayley-f2"])
+        for key, cls in BUILTIN_METRICS.items():
+            assert type(parse_metric(key)) is cls and cls.key == key
+            assert type(parse_metric(f"metric:{key}")) is cls
+        with pytest.raises(ParseError, match="unknown metric"):
+            parse_metric("standard")
 
     def test_refine_spec_string(self):
         ref = parse_metric("metric:refine(standard-omega;U=[rule:swap-pairs])")

@@ -164,7 +164,7 @@ class TestETree:
         from symkit.trees import ENode, ETree
 
         et = ETree(FullTupleFamily(), [0, 2], mode="inf")
-        bad = ENode(((0, 1),), (3, 3), (3, 3), (3, 3), (0, 1))
+        bad = ENode(((0, 1),), (3, 3), (3, 3))
         et.levels.append({bad.pis: bad})
         with pytest.raises(IllFormedTreeError):
             build_s(et)
