@@ -27,7 +27,6 @@ from .perm import (
 from .partitions import (
     Partition,
     canonical_A0,
-    classify_partition,
     conjugator,
     parse_partition,
     stabilizer_membership,

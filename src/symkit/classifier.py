@@ -352,18 +352,15 @@ def classify_group(desc: Descriptor, budgets: Optional[Budgets] = None) -> Class
         return _classify_partition_stab(desc, budgets, extra_gamma=())
 
     if isinstance(desc, PointwiseStab):
-        if _is_initial_segment(desc.gamma):
-            inner = classify_group(desc.inner, budgets)
-            return _label(inner.label, inner.certified,
-                          "initial-segment-stabilizer",
-                          list(desc.gamma), [], budgets,
-                          {"inner": inner.evidence()})
-        if isinstance(desc.inner, PartitionStab):
+        if isinstance(desc.inner, PartitionStab) and \
+                not _is_initial_segment(desc.gamma):
             return _classify_partition_stab(desc.inner, budgets,
                                             extra_gamma=desc.gamma)
-        probes = _probe_full_style(desc, budgets)
-        return _label("Unknown", False, "no-certificate", list(desc.gamma),
-                      probes, budgets)
+        # G_(Γ)_(Δ) = G_(Γ ∪ Δ): each of statements (i)-(iv) holds for G_(Γ)
+        # exactly when it holds for G, so G_(Γ) takes G's record
+        inner = classify_group(desc.inner, budgets)
+        return _label(inner.label, inner.certified, "pointwise-stabilizer",
+                      list(desc.gamma), [], budgets, {"inner": inner.evidence()})
 
     if isinstance(desc, FNGroup):
         return _classify_fn(desc, budgets)

@@ -80,4 +80,3 @@ class ParseError(SymkitError):
         if position is not None:
             message = f"{message} (at position {position})"
         super().__init__(message)
-        self.position = position

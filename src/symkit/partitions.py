@@ -443,31 +443,7 @@ def canonical_A0() -> Partition:
 
 
 # --------------------------------------------------------------------------
-# Classification and membership.
-
-
-@dataclass
-class PartitionClassTag:
-    tag: str  # "InP" | "InQ" | "Neither"
-    reason: str
-
-
-def classify_partition(A: Partition) -> PartitionClassTag:
-    p = A.profile
-    if p.label == "C_P":
-        samples = A.sample_growing_blocks(4)
-        return PartitionClassTag(
-            "InP", f"declared unbounded finite sizes; growing blocks {samples}")
-    if p.label == "C_Q":
-        samples = [b for b, _ in A.sample_bounded_blocks(4)]
-        return PartitionClassTag(
-            "InQ",
-            f"sizes bounded by {p.n} with infinitely many nonsingletons; "
-            f"samples {samples}")
-    if p.label == "C_1":
-        return PartitionClassTag(
-            "Neither", f"sizes bounded by {p.n} with nonsingletons={p.nonsingletons}")
-    return PartitionClassTag("Neither", "has an infinite block")
+# Membership.
 
 
 @dataclass

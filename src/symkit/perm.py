@@ -166,7 +166,9 @@ class Permutation:
             state.meter = None
 
     def inverse(self) -> "Permutation":
-        raise NotImplementedError
+        """The flip: each direction reads the other, sharing all lazy state.
+        A form that can build a cheaper inverse overrides this."""
+        return _Flip(self)
 
     def _candidates(self):
         """Points outside which a certified permutation is the identity, ascending."""
@@ -286,6 +288,9 @@ class _Flip(Permutation):
     def inverse(self):
         return self.base
 
+    def _candidates(self):
+        return self.base._candidates()  # an inverse moves the same points
+
 
 def extend_while(lock, pending: Callable[[], bool], step: Callable[[], object]) -> None:
     """Run ``step`` while ``pending()``, all inside one meter.  Each step runs
@@ -333,9 +338,6 @@ class LazyTable(Permutation):
             extend_while(self._lock, lambda: alpha not in bmap, self._step)
         return bmap[alpha]
 
-    def inverse(self):
-        return _Flip(self)
-
 
 def identity() -> FiniteSupportPermutation:
     return FiniteSupportPermutation({})
@@ -346,14 +348,15 @@ class RulePermutation(_Leaf):
 
     form = "rule"
 
+    inverted = False  # its inverse() flips this, for ``format_perm``'s ^-1
+
     def __init__(self, name, fwd, bwd, params=None, support_bound=None,
-                 displacement_bounds=None, inverted=False):
+                 displacement_bounds=None):
         super().__init__()
         self.name = name
         self.params = dict(params or {})
         self._f = fwd
         self._b = bwd
-        self.inverted = inverted
         self.support_bound = support_bound
         self.displacement_bounds = dict(displacement_bounds or {})
 
@@ -370,8 +373,8 @@ class RulePermutation(_Leaf):
             self.name, self._b, self._f, self.params,
             support_bound=self.support_bound,
             displacement_bounds=self.displacement_bounds,
-            inverted=not self.inverted,
         )
+        inv.inverted = not self.inverted
         for key, pair in self.growth_witnesses.items():  # a.f == b: b.f^-1 == a
             inv.growth_witnesses[key] = lambda j, pair=pair: pair(j)[::-1]
         return inv
@@ -561,9 +564,6 @@ class LimitPermutation(Permutation):
 
     def _bwd(self, alpha):
         return self._eval(alpha, back=True)
-
-    def inverse(self):
-        return _Flip(self)
 
 
 def limit(seq: ConvergentSequence, depth: int) -> LimitPermutation:

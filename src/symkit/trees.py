@@ -55,7 +55,6 @@ class GroupOracle:
 
     closed = True
     max_orbit: Optional[int] = None  # greatest stabilizer-orbit size, if bounded
-    name = "oracle"
 
     def orbit(self, gamma: frozenset, alpha: int, n: int) -> OrbitResult:
         raise NotImplementedError
@@ -66,8 +65,6 @@ class GroupOracle:
 
 
 class FullSymmetricOracle(GroupOracle):
-    name = "full-sym"
-
     def orbit(self, gamma, alpha, n):
         if alpha in gamma:
             return OrbitResult("full", [alpha])
@@ -87,7 +84,6 @@ class PartitionStabilizerOracle(GroupOracle):
 
     def __init__(self, A: Partition):
         self.A = A
-        self.name = f"stab:{A.key}"
         if isinstance(A.profile, BoundedBy):
             self.max_orbit = A.profile.n
 

@@ -18,7 +18,6 @@ from .partitions import (
     BoundedBy,
     Partition,
     a0,
-    classify_partition,
     conjugator,
     stabilizer_membership,
     z_block_id,
@@ -27,8 +26,8 @@ from .perm import (
     FiniteSupportPermutation,
     LazyTable,
     Permutation,
+    RulePermutation,
     WordPermutation,
-    _Flip,
     extend_while,
     metered,
     nat_to_z,
@@ -106,6 +105,12 @@ class _PackerPermutation(LazyTable):
         extend_while(self._lock, lambda: len(self.packing) < k, self._step)
 
 
+def _require_label(A: Partition, label: str, name: str) -> None:
+    if A.profile.label != label:
+        raise ProfileViolationError(
+            f"{A.key} is not in the {name} class: its profile is {A.profile.label}")
+
+
 @dataclass
 class PWitness:
     f: Permutation
@@ -126,10 +131,8 @@ def p_equiv_witness(A: Partition, B: Partition, depth: int) -> PWitness:
     the same for B2.  Needs unbounded finite block sizes on both sides.
     """
     for part in (A, B):
-        tag = classify_partition(part)
-        if tag.tag != "InP":
-            raise ProfileViolationError(
-                f"{part.key} is not in the unbounded-finite class: {tag.reason}")
+        _require_label(part, "C_P", "unbounded-finite")
+        part.sample_growing_blocks(4)  # a spot check of the declared growth
     f = _PackerPermutation(A, B, side=0)
     g = _PackerPermutation(A, B, side=1)
     f.ensure_rounds(depth)
@@ -175,9 +178,6 @@ class _HalfRestriction(Permutation):
         if self.support_bound is not None and alpha >= self.support_bound:
             return alpha
         return self.h._bwd(alpha) if self._mine(self.B.block_of(alpha)) else alpha
-
-    def inverse(self):
-        return _HalfRestriction(self.h.inverse(), self.B, self.side)
 
 
 def factor_through(h: Permutation, w: PWitness, B: Partition,
@@ -246,9 +246,6 @@ class EvenShiftWitness(Permutation):
     def _bwd(self, alpha):
         i = self._index(alpha)
         return alpha if i is None else self.marked(i - 2)
-
-    def inverse(self):
-        return _Flip(self)
 
 
 def even_shift_witness(A: Partition) -> EvenShiftWitness:
@@ -363,10 +360,8 @@ def q_equiv_witness(A: Partition, depth: int = 8) -> QWitness:
     as a word of single-edge transpositions, each a member of one of the two
     conjugated stabilizers.
     """
-    tag = classify_partition(A)
-    if tag.tag != "InQ":
-        raise ProfileViolationError(
-            f"{A.key} is not in the bounded class: {tag.reason}")
+    _require_label(A, "C_Q", "bounded")
+    A.sample_bounded_blocks(4)  # a spot check of the declared bound
     coloring = _EdgeColoring(A)
     red = coloring.matching_partition("red")
     green = coloring.matching_partition("green")
@@ -432,52 +427,27 @@ def _q_factorize(w: QWitness, h: Permutation, window: int):
 # points 3k+2 lie outside every block.
 
 
-class _BitActivated(Permutation):
+def _bit_blocks(bit: Callable[[int], int]) -> RulePermutation:
     """Transposes the integer-indexed two-point block i exactly when bit(i)."""
 
-    form = "bit-blocks"
-
-    def __init__(self, bit: Callable[[int], int]):
-        super().__init__()
-        self.bit = bit
-
-    def _step(self, alpha):
+    def swap(alpha):
         b = alpha % 3
-        if b == 2:
-            return alpha
-        i = nat_to_z(alpha // 3)
-        if not self.bit(i):
+        if b == 2 or not bit(nat_to_z(alpha // 3)):
             return alpha
         return alpha + 1 if b == 0 else alpha - 1
 
-    _fwd = _step
-    _bwd = _step
-
-    def inverse(self):
-        return self
+    return RulePermutation("bit-blocks", swap, swap)
 
 
-class _BlockShift(Permutation):
-    """Sends block i to block i+1 in index order, fixing the out points."""
+def _block_shift(step: int = 1) -> RulePermutation:
+    """Sends block i to block i+step in index order, fixing the out points."""
 
-    form = "block-shift"
+    def shift(by):
+        return lambda alpha: alpha if alpha % 3 == 2 else \
+            3 * z_to_nat(nat_to_z(alpha // 3) + by) + alpha % 3
 
-    def __init__(self, step: int = 1):
-        super().__init__()
-        self.step = step
-
-    def _fwd(self, alpha):
-        if alpha % 3 == 2:
-            return alpha
-        return 3 * z_to_nat(nat_to_z(alpha // 3) + self.step) + alpha % 3
-
-    def _bwd(self, alpha):
-        if alpha % 3 == 2:
-            return alpha
-        return 3 * z_to_nat(nat_to_z(alpha // 3) - self.step) + alpha % 3
-
-    def inverse(self):
-        return _BlockShift(-self.step)
+    return RulePermutation("block-shift", shift(step), shift(-step),
+                           params={"step": step})
 
 
 @dataclass
@@ -520,8 +490,8 @@ def commutator_solve(target: Dict[int, int], anchor: int = 0) -> CommutatorSolut
             return bits[hi]
         return bits[i]
 
-    f = _BitActivated(bit)
-    h = _BlockShift()
+    f = _bit_blocks(bit)
+    h = _block_shift()
     comm = WordPermutation([h.inverse(), f.inverse(), h, f])
     return CommutatorSolution(f_bits=bits, f=f, h=h, commutator=comm,
                               lo=lo, hi=hi, anchor=anchor & 1)
@@ -554,10 +524,9 @@ def three_cycle_extract(g: Permutation, s: Permutation) -> FiniteSupportPermutat
         raise PreconditionError(
             f"supports must meet in exactly one point, got {sorted(meet)}")
     comm = WordPermutation([s.inverse(), g.inverse(), s, g])
-    bound = max(supp_g | supp_s) + 1
-    mapping = {a: comm.forward(a) for a in range(bound)
-               if comm.forward(a) != a}
-    result = FiniteSupportPermutation(mapping)
+    with metered():
+        result = FiniteSupportPermutation(
+            {a: comm._fwd(a) for a in comm.moved_points()})
     cycs = result.cycles()
     if len(cycs) != 1 or len(cycs[0]) != 3:
         raise AssertionError(f"commutator is not a three-cycle: cycles {cycs}")

@@ -53,7 +53,7 @@ REPLAY_CORPUS = [desc for desc, _ in CERTIFIED] + [
 
 BASES = ("full-symmetric", "trivial-group", "partition-profile-unbounded",
          "partition-profile-bounded", "partition-finite-nonsingletons",
-         "partition-infinite-block", "initial-segment-stabilizer",
+         "partition-infinite-block", "pointwise-stabilizer",
          "budget-trivial", "budget-surviving-orbits", "fn-partition",
          "fn-discrete", "fn-worked-example", "fn-open", "finite-group",
          "no-certificate")
@@ -449,6 +449,23 @@ def test_verdicts_read_off_the_class_record(desc, gamma):
         lab = classify(d)
         if lab.certified and lab.label == "C_S":
             assert compactness_criterion(parse_descriptor(d)).answer != "yes"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(REPLAY_CORPUS), st.sets(st.integers(0, 63), max_size=8))
+def test_fix_takes_the_inner_record(desc, gamma):
+    # G_(Γ)_(Δ) = G_(Γ ∪ Δ), so G_(Γ) lies in G's class; only a partition
+    # stabilizer of class C_Q or C_P under a non-initial Γ answers by the
+    # window rule instead
+    fixed = "fix({};{})".format(desc, ",".join(str(p) for p in sorted(gamma)))
+    lab = classify(fixed)
+    assert check_evidence(fixed, lab.evidence())
+    D = parse_descriptor(desc)
+    if isinstance(D, PartitionStab) and D.A.profile.label in ("C_Q", "C_P") \
+            and sorted(gamma) != list(range(len(gamma))):
+        return
+    inner = classify(desc)
+    assert (lab.label, lab.certified) == (inner.label, inner.certified)
 
 
 class TestParse:

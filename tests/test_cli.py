@@ -41,6 +41,16 @@ class TestClassify:
         assert payload["label"] == "C_S" and payload["gamma"] == [1, 3]
         assert payload["replay_ok"] is True
 
+    @pytest.mark.parametrize("desc,label", [
+        ("fix(full;3)", "C_S"), ("fix(gens:[cycles:(0 1 2)];5)", "C_1"),
+        ("fix(fn:standard-omega;7)", "C_Q")])
+    def test_fix_takes_the_inner_label_exit_0(self, capsys, desc, label):
+        code, out, _ = run(capsys, "--json", "classify", desc)
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["label"], payload["certified"]) == (label, True)
+        assert payload["replay_ok"] is True
+
     def test_unknown_exit_2(self, capsys):
         code, _, _ = run(capsys, "classify", "oracle:full-sym")
         assert code == 2

@@ -107,9 +107,6 @@ class BlockwiseHalfRestriction(_HalfRestriction):
     def _bwd(self, alpha):
         return self.h._bwd(alpha) if self._mine(self.B.block_of(alpha)) else alpha
 
-    def inverse(self):
-        return BlockwiseHalfRestriction(self.h.inverse(), self.B, self.side)
-
 
 # --------------------------------------------------------------------------
 # Local factors.

@@ -24,7 +24,6 @@ from symkit.partitions import (
     UnboundedFinite,
     a0,
     canonical_A0,
-    classify_partition,
     conjugator,
     explicit,
     intervals_growing,
@@ -71,16 +70,16 @@ class TestLayouts:
 
 class TestClassify:
     def test_pairs_in_q(self):
-        assert classify_partition(pairs()).tag == "InQ"
+        assert pairs().profile.label == "C_Q"
 
     def test_a0_in_q(self):
-        assert classify_partition(a0()).tag == "InQ"
+        assert a0().profile.label == "C_Q"
 
     def test_intervals_in_p(self):
-        assert classify_partition(intervals_growing()).tag == "InP"
+        assert intervals_growing().profile.label == "C_P"
 
     def test_singletons_neither(self):
-        assert classify_partition(singletons()).tag == "Neither"
+        assert singletons().profile.label == "C_1"
 
     def test_agrees_with_size_scan(self):
         # brute-force scan of the probed prefix backs the declared profiles
@@ -102,7 +101,7 @@ class TestClassify:
         A = explicit([[0, 1, 2]] + [[2 * k + 1, 2 * k + 2] for k in range(2, 50)],
                      BoundedBy(2, "infinite"), key="liar")
         with pytest.raises(ProfileViolationError, match="block 0 has size 3"):
-            classify_partition(A)
+            A.sample_bounded_blocks(4)
         with pytest.raises(ProfileViolationError, match="block 0 has size 3"):
             q_equiv_witness(A, depth=6)
 

@@ -6,11 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symkit.partitions as parts
-from symkit.errors import NoCertificateError, PreconditionError, ProfileViolationError
+from symkit.errors import (
+    EvaluationBudgetError,
+    NoCertificateError,
+    PreconditionError,
+    ProfileViolationError,
+)
 from symkit.partitions import stabilizer_membership
 from symkit.perm import (
     FiniteSupportPermutation,
     conjugate,
+    evaluation_budget,
     identity,
     verify_window,
     word,
@@ -291,12 +297,12 @@ class TestCommutatorSolve:
         # independent oracle: realize every f-pattern directly and read off
         # which blocks the commutator touches
         from symkit.perm import z_to_nat
-        from symkit.witnesses import _BitActivated, _BlockShift
+        from symkit.witnesses import _bit_blocks, _block_shift
 
-        h = _BlockShift()
+        h = _block_shift()
         for bits in itertools.product((0, 1), repeat=4):
             table = dict(zip(range(-2, 2), bits))
-            f = _BitActivated(lambda i, t=table: t.get(i, 0))
+            f = _bit_blocks(lambda i, t=table: t.get(i, 0))
             comm = word(h.inverse(), f.inverse(), h, f)
             for i in range(-1, 2):
                 base = 3 * z_to_nat(i)
@@ -318,6 +324,15 @@ class TestCommutatorSolve:
         sol = commutator_solve(target, anchor=1)
         outside = [3 * k + 2 for k in range(16)]
         assert all(sol.commutator.forward(p) == p for p in outside)
+
+    def test_commutator_point_is_metered(self):
+        # each of the four rule factors charges one step
+        sol = commutator_solve({0: 1}, anchor=0)
+        with evaluation_budget() as meter:
+            assert sol.commutator.forward(0) == 1
+        assert meter.spent == 4
+        with evaluation_budget(3), pytest.raises(EvaluationBudgetError):
+            sol.commutator.forward(0)
 
     def test_anchor_complements(self):
         target = {i: (i % 2) for i in range(-3, 3)}
