@@ -352,15 +352,18 @@ def classify_group(desc: Descriptor, budgets: Optional[Budgets] = None) -> Class
         return _classify_partition_stab(desc, budgets, extra_gamma=())
 
     if isinstance(desc, PointwiseStab):
-        if isinstance(desc.inner, PartitionStab) and \
-                not _is_initial_segment(desc.gamma):
-            return _classify_partition_stab(desc.inner, budgets,
-                                            extra_gamma=desc.gamma)
-        # G_(Γ)_(Δ) = G_(Γ ∪ Δ): each of statements (i)-(iv) holds for G_(Γ)
-        # exactly when it holds for G, so G_(Γ) takes G's record
-        inner = classify_group(desc.inner, budgets)
+        # G_(Γ)_(Δ) = G_(Γ ∪ Δ): nested fixes are one fix of the union, and
+        # each of statements (i)-(iv) holds for G_(Γ) exactly when it holds
+        # for G, so G_(Γ) takes G's record
+        base, fixed = _peel(desc)
+        gamma = sorted(fixed)
+        if isinstance(base, PartitionStab) and \
+                base.A.profile.label in ("C_Q", "C_P") and \
+                not _is_initial_segment(gamma):
+            return _classify_partition_stab(base, budgets, extra_gamma=gamma)
+        inner = classify_group(base, budgets)
         return _label(inner.label, inner.certified, "pointwise-stabilizer",
-                      list(desc.gamma), [], budgets, {"inner": inner.evidence()})
+                      gamma, [], budgets, {"inner": inner.evidence()})
 
     if isinstance(desc, FNGroup):
         return _classify_fn(desc, budgets)
@@ -382,9 +385,9 @@ def classify_group(desc: Descriptor, budgets: Optional[Budgets] = None) -> Class
 
 def _classify_partition_stab(desc: PartitionStab, budgets: Budgets,
                              extra_gamma: Sequence[int]) -> ClassLabel:
-    """The class of desc's declared profile, with its evidence.  Under a finite
-    extra_gamma Γ a C_1 or C_S profile keeps its certified answer, since
-    G_(Γ)_(Δ) = G_(Γ ∪ Δ); a C_Q or C_P one answers at the window budget."""
+    """The class of desc's declared profile, with its evidence.  Under a
+    finite extra_gamma Γ, given only for a C_Q or C_P profile, it answers at
+    the window budget."""
     A, profile = desc.A, desc.A.profile
     label = profile.label
     window = budgets.samples * 4
@@ -393,11 +396,9 @@ def _classify_partition_stab(desc: PartitionStab, budgets: Budgets,
         probes = []
         block = A.block_of(profile.block)
         for gamma in _initial_segments(budgets):
-            gset = set(gamma).union(extra_gamma)
-            block_pt = A.free_points(block, gset, 1)[0]
-            probes.append(orbit(desc, gset, block_pt, budgets.orbit_budget))
-        return _label("C_S", True, "partition-infinite-block",
-                      sorted(set(extra_gamma)), probes,
+            block_pt = A.free_points(block, set(gamma), 1)[0]
+            probes.append(orbit(desc, gamma, block_pt, budgets.orbit_budget))
+        return _label("C_S", True, "partition-infinite-block", [], probes,
                       budgets, {"block": profile.block})
     if label == "C_1":
         # finitely many nonsingletons: the stabilizer of their union is

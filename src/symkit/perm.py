@@ -729,6 +729,8 @@ def format_perm(p: Permutation) -> str:
         return "cycles:" + "".join(
             "(" + " ".join(str(a) for a in c) + ")" for c in cycs)
     if isinstance(p, RulePermutation):
+        if p.name not in BUILTIN_RULES:  # parse_perm could not read it back
+            return f"{p.name}:<opaque>"
         s = "rule:" + p.name
         for k, v in sorted(p.params.items()):
             s += f";{k}={v}"

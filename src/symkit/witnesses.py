@@ -439,15 +439,14 @@ def _bit_blocks(bit: Callable[[int], int]) -> RulePermutation:
     return RulePermutation("bit-blocks", swap, swap)
 
 
-def _block_shift(step: int = 1) -> RulePermutation:
-    """Sends block i to block i+step in index order, fixing the out points."""
+def _block_shift() -> RulePermutation:
+    """Sends block i to block i+1 in index order, fixing the out points."""
 
     def shift(by):
         return lambda alpha: alpha if alpha % 3 == 2 else \
             3 * z_to_nat(nat_to_z(alpha // 3) + by) + alpha % 3
 
-    return RulePermutation("block-shift", shift(step), shift(-step),
-                           params={"step": step})
+    return RulePermutation("block-shift", shift(1), shift(-1))
 
 
 @dataclass

@@ -11,6 +11,7 @@ from symkit.classifier import (
     CLASS_ORDER,
     LAMBDA_CASE,
     PartitionStab,
+    PointwiseStab,
     check_evidence,
     class_lt,
     classify_group,
@@ -49,6 +50,7 @@ BUDGET_TRIVIAL_FIX = "fix(stab:partition:pairs;{})".format(
 
 REPLAY_CORPUS = [desc for desc, _ in CERTIFIED] + [
     "fix(stab:partition:pairs;0,2,4)", BUDGET_TRIVIAL_FIX,
+    "fix(fix(full;3);5,7)",
     "stab:partition:evens-block", "oracle:full-sym"]
 
 BASES = ("full-symmetric", "trivial-group", "partition-profile-unbounded",
@@ -154,6 +156,15 @@ class TestClassify:
         assert lab.basis == "budget-trivial"
         assert check_evidence(desc, lab.evidence())
 
+    def test_nested_fix_is_the_fix_of_the_union(self):
+        # fix(fix(D;Γ1);Γ2) and fix(D;Γ1 ∪ Γ2) are one group, so one record
+        desc = "fix(fix(stab:partition:pairs;0,2,4);{})".format(
+            ",".join(str(p) for p in range(6, 520, 2)))
+        lab = classify(desc)
+        assert lab.evidence() == classify(BUDGET_TRIVIAL_FIX).evidence()
+        assert lab.basis == "budget-trivial"
+        assert check_evidence(desc, lab.evidence())
+
     def test_partial_fix_keeps_surviving_orbits(self):
         desc = "fix(stab:partition:pairs;0,2,4)"
         lab = classify(desc)
@@ -165,9 +176,9 @@ class TestClassify:
         desc = "fix(stab:partition:evens-block;1,3)"
         lab = classify(desc)
         assert (lab.label, lab.certified) == ("C_S", True)
-        assert lab.basis == "partition-infinite-block"
+        assert lab.basis == "pointwise-stabilizer"
         assert lab.gamma == [1, 3]
-        assert all({1, 3} <= set(p.gamma) for p in lab.probes)
+        assert lab.samples["inner"]["basis"] == "partition-infinite-block"
         assert check_evidence(desc, lab.evidence())
         assert check_evidence(desc, json.loads(json.dumps(lab.evidence())))
 
@@ -184,7 +195,8 @@ class TestClassify:
         desc = desc.format(path)
         lab = classify(desc)
         assert (lab.label, lab.certified) == ("C_1", True)
-        assert lab.basis == "partition-finite-nonsingletons"
+        assert lab.basis == "pointwise-stabilizer"
+        assert lab.samples["inner"]["basis"] == "partition-finite-nonsingletons"
         assert check_evidence(desc, lab.evidence())
 
     def test_undeclared_nonsingleton_refused(self):
@@ -454,17 +466,20 @@ def test_verdicts_read_off_the_class_record(desc, gamma):
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(REPLAY_CORPUS), st.sets(st.integers(0, 63), max_size=8))
 def test_fix_takes_the_inner_record(desc, gamma):
-    # G_(Γ)_(Δ) = G_(Γ ∪ Δ), so G_(Γ) lies in G's class; only a partition
-    # stabilizer of class C_Q or C_P under a non-initial Γ answers by the
-    # window rule instead
+    # G_(Γ)_(Δ) = G_(Γ ∪ Δ), so G_(Γ) lies in G's class and a nested fix is
+    # the fix of the union; only a partition stabilizer of class C_Q or C_P
+    # under a non-initial union answers by the window rule instead
     fixed = "fix({};{})".format(desc, ",".join(str(p) for p in sorted(gamma)))
     lab = classify(fixed)
     assert check_evidence(fixed, lab.evidence())
-    D = parse_descriptor(desc)
+    D, union = parse_descriptor(desc), set(gamma)
+    while isinstance(D, PointwiseStab):
+        D, union = D.inner, union.union(D.gamma)
+    assert classify_group(PointwiseStab(D, union)).evidence() == lab.evidence()
     if isinstance(D, PartitionStab) and D.A.profile.label in ("C_Q", "C_P") \
-            and sorted(gamma) != list(range(len(gamma))):
+            and sorted(union) != list(range(len(union))):
         return
-    inner = classify(desc)
+    inner = classify_group(D)
     assert (lab.label, lab.certified) == (inner.label, inner.certified)
 
 

@@ -17,7 +17,9 @@ from symkit.perm import (
     FiniteSupportPermutation,
     conjugate,
     evaluation_budget,
+    format_perm,
     identity,
+    rule,
     verify_window,
     word,
 )
@@ -334,6 +336,15 @@ class TestCommutatorSolve:
         with evaluation_budget(3), pytest.raises(EvaluationBudgetError):
             sol.commutator.forward(0)
 
+    def test_factors_print_as_opaque(self):
+        # the factors' rule names are not built-in rules, so their text must
+        # not read as the rule: format, which parse_perm would refuse
+        sol = commutator_solve({0: 1}, anchor=0)
+        assert format_perm(sol.commutator) == (
+            "word:[block-shift:<opaque>,bit-blocks:<opaque>,"
+            "block-shift:<opaque>,bit-blocks:<opaque>]")
+        assert format_perm(rule("swap-pairs").inverse()) == "rule:swap-pairs^-1"
+
     def test_anchor_complements(self):
         target = {i: (i % 2) for i in range(-3, 3)}
         s0 = commutator_solve(target, anchor=0)
@@ -345,6 +356,15 @@ class TestThreeCycle:
     def test_frozen_example(self):
         c = three_cycle_extract(cyc([0, 1]), cyc([1, 2]))
         assert c.cycles() == [(0, 2, 1)]
+
+    def test_far_support_tests_only_the_moved_points(self):
+        # the support bound is past 10^6, but only the factors' three moved
+        # points are candidates: four steps each, once to find the support
+        # and once to read the map
+        with evaluation_budget() as meter:
+            c = three_cycle_extract(cyc([0, 1]), cyc([1, 1000000]))
+        assert c.cycles() == [(0, 1000000, 1)]
+        assert meter.spent == 24
 
     def test_disjoint_supports_rejected(self):
         with pytest.raises(PreconditionError):
