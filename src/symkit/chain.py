@@ -7,7 +7,11 @@ pointwise stabilizer of ``base[:i]`` and a transversal of their orbit of
 ``base[i]``.  The chain is built by the deterministic Schreier–Sims algorithm
 (Sims 1970; Seress, *Permutation Group Algorithms*, 2003, ch. 4;
 Holt–Eick–O'Brien, *Handbook of Computational Group Theory*, 2005, 4.4.2).
-Nothing is randomized, so equal inputs always give equal chains.
+Nothing is randomized, so equal inputs always give equal chains.  Each
+permutation product is one step, counted in the chain's ``spent`` in batches
+(a sift, an orbit extension, a generator's run of Schreier products); past
+CHAIN_BUDGET steps the build raises EvaluationBudgetError with form
+``chain``.  The count is the chain's own, so a small chain pays for no meter.
 """
 from __future__ import annotations
 
@@ -15,7 +19,12 @@ from math import prod
 from operator import itemgetter
 from typing import List, Sequence, Tuple
 
+from .errors import EvaluationBudgetError
+from .perm import DEFAULT_STEP_BUDGET
+
 Perm = Tuple[int, ...]
+
+CHAIN_BUDGET = DEFAULT_STEP_BUDGET
 
 
 def _mul(p: Perm, q: Perm) -> Perm:
@@ -52,6 +61,7 @@ class StabilizerChain:
         self.inverses: List[dict] = []
         # per level and strong generator: how many orbit points were checked
         self._checked: List[List[int]] = []
+        self.spent = 0  # permutation products made
         for b in base_prefix:
             self._add_level(b)
         for g in dict.fromkeys(gens):
@@ -84,6 +94,13 @@ class StabilizerChain:
 
     # -- construction ----------------------------------------------------
 
+    def _spend(self, products: int) -> None:
+        self.spent += products
+        if self.spent > CHAIN_BUDGET:
+            raise EvaluationBudgetError(
+                f"evaluation step budget exhausted: limit {CHAIN_BUDGET}, form chain",
+                limit=CHAIN_BUDGET, spent=self.spent, form="chain")
+
     def _add_level(self, b: int) -> int:
         self.base.append(b)
         self.strong.append([])
@@ -99,7 +116,7 @@ class StabilizerChain:
         gens.append(g)
         self._checked[level].append(0)
         orbit, u = self.orbits[level], self.transversal[level]
-        known = len(orbit)
+        known = start = len(orbit)
         for p in orbit[:known]:
             q = g[p]
             if q not in u:
@@ -113,6 +130,7 @@ class StabilizerChain:
                 if q not in u:
                     u[q] = _mul(u[p], s)
                     orbit.append(q)
+        self._spend(len(orbit) - start)  # one product per new orbit point
 
     def _inverse(self, level: int, q: int) -> Perm:
         inv = self.inverses[level].get(q)
@@ -123,14 +141,18 @@ class StabilizerChain:
     def _sift(self, g: Perm, level: int) -> Tuple[Perm, int]:
         """Strip g through the levels from level on; the residue and the
         level it dropped out at (len(base) if it passed every level)."""
+        products, drop = 0, len(self.base)
         for i in range(level, len(self.base)):
             q = g[self.base[i]]
             if q == self.base[i]:
                 continue
             if q not in self.transversal[i]:
-                return g, i
+                drop = i
+                break
             g = _mul(g, self._inverse(i, q))
-        return g, len(self.base)
+            products += 1
+        self._spend(products)
+        return g, drop
 
     def _residue(self, level: int):
         """A Schreier generator of level that does not sift through the
@@ -140,6 +162,7 @@ class StabilizerChain:
         orbit, u = self.orbits[level], self.transversal[level]
         checked = self._checked[level]
         for k, s in enumerate(self.strong[level]):
+            start = checked[k]  # the products made since the last charge
             while checked[k] < len(orbit):
                 p = orbit[checked[k]]
                 checked[k] += 1
@@ -147,10 +170,13 @@ class StabilizerChain:
                 us = _mul(u[p], s)
                 if us == u[q]:
                     continue
+                self._spend(checked[k] - start + 1)
+                start = checked[k]
                 h, drop = self._sift(_mul(us, self._inverse(level, q)),
                                      level + 1)
                 if h != self.ident:
                     return h, drop
+            self._spend(checked[k] - start)
         return None
 
     def _complete(self) -> None:

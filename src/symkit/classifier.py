@@ -4,9 +4,11 @@ A descriptor names a closed subgroup symbolically; orbit queries go through
 a uniform adapter.  Classification searches stabilizing sets over initial
 segments only (enlarging the set can only shrink stabilizers and orbits, and
 every finite set sits inside an initial segment, so the search is sound),
-and it never returns a definite label without machine-checkable evidence:
-``check_evidence`` accepts a record only if re-classifying the descriptor at
-the record's budgets gives the same record.
+and it never returns a definite label without machine-checkable evidence.
+``BASES`` names, for each basis a record can carry, the producer that emits
+it and the checker that ``check_evidence`` runs on it: the checker tests the
+record's claims against the descriptor by its own route, never by
+classifying again.
 
 The four labels are totally ordered C_1 < C_Q < C_P < C_S; the least-cardinal
 phrasing is recorded alongside each label.
@@ -19,6 +21,7 @@ from typing import List, Optional, Sequence
 
 from .chain import StabilizerChain
 from .errors import (
+    EvaluationBudgetError,
     ParseError,
     PreconditionError,
     ProfileViolationError,
@@ -233,6 +236,23 @@ def _finite_group(gens: Sequence[Permutation], base_prefix: Sequence[int] = ()):
     return points, idx, StabilizerChain(len(points), tables, base)
 
 
+def _finite_claims(gens: Sequence[Permutation]):
+    """γ, probes and samples of a finite-group record: the union of the
+    generators' supports, which pins the group, and its order, or the order
+    unknown at the chain's step budget."""
+    if not gens:
+        return [], [], {"order": 1}
+    try:
+        points, _, chain = _finite_group(gens)
+        samples = {"order": chain.order}
+    except EvaluationBudgetError as exc:
+        if exc.form != "chain":
+            raise
+        points = sorted({a for g in gens for a in g.moved_points()})
+        samples = {"order": "unknown", "chain_budget": exc.limit}
+    return points, [], {**samples, "support": points}
+
+
 def _orbit_oracle(desc: Descriptor) -> Optional[GroupOracle]:
     """The tree oracle that answers orbit queries for desc, if there is one."""
     if isinstance(desc, FullS):
@@ -326,15 +346,8 @@ def _initial_segments(budgets: Budgets) -> List[List[int]]:
 
 
 def _probe_full_style(desc, budgets) -> List[OrbitReport]:
-    probes = []
-    for gamma in _initial_segments(budgets):
-        alpha = len(gamma)
-        probes.append(orbit(desc, gamma, alpha, budgets.orbit_budget))
-    return probes
-
-
-def _is_initial_segment(gamma: Sequence[int]) -> bool:
-    return list(gamma) == list(range(len(gamma)))
+    return [orbit(desc, gamma, len(gamma), budgets.orbit_budget)
+            for gamma in _initial_segments(budgets)]
 
 
 def classify_group(desc: Descriptor, budgets: Optional[Budgets] = None) -> ClassLabel:
@@ -349,7 +362,7 @@ def classify_group(desc: Descriptor, budgets: Optional[Budgets] = None) -> Class
         return _label("C_1", True, "trivial-group", [], [], budgets)
 
     if isinstance(desc, PartitionStab):
-        return _classify_partition_stab(desc, budgets, extra_gamma=())
+        return _classify_partition_stab(desc, budgets)
 
     if isinstance(desc, PointwiseStab):
         # G_(Γ)_(Δ) = G_(Γ ∪ Δ): nested fixes are one fix of the union, and
@@ -359,8 +372,8 @@ def classify_group(desc: Descriptor, budgets: Optional[Budgets] = None) -> Class
         gamma = sorted(fixed)
         if isinstance(base, PartitionStab) and \
                 base.A.profile.label in ("C_Q", "C_P") and \
-                not _is_initial_segment(gamma):
-            return _classify_partition_stab(base, budgets, extra_gamma=gamma)
+                gamma != list(range(len(gamma))):
+            return _classify_window(base, gamma, budgets)
         inner = classify_group(base, budgets)
         return _label(inner.label, inner.certified, "pointwise-stabilizer",
                       gamma, [], budgets, {"inner": inner.evidence()})
@@ -369,12 +382,8 @@ def classify_group(desc: Descriptor, budgets: Optional[Budgets] = None) -> Class
         return _classify_fn(desc, budgets)
 
     if isinstance(desc, FiniteSupportG):
-        if not desc.gens:
-            return _label("C_1", True, "finite-group", [], [], budgets,
-                          {"order": 1})
-        points, _, chain = _finite_group(desc.gens)
-        return _label("C_1", True, "finite-group", points, [], budgets,
-                      {"order": chain.order, "support": points})
+        gamma, probes, samples = _finite_claims(desc.gens)
+        return _label("C_1", True, "finite-group", gamma, probes, budgets, samples)
 
     if isinstance(desc, OracleG):
         probes = _probe_full_style(desc, budgets)
@@ -383,14 +392,13 @@ def classify_group(desc: Descriptor, budgets: Optional[Budgets] = None) -> Class
     raise PreconditionError(f"no classifier for {desc!r}")
 
 
-def _classify_partition_stab(desc: PartitionStab, budgets: Budgets,
-                             extra_gamma: Sequence[int]) -> ClassLabel:
-    """The class of desc's declared profile, with its evidence.  Under a
-    finite extra_gamma Γ, given only for a C_Q or C_P profile, it answers at
-    the window budget."""
+PROBED_BLOCKS = 4  # the sampled blocks of a C_Q or C_P record that it probes
+
+
+def _classify_partition_stab(desc: PartitionStab, budgets: Budgets) -> ClassLabel:
+    """The class of desc's declared profile, with its evidence."""
     A, profile = desc.A, desc.A.profile
     label = profile.label
-    window = budgets.samples * 4
     if label == "C_S":
         # every finite set leaves an infinite orbit inside the declared block
         probes = []
@@ -416,7 +424,7 @@ def _classify_partition_stab(desc: PartitionStab, budgets: Budgets,
             blocks = A.iter_blocks()
             found = (m for m in map(members, blocks) if len(m) > 1)
             union = sorted(a for m in itertools.islice(found, count) for a in m)
-            end = (union[-1] + 1 if union else 0) + window
+            end = (union[-1] + 1 if union else 0) + budgets.samples * 4
             for b in itertools.takewhile(lambda b: b < end, blocks):
                 if len(members(b)) > 1:
                     raise ProfileViolationError(
@@ -424,32 +432,37 @@ def _classify_partition_stab(desc: PartitionStab, budgets: Budgets,
                         f"{count} declared")
         return _label("C_1", True, "partition-finite-nonsingletons", union, [],
                       budgets, {"nonsingleton_count": count})
-    if extra_gamma:
-        # an arbitrary finite set pins finitely many blocks; report what the
-        # probes can actually certify at this budget
-        gset = set(extra_gamma)
-        blocks = A.blocks_within(window)
-        unmet = [b for b in blocks if len(set(A.block_members(b)) - gset) >= 2]
-        step = max(1, window // budgets.samples)
-        probes = [orbit(desc, gset, alpha, budgets.orbit_budget)
-                  for alpha in range(0, window, step)[:budgets.samples]]
-        if not unmet:
-            return _label("C_1", False, "budget-trivial", sorted(gset), probes,
-                          budgets, {"window": window,
-                                    "blocks_checked": len(blocks)})
-        return _label(label, False, "budget-surviving-orbits", sorted(gset),
-                      probes, budgets,
-                      {"window": window, "unmet_blocks": unmet[:16]})
     if label == "C_P":
         ids = A.sample_growing_blocks(6)
         growing = [[b, len(A.block_members(b))] for b in ids]
-        probes = [orbit(desc, [], b, budgets.orbit_budget) for b in ids[:4]]
+        probes = [orbit(desc, [], b, budgets.orbit_budget)
+                  for b in ids[:PROBED_BLOCKS]]
         return _label("C_P", True, "partition-profile-unbounded", [], probes,
                       budgets, {"growing_blocks": growing})
     blocks = A.sample_bounded_blocks(4)
-    probes = [orbit(desc, [], b, budgets.orbit_budget) for b, _ in blocks]
+    probes = [orbit(desc, [], b, budgets.orbit_budget)
+              for b, _ in blocks[:PROBED_BLOCKS]]
     return _label("C_Q", True, "partition-profile-bounded", [], probes,
                   budgets, {"bound": profile.n, "nonsingleton_blocks": blocks})
+
+
+def _classify_window(desc: PartitionStab, gamma: Sequence[int],
+                     budgets: Budgets) -> ClassLabel:
+    """fix(desc;Γ) for a C_Q or C_P profile and a finite Γ that is not an
+    initial segment, answered at the window budget: Γ pins finitely many
+    blocks, so report what the probes can actually certify."""
+    A, gset, window = desc.A, set(gamma), budgets.samples * 4
+    blocks = A.blocks_within(window)
+    unmet = [b for b in blocks if len(set(A.block_members(b)) - gset) >= 2]
+    step = max(1, window // budgets.samples)
+    probes = [orbit(desc, gset, alpha, budgets.orbit_budget)
+              for alpha in range(0, window, step)[:budgets.samples]]
+    if not unmet:
+        return _label("C_1", False, "budget-trivial", sorted(gset), probes,
+                      budgets, {"window": window, "blocks_checked": len(blocks)})
+    return _label(A.profile.label, False, "budget-surviving-orbits",
+                  sorted(gset), probes, budgets,
+                  {"window": window, "unmet_blocks": unmet[:16]})
 
 
 def _classify_fn(desc: FNGroup, budgets: Budgets) -> ClassLabel:
@@ -567,22 +580,152 @@ def _closed_flag(desc: Descriptor):
 
 
 # --------------------------------------------------------------------------
-# Evidence replay.
+# Evidence replay.  Each basis's checker tests a record's claims against the
+# descriptor by its own route and returns the (label, certified, gamma,
+# probes, samples) they establish; the record is accepted only if rebuilding
+# it from those gives it back.  Probes are recomputed with orbit, a fixed
+# number per record, so a replay costs no more than the record's budgets and
+# its length allow.
+
+
+def _require(ok) -> None:
+    if not ok:
+        raise ValueError("a record claim does not hold")
+
+
+def _replay(desc: Descriptor, record: dict, budgets: Budgets) -> ClassLabel:
+    _, kind, check = BASES[record["basis"]]
+    _require(isinstance(desc, kind))
+    label, certified, gamma, probes, samples = check(desc, record, budgets)
+    lab = _label(label, certified, record["basis"], gamma, probes, budgets, samples)
+    _require(lab.evidence() == record)
+    return lab
+
+
+def _read_blocks(desc, label, blocks, budgets):
+    """The sizes of a profile's sampled [id, size] blocks, re-read through
+    block_of and block_members, and the probes of the first PROBED_BLOCKS."""
+    A, ids = desc.A, [b for b, _ in blocks]
+    _require(A.profile.label == label and ids == sorted(set(ids)) and all(
+        A.block_of(b) == b and len(A.block_members(b)) == n for b, n in blocks))
+    return [n for _, n in blocks], [orbit(desc, [], b, budgets.orbit_budget)
+                                    for b in ids[:PROBED_BLOCKS]]
+
+
+def _check_bounded(desc, record, budgets):
+    blocks = record["samples"]["nonsingleton_blocks"]
+    sizes, probes = _read_blocks(desc, "C_Q", blocks, budgets)
+    n = desc.A.profile.n
+    _require(all(2 <= size <= n for size in sizes))
+    return "C_Q", True, [], probes, {"bound": n, "nonsingleton_blocks": blocks}
+
+
+def _check_unbounded(desc, record, budgets):
+    blocks = record["samples"]["growing_blocks"]
+    sizes, probes = _read_blocks(desc, "C_P", blocks, budgets)
+    _require(sizes == sorted(set(sizes)))
+    return "C_P", True, [], probes, {"growing_blocks": blocks}
+
+
+def _check_finite_nonsingletons(desc, record, budgets):
+    # the declared count is true (a partition file is refused otherwise), so
+    # γ is the union of every nonsingleton when that many blocks of two or
+    # more points, each inside the size bound, make it up
+    A, gamma = desc.A, record["gamma"]
+    _require(A.profile.label == "C_1")
+    count = A.profile.nonsingletons if isinstance(A.profile.nonsingletons, int) else 0
+    blocks = {b: A.block_members(b) for b in map(A.block_of, gamma)}
+    for b, members in blocks.items():
+        A._check_size(b, len(members))
+    _require(len(blocks) == count and all(len(m) > 1 for m in blocks.values())
+             and sorted(a for m in blocks.values() for a in m) == gamma)
+    return "C_1", True, gamma, [], {"nonsingleton_count": count}
+
+
+def _check_infinite_block(desc, record, budgets):
+    # each probe's point lies in the declared block, off its initial segment
+    A, probes = desc.A, []
+    _require(A.profile.label == "C_S")
+    for gamma, probe in zip(_initial_segments(budgets), record["probes"], strict=True):
+        _require(probe["alpha"] not in gamma and A.block_of(probe["alpha"]) == A.profile.block)
+        probes.append(orbit(desc, gamma, probe["alpha"], budgets.orbit_budget))
+    return "C_S", True, [], probes, {"block": A.profile.block}
+
+
+def _check_pointwise(desc, record, budgets):
+    base, fixed = _peel(desc)
+    inner = _replay(base, record["samples"]["inner"], budgets)
+    return inner.label, inner.certified, sorted(fixed), [], {"inner": inner.evidence()}
+
+
+def _check_window(desc, record, budgets):
+    base, fixed = _peel(desc)
+    _require(isinstance(base, PartitionStab))
+    lab = _classify_window(base, sorted(fixed), budgets)
+    _require(lab.basis == record["basis"])
+    return lab.label, lab.certified, lab.gamma, lab.probes, lab.samples
+
+
+def _check_fn(desc, record, budgets):
+    """A record the metric alone settles: the discrete metric's trivial
+    group, a worked C_Q example of the paper (its class needs no ball-growth
+    probe), or fn-open, which claims nothing."""
+    m, basis = desc.metric, record["basis"]
+    _require(not isinstance(m, PartitionMetric)
+             and m.discrete_infinite == (basis == "fn-discrete"))
+    if basis == "fn-discrete":
+        return "C_1", True, [], [], {"metric": m.key}
+    if basis == "fn-worked-example":
+        _require(m.key in ("standard-omega", "standard-z"))
+        return "C_Q", True, [], [], {"metric": m.key, "metric_case": "CaseIII"}
+    _require(record["samples"]["metric"] == m.key)
+    return "Unknown", False, [], [], record["samples"]
+
+
+def _check_fn_partition(desc, record, budgets):
+    m = desc.metric
+    _require(isinstance(m, PartitionMetric))
+    inner = _replay(PartitionStab(m.partition, m.partition.key),
+                    record["samples"]["inner"], budgets)
+    return inner.label, inner.certified, inner.gamma, inner.probes, \
+        {"inner": inner.evidence(), "metric": m.key}
+
+
+# basis -> (the function whose _label call emits it, the descriptor class it
+# describes, its checker)
+BASES = {
+    "full-symmetric": (classify_group, FullS, lambda d, r, b: (
+        "C_S", True, [], _probe_full_style(d, b), {})),
+    "trivial-group": (classify_group, TrivialG, lambda d, r, b: (
+        "C_1", True, [], [], {})),
+    "no-certificate": (classify_group, OracleG, lambda d, r, b: (
+        "Unknown", False, [], _probe_full_style(d, b), {})),
+    "finite-group": (classify_group, FiniteSupportG, lambda d, r, b: (
+        "C_1", True, *_finite_claims(d.gens))),
+    "pointwise-stabilizer": (classify_group, PointwiseStab, _check_pointwise),
+    "partition-infinite-block": (_classify_partition_stab, PartitionStab,
+                                 _check_infinite_block),
+    "partition-finite-nonsingletons": (_classify_partition_stab, PartitionStab,
+                                       _check_finite_nonsingletons),
+    "partition-profile-unbounded": (_classify_partition_stab, PartitionStab,
+                                    _check_unbounded),
+    "partition-profile-bounded": (_classify_partition_stab, PartitionStab,
+                                  _check_bounded),
+    "budget-trivial": (_classify_window, PointwiseStab, _check_window),
+    "budget-surviving-orbits": (_classify_window, PointwiseStab, _check_window),
+    "fn-partition": (_classify_fn, FNGroup, _check_fn_partition),
+    "fn-discrete": (_classify_fn, FNGroup, _check_fn),
+    "fn-worked-example": (_classify_fn, FNGroup, _check_fn),
+    "fn-open": (_classify_fn, FNGroup, _check_fn),
+}
 
 
 def check_evidence(desc_str: str, evidence: dict) -> bool:
-    """Accept a record only if re-classifying the descriptor at the record's
-    budgets gives the same record.
-
-    An ``fn-open`` record claims nothing, so it is accepted for any ``fn:``
-    descriptor without re-running the metric classification behind it.
-    """
+    """Accept a record only if the checker of its basis in ``BASES``
+    rebuilds it from the descriptor and the record's own claims; a record
+    of another basis, or of a shape its checker cannot read, is rejected."""
     try:
-        budgets = Budgets(**evidence.get("budgets", {}))
-        desc = parse_descriptor(desc_str)
-        if evidence.get("basis") == "fn-open":
-            return evidence.get("label") == "Unknown" and \
-                isinstance(desc, FNGroup)
-        return classify_group(desc, budgets).evidence() == evidence
-    except (SymkitError, TypeError):
+        _replay(parse_descriptor(desc_str), evidence, Budgets(**evidence["budgets"]))
+        return True
+    except (SymkitError, TypeError, ValueError, LookupError):
         return False

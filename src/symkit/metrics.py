@@ -804,34 +804,42 @@ def classify_metric(d: GeneralizedMetric, radii: Sequence[Fraction] = DEFAULT_RA
     """Sort a metric into the four ball-growth cases, at the stated budgets.
 
     CaseI: some probed ball exceeds the cap (not uncrowded, at budget).
-    CaseII: balls finite but with sizes growing past every sampled bound.
+    CaseII: balls finite but with sizes growing past every sampled bound;
+            never for a metric with a declared uniform bound.
     CaseIII: sizes bounded at budget, with nonsingleton balls persisting
              throughout the probe range for some radius.
     CaseIV: for each radius, nonsingleton balls are confined to a finite
             prefix of the probe range.
+    Unknown: none of these at budget, or a radius whose declared uniform
+             bound passes ``ball_cap`` (named in ``over_budget``; no ball
+             is listed).
     """
+    if not 1 <= ball_cap <= 64 * BALL_CAP:
+        raise PreconditionError(
+            f"ball cap must be in [1, {64 * BALL_CAP}], got {ball_cap}")
     probe = _probe_centers(centers)
     evidence: dict = {"radii": [str(Fraction(r)) for r in radii],
                       "centers": len(probe), "center_list": list(probe),
                       "ball_cap": ball_cap, "per_radius": []}
+    if d.uniform_bound is not None:
+        for r in radii:
+            if (bound := d.uniform_bound(Fraction(r))) > ball_cap:
+                evidence["over_budget"] = {"radius": str(Fraction(r)),
+                                           "bound": bound}
+                return MetricCaseReport("Unknown", evidence)
     growth_detected = False
     persistent_nonsingleton = False
     confined = True
     for r in radii:
-        cap_r = ball_cap
-        if d.uniform_bound is not None:
-            # a declared uniform bound certifies every ball finite; stretch
-            # the cap to it so the budget cannot masquerade as crowding
-            cap_r = max(ball_cap, d.uniform_bound(Fraction(r)))
         sizes = []
         for c in probe:
             try:
                 try:
-                    ball = d.ball(c, Fraction(r), cap=cap_r)
+                    ball = d.ball(c, Fraction(r), cap=ball_cap)
                 except NotUncrowdedError:
                     # one stretched retry: a big finite ball is growth, not
                     # crowding; only a genuinely unbounded enumeration is CaseI
-                    ball = d.ball(c, Fraction(r), cap=cap_r * 64)
+                    ball = d.ball(c, Fraction(r), cap=ball_cap * 64)
                     evidence.setdefault("stretched", []).append(
                         {"center": c, "radius": str(Fraction(r))})
                 if d.uniform_bound is not None and \
@@ -865,7 +873,7 @@ def classify_metric(d: GeneralizedMetric, radii: Sequence[Fraction] = DEFAULT_RA
             persistent_nonsingleton = True
         if nonsingle and (nonsingle[-1] > top // 4 or len(nonsingle) > len(probe) // 2):
             confined = False
-    if growth_detected:
+    if growth_detected and d.uniform_bound is None:
         evidence["rule"] = "size records persist into the top of the probe range"
         return MetricCaseReport("CaseII", evidence)
     if persistent_nonsingleton:

@@ -1,11 +1,18 @@
+import ast
+import contextlib
 import copy
 import functools
+import io
 import json
+import pathlib
+import shlex
+import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import symkit.chain as chain
 import symkit.classifier as classifier
 from symkit.classifier import (
     CLASS_ORDER,
@@ -20,6 +27,7 @@ from symkit.classifier import (
     orbit,
     parse_descriptor,
 )
+from symkit.cli import cli_main
 from symkit.errors import ParseError, PreconditionError, ProfileViolationError
 from symkit.metrics import MetricCaseReport
 from symkit.partitions import BoundedBy, explicit
@@ -53,12 +61,7 @@ REPLAY_CORPUS = [desc for desc, _ in CERTIFIED] + [
     "fix(fix(full;3);5,7)",
     "stab:partition:evens-block", "oracle:full-sym"]
 
-BASES = ("full-symmetric", "trivial-group", "partition-profile-unbounded",
-         "partition-profile-bounded", "partition-finite-nonsingletons",
-         "partition-infinite-block", "pointwise-stabilizer",
-         "budget-trivial", "budget-surviving-orbits", "fn-partition",
-         "fn-discrete", "fn-worked-example", "fn-open", "finite-group",
-         "no-certificate")
+BASES = tuple(classifier.BASES)
 
 FORGED = [
     ("full", {"label": "C_1", "basis": "trivial-group"}),
@@ -497,3 +500,203 @@ class TestParse:
                     "fix(stab:partition:pairs;-1)"):
             with pytest.raises(ParseError):
                 parse_descriptor(bad)
+
+
+# -- the checker table ---------------------------------------------------------
+
+FEW_BLOCKS = {"key": "few", "blocks": [[0, 3], [5, 6, 7]], "rest": "singletons",
+              "profile": {"kind": "bounded", "n": 3, "nonsingletons": 2}}
+
+# one descriptor for each basis; {few} is a partition file of FEW_BLOCKS
+BASIS_EXAMPLES = {
+    "full-symmetric": "full",
+    "trivial-group": "trivial",
+    "no-certificate": "oracle:full-sym",
+    "finite-group": "gens:[cycles:(0 1 2),cycles:(2 3)]",
+    "pointwise-stabilizer": "fix(stab:partition:explicit@{few};9,1)",
+    "partition-infinite-block": "stab:partition:evens-block",
+    "partition-finite-nonsingletons": "stab:partition:explicit@{few}",
+    "partition-profile-unbounded": "stab:partition:spread",
+    "partition-profile-bounded": "stab:partition:z-pair-blocks",
+    "budget-trivial": BUDGET_TRIVIAL_FIX,
+    "budget-surviving-orbits": "fix(stab:partition:pairs;1,2,3)",
+    "fn-partition": "fn:partition@intervals-growing",
+    "fn-discrete": "fn:discrete",
+    "fn-worked-example": "fn:standard-z",
+    "fn-open": "fn:sqrt",
+}
+
+# an fn-open record claims nothing; these samples report the metric probe
+CLAIM_FREE = {("fn-open", "metric_case"), ("fn-open", "metric_evidence")}
+
+
+def _example(basis, tmp_path):
+    path = tmp_path / "few.json"
+    path.write_text(json.dumps(FEW_BLOCKS))
+    desc = BASIS_EXAMPLES[basis].format(few=path)
+    return desc, classify(desc).evidence()
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a checker ran the producer")
+
+
+def test_every_emitted_basis_has_one_table_entry():
+    # a basis ships only with a checker: each basis string that a function
+    # of the classifier passes to _label has one BASES entry, naming that
+    # function as its producer, and no entry is dead
+    tree = ast.parse(pathlib.Path(classifier.__file__).read_text())
+    emitted = {}
+    for fn in tree.body:
+        for call in ast.walk(fn):
+            if isinstance(call, ast.Call) and getattr(call.func, "id", "") == "_label" \
+                    and isinstance(call.args[2], ast.Constant):
+                emitted.setdefault(call.args[2].value, set()).add(fn.name)
+    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and node.targets[0].id == "BASES")
+    keys = [key.value for key in table.keys]
+    assert sorted(keys) == sorted(set(keys)) == sorted(emitted) == sorted(BASIS_EXAMPLES)
+    for basis, producers in emitted.items():
+        assert producers == {classifier.BASES[basis][0].__name__}
+
+
+@pytest.mark.parametrize("basis", sorted(BASIS_EXAMPLES))
+def test_each_example_carries_its_basis(tmp_path, basis):
+    desc, record = _example(basis, tmp_path)
+    assert record["basis"] == basis
+    assert check_evidence(desc, record)
+    assert check_evidence(desc, json.loads(json.dumps(record)))
+
+
+def test_no_checker_runs_the_producer(tmp_path, monkeypatch, capsys):
+    records = [(desc, _record(desc)) for desc in REPLAY_CORPUS] + \
+        [_example(basis, tmp_path) for basis in sorted(BASIS_EXAMPLES)]
+    real = classifier.check_evidence
+
+    def replay_alone(desc, record):
+        with monkeypatch.context() as m:
+            m.setattr(classifier, "classify_group", _refuse)
+            m.setattr(classifier, "classify_metric", _refuse)
+            return real(desc, record)
+
+    for desc, record in records:
+        assert replay_alone(desc, record), desc
+    # and the CLI's replay of every README classify example
+    monkeypatch.setattr(classifier, "check_evidence", replay_alone)
+    readme = pathlib.Path(__file__).parents[1] / "README.md"
+    examples = [shlex.split(line.split("#")[0])[1:] for line in
+                readme.read_text().splitlines()
+                if line.startswith("symkit ") and " classify " in line
+                and " metric " not in line]
+    assert len(examples) == 2
+    for argv in examples:
+        assert cli_main(["--json"] + [a for a in argv if a != "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["replay_ok"] is True
+
+
+def _perturbations(record):
+    """(where, forged record) for each single claim of record changed."""
+    gamma = record["gamma"]
+    yield "gamma+", {**record, "gamma": gamma + [max(gamma, default=0) + 1]}
+    if gamma:
+        yield "gamma-", {**record, "gamma": gamma[:-1]}
+    for key, value in record["samples"].items():
+        if (record["basis"], key) not in CLAIM_FREE:
+            yield f"samples.{key}", {**record, "samples": {
+                **record["samples"], key: _perturb(value)}}
+    for i, probe in enumerate(record["probes"]):
+        for key, value in (("alpha", probe["alpha"] + 1),
+                           ("gamma", probe["gamma"] + [10**4]),
+                           ("points", [probe["points"][0] + 1] + probe["points"][1:])):
+            probes = copy.deepcopy(record["probes"])
+            probes[i][key] = value
+            yield f"probes[{i}].{key}", {**record, "probes": probes}
+
+
+@pytest.mark.parametrize("basis", sorted(BASIS_EXAMPLES))
+def test_each_checker_rejects_a_perturbed_claim(tmp_path, basis):
+    desc, record = _example(basis, tmp_path)
+    for where, forged in _perturbations(record):
+        assert not check_evidence(desc, forged), where
+
+
+def test_under_declared_partition_file_record_rejected(tmp_path):
+    # the false record classify gave before partition files were validated:
+    # two pairs declared as one, so fixing [0, 1] leaves the orbit [2, 3]
+    false = {"label": "C_1", "lambda_case": "2", "certified": True,
+             "basis": "partition-finite-nonsingletons", "gamma": [0, 1],
+             "probes": [], "budgets": classifier.Budgets().to_dict(),
+             "samples": {"nonsingleton_count": 1}}
+    for declared in (1, 2):
+        path = tmp_path / f"two-pairs-{declared}.json"
+        path.write_text(json.dumps({
+            "blocks": [[0, 1], [2, 3]], "rest": "singletons",
+            "profile": {"kind": "bounded", "n": 2, "nonsingletons": declared}}))
+        desc = f"stab:partition:explicit@{path}"
+        assert not check_evidence(desc, false)
+        assert not check_evidence(desc, {**false, "samples": {"nonsingleton_count": 2}})
+        assert not check_evidence(f"fix({desc};7)", {
+            **false, "basis": "pointwise-stabilizer", "gamma": [7],
+            "samples": {"inner": false}})
+    true = classify(f"stab:partition:explicit@{path}").evidence()
+    assert true["gamma"] == [0, 1, 2, 3] and check_evidence(desc, true)
+
+
+SYM8 = "gens:[cycles:(0 1 2 3 4 5 6 7),cycles:(0 1)]"
+
+
+def test_chain_past_its_budget_keeps_c1_with_the_order_unknown(monkeypatch):
+    # the support pins every element, so C_1 needs no order; the replay
+    # runs the chain at the same budget and meets the same end
+    monkeypatch.setattr(chain, "CHAIN_BUDGET", 100)
+    lab = classify(SYM8)
+    assert (lab.label, lab.certified, lab.gamma) == ("C_1", True, list(range(8)))
+    assert lab.samples == {"order": "unknown", "chain_budget": 100,
+                           "support": list(range(8))}
+    assert check_evidence(SYM8, lab.evidence())
+    assert not check_evidence(SYM8, {**lab.evidence(), "samples": {
+        "order": 40320, "support": list(range(8))}})
+    monkeypatch.setattr(chain, "CHAIN_BUDGET", 10**6)
+    assert classify(SYM8).samples["order"] == 40320
+    assert not check_evidence(SYM8, lab.evidence())
+
+
+@st.composite
+def classify_strings(draw):
+    """A descriptor of the replay corpus, a fix of one by up to 40 points of
+    [0, 600), or up to three permutations of up to 12 points."""
+    kind = draw(st.sampled_from(["corpus", "fix", "gens"]))
+    if kind == "corpus":
+        return draw(st.sampled_from(REPLAY_CORPUS))
+    if kind == "fix":
+        gamma = draw(st.lists(st.integers(0, 599), min_size=1, max_size=40))
+        return "fix({};{})".format(draw(st.sampled_from(REPLAY_CORPUS)),
+                                   ",".join(map(str, gamma)))
+    support = draw(st.lists(st.integers(0, 63), max_size=12, unique=True))
+    perms = []
+    for _ in range(draw(st.integers(0, 3))):
+        image, cycles, seen = dict(zip(support, draw(st.permutations(support)))), [], set()
+        for a in support:
+            cycle = [a]
+            while image[cycle[-1]] != a:
+                cycle.append(image[cycle[-1]])
+            if a not in seen and len(cycle) > 1:
+                cycles.append("(" + " ".join(map(str, cycle)) + ")")
+            seen.update(cycle)
+        perms.append("cycles:" + "".join(cycles))
+    return "gens:[" + ",".join(perms) + "]"
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(classify_strings())
+def test_classify_cli_fuzz(desc):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(["--json", "classify", desc])
+    assert time.perf_counter() - start < 10
+    assert code in (0, 1, 2) and "Traceback" not in err.getvalue()
+    if code == 0:
+        payload = json.loads(out.getvalue())
+        assert payload["certified"] is True and payload["replay_ok"] is True

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -131,6 +132,19 @@ class TestMetric:
         code, out, _ = run(capsys, "metric", "classify", "sqrt")
         assert code == 0
         assert "CaseII" in out
+
+    @pytest.mark.parametrize("radius", ["20000", "300000"])
+    def test_classify_radius_past_the_cap_exit_2(self, capsys, radius):
+        # standard-omega is CaseIII; a radius whose declared ball bound
+        # passes the cap answers at budget at once instead of listing balls
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "--json", "metric", "classify",
+                           "standard-omega", "--radius", radius)
+        assert time.perf_counter() - start < 1.0
+        payload = json.loads(out)
+        assert code == 2 and payload["case"] == "Unknown"
+        assert payload["evidence"]["over_budget"] == {
+            "radius": radius, "bound": 2 * int(radius) + 1}
 
     def test_norm(self, capsys):
         code, out, _ = run(capsys, "--json", "metric", "norm",
@@ -328,6 +342,7 @@ PARTITION_FILES = {
     ["metric", "flow", "standard-z"],
     ["witness", "three-cycle"],
     ["orbit", "full", "--alpha", "0", "--budget", "65537"],
+    ["metric", "classify", "sqrt", "--budget", "262145"],
 ] + [["classify", f"stab:partition:explicit@<dir>/{name}"]
      for name in ["missing.json", *PARTITION_FILES]], ids=["rotate-size-0", "rotate-size-abc", "overlapping-cycles",
         "negative-cycle-point", "refine-pair-dash", "pattern-non-bit",
@@ -337,7 +352,8 @@ PARTITION_FILES = {
         "depth-zero", "depth-negative", "e-tree-depth-zero", "count-zero",
         "centers-negative", "budget-zero", "even-shift-no-partition",
         "norm-no-perm", "flow-no-perm", "three-cycle-no-perm",
-        "orbit-budget-over-ceiling", "partition-file-missing",
+        "orbit-budget-over-ceiling", "metric-budget-over-ceiling",
+        "partition-file-missing",
         *(f"partition-file-{name[:-5]}" for name in PARTITION_FILES)])
 def test_malformed_input_exit_1(capsys, tmp_path, argv):
     for name, text in PARTITION_FILES.items():

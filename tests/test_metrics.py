@@ -1,6 +1,7 @@
 import heapq
 import math
 import random
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -658,14 +659,44 @@ class TestClassifyMetric:
         ("discrete", "CaseIV"),
         ("ultra-base2", "CaseIII"),
         ("cayley-z2", "CaseIII"),
-        ("cayley-f2", "CaseIII"),
+        ("cayley-f2", "Unknown"),
         ("partition@pairs", "CaseIII"),
         ("partition@intervals-growing", "CaseII"),
     ])
     def test_cases(self, spec, case):
         rep = classify_metric(parse_metric(spec), centers=256)
         assert rep.case == case
-        assert rep.evidence["per_radius"]
+        # cayley-f2's declared bound at radius 8 is 4,373, past the 4,096 cap
+        assert rep.evidence["per_radius"] or \
+            rep.evidence["over_budget"] == {"radius": "8", "bound": 4373}
+
+    @pytest.mark.parametrize("spec,radius,bound", [
+        ("standard-omega", 20000, 40001), ("standard-omega", 300000, 600001),
+        ("ultra-base2", 14, 8192)])
+    def test_radius_past_the_cap_answers_at_budget(self, spec, radius, bound):
+        # the declared bound passes the cap: no ball is listed, so a large
+        # radius neither stretches the caps nor reads as growth
+        start = time.perf_counter()
+        rep = classify_metric(parse_metric(spec), radii=[Fraction(1), Fraction(radius)])
+        assert time.perf_counter() - start < 0.5
+        assert rep.case == "Unknown" and rep.evidence["per_radius"] == []
+        assert rep.evidence["over_budget"] == {"radius": str(radius), "bound": bound}
+
+    def test_declared_bound_rules_out_case_ii(self):
+        # under a raised cap, standard-omega's balls at radius 20000 set
+        # size records up to the top of the probe range, yet never pass the
+        # declared 40,001 points: bounded, so not CaseII
+        rep = classify_metric(parse_metric("standard-omega"),
+                              radii=[Fraction(1), Fraction(20000)], centers=32,
+                              ball_cap=65536)
+        records = rep.evidence["per_radius"][1]["size_records"]
+        assert records[-1] == {"center": 24576, "size": 39999}
+        assert rep.case == "CaseIII"
+
+    @pytest.mark.parametrize("cap", [0, 64 * BALL_CAP + 1])
+    def test_ball_cap_outside_its_range_refused(self, cap):
+        with pytest.raises(PreconditionError, match="ball cap"):
+            classify_metric(parse_metric("sqrt"), ball_cap=cap)
 
     def test_infinite_unit_ball(self):
         rep = classify_metric(UniformHalf(), centers=64)
