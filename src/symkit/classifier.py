@@ -15,6 +15,7 @@ phrasing is recorded alongside each label.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
@@ -602,54 +603,42 @@ def _replay(desc: Descriptor, record: dict, budgets: Budgets) -> ClassLabel:
     return lab
 
 
-def _read_blocks(desc, label, blocks, budgets):
-    """The sizes of a profile's sampled [id, size] blocks, re-read through
-    block_of and block_members, and the probes of the first PROBED_BLOCKS."""
-    A, ids = desc.A, [b for b, _ in blocks]
-    _require(A.profile.label == label and ids == sorted(set(ids)) and all(
-        A.block_of(b) == b and len(A.block_members(b)) == n for b, n in blocks))
-    return [n for _, n in blocks], [orbit(desc, [], b, budgets.orbit_budget)
-                                    for b in ids[:PROBED_BLOCKS]]
-
-
-def _check_bounded(desc, record, budgets):
-    blocks = record["samples"]["nonsingleton_blocks"]
-    sizes, probes = _read_blocks(desc, "C_Q", blocks, budgets)
-    n = desc.A.profile.n
-    _require(all(2 <= size <= n for size in sizes))
-    return "C_Q", True, [], probes, {"bound": n, "nonsingleton_blocks": blocks}
-
-
-def _check_unbounded(desc, record, budgets):
-    blocks = record["samples"]["growing_blocks"]
-    sizes, probes = _read_blocks(desc, "C_P", blocks, budgets)
-    _require(sizes == sorted(set(sizes)))
-    return "C_P", True, [], probes, {"growing_blocks": blocks}
-
-
-def _check_finite_nonsingletons(desc, record, budgets):
-    # the declared count is true (a partition file is refused otherwise), so
-    # γ is the union of every nonsingleton when that many blocks of two or
-    # more points, each inside the size bound, make it up
-    A, gamma = desc.A, record["gamma"]
-    _require(A.profile.label == "C_1")
-    count = A.profile.nonsingletons if isinstance(A.profile.nonsingletons, int) else 0
-    blocks = {b: A.block_members(b) for b in map(A.block_of, gamma)}
-    for b, members in blocks.items():
-        A._check_size(b, len(members))
-    _require(len(blocks) == count and all(len(m) > 1 for m in blocks.values())
-             and sorted(a for m in blocks.values() for a in m) == gamma)
-    return "C_1", True, gamma, [], {"nonsingleton_count": count}
-
-
-def _check_infinite_block(desc, record, budgets):
-    # each probe's point lies in the declared block, off its initial segment
+def _check_partition(label, desc, record, budgets):
+    """A record that desc's profile has class ``label``, whose claims,
+    re-read through block_of and block_members, obey the profile."""
     A, probes = desc.A, []
-    _require(A.profile.label == "C_S")
-    for gamma, probe in zip(_initial_segments(budgets), record["probes"], strict=True):
-        _require(probe["alpha"] not in gamma and A.block_of(probe["alpha"]) == A.profile.block)
-        probes.append(orbit(desc, gamma, probe["alpha"], budgets.orbit_budget))
-    return "C_S", True, [], probes, {"block": A.profile.block}
+    _require(A.profile.label == label)
+    if label == "C_S":
+        # each probe's point lies in the declared block, off its initial segment
+        for gamma, probe in zip(_initial_segments(budgets), record["probes"], strict=True):
+            _require(probe["alpha"] not in gamma and A.block_of(probe["alpha"]) == A.profile.block)
+            probes.append(orbit(desc, gamma, probe["alpha"], budgets.orbit_budget))
+        return "C_S", True, [], probes, {"block": A.profile.block}
+    if label == "C_1":
+        # the declared count is true (a partition file is refused otherwise),
+        # so γ is the union of every nonsingleton when that many blocks of two
+        # or more points, each inside the size bound, make it up
+        gamma = record["gamma"]
+        count = A.profile.nonsingletons if isinstance(A.profile.nonsingletons, int) else 0
+        blocks = {b: A.block_members(b) for b in map(A.block_of, gamma)}
+        for b, members in blocks.items():
+            A._check_size(b, len(members))
+        _require(len(blocks) == count and all(len(m) > 1 for m in blocks.values())
+                 and sorted(a for m in blocks.values() for a in m) == gamma)
+        return "C_1", True, gamma, [], {"nonsingleton_count": count}
+    # sampled [id, size] blocks: increasing ids, each its block's, with sizes
+    # growing for C_P and in [2, n] for C_Q; the first few are probed
+    key = "growing_blocks" if label == "C_P" else "nonsingleton_blocks"
+    blocks = record["samples"][key]
+    ids, sizes = [b for b, _ in blocks], [n for _, n in blocks]
+    _require(ids == sorted(set(ids)) and all(
+        A.block_of(b) == b and len(A.block_members(b)) == n for b, n in blocks))
+    probes = [orbit(desc, [], b, budgets.orbit_budget) for b in ids[:PROBED_BLOCKS]]
+    if label == "C_P":
+        _require(sizes == sorted(set(sizes)))
+        return "C_P", True, [], probes, {key: blocks}
+    _require(all(2 <= n <= A.profile.n for n in sizes))
+    return "C_Q", True, [], probes, {"bound": A.profile.n, key: blocks}
 
 
 def _check_pointwise(desc, record, budgets):
@@ -704,13 +693,13 @@ BASES = {
         "C_1", True, *_finite_claims(d.gens))),
     "pointwise-stabilizer": (classify_group, PointwiseStab, _check_pointwise),
     "partition-infinite-block": (_classify_partition_stab, PartitionStab,
-                                 _check_infinite_block),
+                                 functools.partial(_check_partition, "C_S")),
     "partition-finite-nonsingletons": (_classify_partition_stab, PartitionStab,
-                                       _check_finite_nonsingletons),
+                                       functools.partial(_check_partition, "C_1")),
     "partition-profile-unbounded": (_classify_partition_stab, PartitionStab,
-                                    _check_unbounded),
+                                    functools.partial(_check_partition, "C_P")),
     "partition-profile-bounded": (_classify_partition_stab, PartitionStab,
-                                  _check_bounded),
+                                  functools.partial(_check_partition, "C_Q")),
     "budget-trivial": (_classify_window, PointwiseStab, _check_window),
     "budget-surviving-orbits": (_classify_window, PointwiseStab, _check_window),
     "fn-partition": (_classify_fn, FNGroup, _check_fn_partition),
