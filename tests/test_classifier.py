@@ -545,7 +545,7 @@ def test_every_emitted_basis_has_one_table_entry():
     # a basis ships only with a checker: each basis string that a function
     # of the classifier passes to _label has one BASES entry, naming that
     # function as its producer, and no entry is dead
-    tree = ast.parse(pathlib.Path(classifier.__file__).read_text())
+    tree = ast.parse(pathlib.Path(classifier.__file__).read_text(encoding="utf-8"))
     emitted = {}
     for fn in tree.body:
         for call in ast.walk(fn):
@@ -585,7 +585,7 @@ def test_no_checker_runs_the_producer(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(classifier, "check_evidence", replay_alone)
     readme = pathlib.Path(__file__).parents[1] / "README.md"
     examples = [shlex.split(line.split("#")[0])[1:] for line in
-                readme.read_text().splitlines()
+                readme.read_text(encoding="utf-8").splitlines()
                 if line.startswith("symkit ") and " classify " in line
                 and " metric " not in line]
     assert len(examples) == 2
