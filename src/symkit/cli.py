@@ -190,8 +190,9 @@ def _cmd_witness(args) -> int:
     if args.action == "even-shift":
         A = partitions.parse_partition(_needed(args, "partition"))
         w = witnesses.even_shift_witness(A)
-        marked = {i: w.marked(i) for i in range(-(args.depth or 4),
-                                                4 * (args.depth or 4))}
+        with perm.metered():
+            marked = {i: w.marked(i) for i in range(-(args.depth or 4),
+                                                    4 * (args.depth or 4))}
         payload = {"witness": _finite_repr(w, window),
                    "marked": {str(k): v for k, v in sorted(marked.items())}}
         _emit(args, payload, [f"witness: {payload['witness']}"])

@@ -22,6 +22,7 @@ from .errors import (
     NotUncrowdedError,
     ParseError,
     PreconditionError,
+    ProfileViolationError,
     UnsupportedMetricError,
 )
 from .localdecomp import UniformBreakpoints, pair_crossers
@@ -71,12 +72,17 @@ def _fits(size: int, cap: int, a, r) -> int:
 
 
 class GeneralizedMetric:
-    """Distance oracle with exact comparisons and finite ball enumeration."""
+    """Distance oracle with exact comparisons and finite ball enumeration.
+
+    ``case`` is the ball-growth case the metric declares (CaseI-CaseIV), or
+    None: like a partition's profile it is declared and spot-checked
+    (:func:`classify_metric`), never inferred from finitely many balls."""
 
     key = "abstract"
     value_class = "rational"      # or "comparison-only"
     all_finite = False            # every pairwise distance is finite
     discrete_infinite = False     # distinct points sit at distance INF
+    case: Optional[str] = None
     uniform_bound: Optional[Callable[[Fraction], int]] = None
     partition: Optional[Partition] = None
 
@@ -98,6 +104,7 @@ class GeneralizedMetric:
 class StandardOmega(GeneralizedMetric):
     key = "standard-omega"
     all_finite = True
+    case = "CaseIII"
 
     def uniform_bound(self, r):
         return 2 * _ceil_int(r) + 1
@@ -119,6 +126,7 @@ class StandardZ(GeneralizedMetric):
 
     key = "standard-z"
     all_finite = True
+    case = "CaseIII"
 
     def uniform_bound(self, r):
         return 2 * _ceil_int(r) + 1
@@ -161,6 +169,7 @@ class SqrtMetric(GeneralizedMetric):
     key = "sqrt"
     value_class = "comparison-only"
     all_finite = True
+    case = "CaseII"
 
     def dist(self, a, b):
         raise UnsupportedMetricError(
@@ -208,6 +217,7 @@ class UltraBase2(GeneralizedMetric):
 
     key = "ultra-base2"
     all_finite = True
+    case = "CaseIII"
 
     def uniform_bound(self, r):
         return 2 ** _below(r)
@@ -226,7 +236,8 @@ class UltraBase2(GeneralizedMetric):
 
 
 class PartitionMetric(GeneralizedMetric):
-    """Distance 1 inside a block, INF across blocks."""
+    """Distance 1 inside a block, INF across blocks; its case is read off
+    the partition's profile label."""
 
     def __init__(self, A: Partition):
         if A.profile.label == "C_S":
@@ -234,6 +245,7 @@ class PartitionMetric(GeneralizedMetric):
                 "partition metric needs finite blocks (balls must be finite)")
         self.partition = A
         self.key = f"partition@{A.key}"
+        self.case = {"C_1": "CaseIV", "C_Q": "CaseIII", "C_P": "CaseII"}[A.profile.label]
         if isinstance(A.profile, BoundedBy):
             n = A.profile.n
             self.uniform_bound = lambda r, n=n: 1 if r <= 1 else n
@@ -258,6 +270,7 @@ class DiscreteInfinite(GeneralizedMetric):
 
     key = "discrete"
     discrete_infinite = True
+    case = "CaseIV"
 
     def uniform_bound(self, r):
         return 1
@@ -274,6 +287,7 @@ class UniformHalf(GeneralizedMetric):
 
     key = "uniform-half"
     all_finite = True
+    case = "CaseI"
 
     def dist(self, a, b):
         return Fraction(0) if a == b else Fraction(1, 2)
@@ -291,6 +305,7 @@ class CayleyZ2(GeneralizedMetric):
 
     key = "cayley-z2"
     all_finite = True
+    case = "CaseIII"
 
     def uniform_bound(self, r):
         k = _below(r)
@@ -341,6 +356,7 @@ class CayleyF2(GeneralizedMetric):
 
     key = "cayley-f2"
     all_finite = True
+    case = "CaseIII"
 
     def uniform_bound(self, r):
         return 2 * 3 ** _below(r) - 1
@@ -787,6 +803,7 @@ class MetricCaseReport:
 
 
 DEFAULT_RADII = (Fraction(1), Fraction(2), Fraction(4), Fraction(8))
+CENTERS_CAP = 4096  # probe centers classify_metric may list balls around
 
 
 def _probe_centers(count: int) -> List[int]:
@@ -801,88 +818,52 @@ def _probe_centers(count: int) -> List[int]:
 
 def classify_metric(d: GeneralizedMetric, radii: Sequence[Fraction] = DEFAULT_RADII,
                     centers: int = 512, ball_cap: int = BALL_CAP) -> MetricCaseReport:
-    """Sort a metric into the four ball-growth cases, at the stated budgets.
+    """The ball-growth case ``d`` declares, spot-checked on the probed balls.
 
-    CaseI: some probed ball exceeds the cap (not uncrowded, at budget).
-    CaseII: balls finite but with sizes growing past every sampled bound;
-            never for a metric with a declared uniform bound.
-    CaseIII: sizes bounded at budget, with nonsingleton balls persisting
-             throughout the probe range for some radius.
-    CaseIV: for each radius, nonsingleton balls are confined to a finite
-            prefix of the probe range.
-    Unknown: none of these at budget, or a radius whose declared uniform
-             bound passes ``ball_cap`` (named in ``over_budget``; no ball
-             is listed).
+    Each probed ball that fits ``ball_cap`` is listed, and one with more
+    points than the declared ``uniform_bound`` raises ProfileViolationError.
+    The first ball of a radius past the cap is named under ``overflow`` and
+    ends that radius's listing.  The listing runs under one meter, charging
+    a step per ball and per point.  A metric that declares no case answers
+    ``Unknown`` at once, listing no ball.
     """
     if not 1 <= ball_cap <= 64 * BALL_CAP:
         raise PreconditionError(
             f"ball cap must be in [1, {64 * BALL_CAP}], got {ball_cap}")
+    if not 1 <= centers <= CENTERS_CAP:
+        raise PreconditionError(
+            f"centers must be in [1, {CENTERS_CAP}], got {centers}")
     probe = _probe_centers(centers)
     evidence: dict = {"radii": [str(Fraction(r)) for r in radii],
                       "centers": len(probe), "center_list": list(probe),
                       "ball_cap": ball_cap, "per_radius": []}
-    if d.uniform_bound is not None:
-        for r in radii:
-            if (bound := d.uniform_bound(Fraction(r))) > ball_cap:
-                evidence["over_budget"] = {"radius": str(Fraction(r)),
-                                           "bound": bound}
-                return MetricCaseReport("Unknown", evidence)
-    growth_detected = False
-    persistent_nonsingleton = False
-    confined = True
-    for r in radii:
-        sizes = []
-        for c in probe:
-            try:
+    if d.case is None:
+        return MetricCaseReport("Unknown", evidence)
+    with metered() as meter:
+        for r in map(Fraction, radii):
+            stats = {"radius": str(r), "max_size": 0, "size_records": [],
+                     "nonsingleton_count": 0, "last_nonsingleton": None}
+            evidence["per_radius"].append(stats)
+            for c in probe:
                 try:
-                    ball = d.ball(c, Fraction(r), cap=ball_cap)
+                    size = len(d.ball(c, r, cap=ball_cap))
                 except NotUncrowdedError:
-                    # one stretched retry: a big finite ball is growth, not
-                    # crowding; only a genuinely unbounded enumeration is CaseI
-                    ball = d.ball(c, Fraction(r), cap=ball_cap * 64)
-                    evidence.setdefault("stretched", []).append(
-                        {"center": c, "radius": str(Fraction(r))})
-                if d.uniform_bound is not None and \
-                        len(ball) > d.uniform_bound(Fraction(r)):
-                    raise NotUncrowdedError(
-                        "ball exceeds its declared uniform bound",
-                        center=c, radius=r)
-                sizes.append((c, len(ball)))
-            except NotUncrowdedError:
-                evidence["overflow"] = {"center": c, "radius": str(Fraction(r))}
-                return MetricCaseReport("CaseI", evidence)
-        records = []
-        best = 0
-        for c, s in sizes:
-            if s > best:
-                best = s
-                records.append({"center": c, "size": s})
-        nonsingle = [c for c, s in sizes if s > 1]
-        stats = {
-            "radius": str(Fraction(r)),
-            "max_size": best,
-            "size_records": records,
-            "nonsingleton_count": len(nonsingle),
-            "last_nonsingleton": nonsingle[-1] if nonsingle else None,
-        }
-        evidence["per_radius"].append(stats)
-        top = probe[-1]
-        if len(records) >= 4 and records[-1]["center"] > top // 2:
-            growth_detected = True
-        if nonsingle and nonsingle[-1] > (3 * top) // 4 and len(nonsingle) >= 16:
-            persistent_nonsingleton = True
-        if nonsingle and (nonsingle[-1] > top // 4 or len(nonsingle) > len(probe) // 2):
-            confined = False
-    if growth_detected and d.uniform_bound is None:
-        evidence["rule"] = "size records persist into the top of the probe range"
-        return MetricCaseReport("CaseII", evidence)
-    if persistent_nonsingleton:
-        evidence["rule"] = "bounded sizes; nonsingleton balls persist"
-        return MetricCaseReport("CaseIII", evidence)
-    if confined:
-        evidence["rule"] = "nonsingleton balls confined to a finite prefix"
-        return MetricCaseReport("CaseIV", evidence)
-    return MetricCaseReport("Unknown", evidence)
+                    evidence.setdefault("overflow", []).append(
+                        {"center": c, "radius": str(r)})
+                    break
+                meter.spent += size
+                _charge("metric-balls")
+                if d.uniform_bound is not None and size > (bound := d.uniform_bound(r)):
+                    raise ProfileViolationError(
+                        f"{d.key}: ball B({c}, {r}) has {size} points > "
+                        f"declared bound {bound}")
+                if size > stats["max_size"]:
+                    stats["max_size"] = size
+                    stats["size_records"].append({"center": c, "size": size})
+                if size > 1:
+                    stats["nonsingleton_count"] += 1
+                    stats["last_nonsingleton"] = c
+    return MetricCaseReport(d.case, evidence)
 
 
 # --------------------------------------------------------------------------

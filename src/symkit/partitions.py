@@ -300,10 +300,8 @@ def spread() -> Partition:
         return k * (k + 15) // 2
 
     def block_index(a):
-        k = 0
-        while start(k + 1) <= a:
-            k += 1
-        return k
+        # the largest k with start(k) <= a, i.e. (2k + 15)^2 <= 8a + 225
+        return (math.isqrt(8 * a + 225) - 15) // 2
 
     def block_of(a):
         k = block_index(a)

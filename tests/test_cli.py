@@ -2,8 +2,12 @@ import json
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from symkit.cli import cli_main
+from symkit.metrics import BUILTIN_METRICS, CENTERS_CAP, parse_metric
+from symkit.partitions import BUILTIN_PARTITIONS
 from symkit.perm import evaluation_budget
 
 
@@ -134,17 +138,28 @@ class TestMetric:
         assert "CaseII" in out
 
     @pytest.mark.parametrize("radius", ["20000", "300000"])
-    def test_classify_radius_past_the_cap_exit_2(self, capsys, radius):
-        # standard-omega is CaseIII; a radius whose declared ball bound
-        # passes the cap answers at budget at once instead of listing balls
+    def test_classify_radius_past_the_cap_names_overflow(self, capsys, radius):
+        # standard-omega declares CaseIII; the first ball of a radius past
+        # the cap is refused before any point is listed, and ends its listing
         start = time.perf_counter()
         code, out, _ = run(capsys, "--json", "metric", "classify",
                            "standard-omega", "--radius", radius)
         assert time.perf_counter() - start < 1.0
         payload = json.loads(out)
-        assert code == 2 and payload["case"] == "Unknown"
-        assert payload["evidence"]["over_budget"] == {
-            "radius": radius, "bound": 2 * int(radius) + 1}
+        assert code == 0 and payload["case"] == "CaseIII"
+        assert payload["evidence"]["overflow"] == [{"center": 0, "radius": radius}]
+
+    @pytest.mark.parametrize("argv,case,code,seconds", [
+        (["sqrt", "--radius", "1000"], "CaseII", 0, 1.0),
+        (["refine(partition@spread)"], "Unknown", 2, 0.1),
+        (["refine(discrete;U=[rule:swap-pairs])"], "Unknown", 2, 0.1),
+    ], ids=["sqrt-past-the-cap", "refine-spread", "refine-discrete"])
+    def test_classify_answers_the_declared_case(self, capsys, argv, case, code,
+                                                seconds):
+        start = time.perf_counter()
+        got, out, _ = run(capsys, "--json", "metric", "classify", *argv)
+        assert time.perf_counter() - start < seconds
+        assert (got, json.loads(out)["case"]) == (code, case)
 
     def test_norm(self, capsys):
         code, out, _ = run(capsys, "--json", "metric", "norm",
@@ -343,6 +358,8 @@ PARTITION_FILES = {
     ["witness", "three-cycle"],
     ["orbit", "full", "--alpha", "0", "--budget", "65537"],
     ["metric", "classify", "sqrt", "--budget", "262145"],
+    ["metric", "classify", "sqrt", "--centers", "100000000"],
+    ["witness", "even-shift", "--partition", "spread", "--depth", "10000000"],
 ] + [["classify", f"stab:partition:explicit@<dir>/{name}"]
      for name in ["missing.json", *PARTITION_FILES]], ids=["rotate-size-0", "rotate-size-abc", "overlapping-cycles",
         "negative-cycle-point", "refine-pair-dash", "pattern-non-bit",
@@ -353,6 +370,7 @@ PARTITION_FILES = {
         "centers-negative", "budget-zero", "even-shift-no-partition",
         "norm-no-perm", "flow-no-perm", "three-cycle-no-perm",
         "orbit-budget-over-ceiling", "metric-budget-over-ceiling",
+        "centers-over-ceiling", "even-shift-past-the-meter",
         "partition-file-missing",
         *(f"partition-file-{name[:-5]}" for name in PARTITION_FILES)])
 def test_malformed_input_exit_1(capsys, tmp_path, argv):
@@ -360,6 +378,33 @@ def test_malformed_input_exit_1(capsys, tmp_path, argv):
         (tmp_path / name).write_text(text)
     code, _, err = run(capsys, *(a.replace("<dir>", str(tmp_path)) for a in argv))
     assert_error_exit(code, err)
+
+
+CLASSIFY_SPECS = [*BUILTIN_METRICS, *(f"partition@{key}" for key in BUILTIN_PARTITIONS
+                                     if key != "evens-block"),
+                  "refine(standard-omega;U=[rule:swap-pairs])",
+                  "refine(discrete;U=[rule:swap-pairs])", "refine(partition@spread)",
+                  "refine(cayley-z2)"]
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(CLASSIFY_SPECS),
+       st.lists(st.integers(1, 300000), min_size=1, max_size=3),
+       st.integers(1, CENTERS_CAP) | st.integers(1, 10**8))
+def test_metric_classify_cli_fuzz(capsys, spec, radii, centers):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "--json", "metric", "classify", spec, "--radius",
+                         ",".join(map(str, radii)), "--centers", str(centers))
+    assert time.perf_counter() - start < 10
+    assert code in (0, 1, 2) and "Traceback" not in err
+    if code == 1:
+        assert_error_exit(code, err)
+    else:
+        declared = parse_metric(spec).case
+        assert json.loads(out)["case"] == (declared if code == 0 else "Unknown")
+        assert (code == 0) == (declared is not None)
 
 
 def test_budget_exhausted_exit_1(capsys):

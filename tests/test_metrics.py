@@ -16,6 +16,7 @@ from symkit.errors import (
     NotUncrowdedError,
     ParseError,
     PreconditionError,
+    ProfileViolationError,
     SymkitError,
     UnsupportedMetricError,
 )
@@ -23,6 +24,7 @@ import symkit.metrics as metrics
 from symkit.metrics import (
     BALL_CAP,
     BUILTIN_METRICS,
+    CENTERS_CAP,
     INF,
     NEIGHBOR_CACHE_CAP,
     CayleyF2,
@@ -48,6 +50,7 @@ from symkit.metrics import (
     unbounded_witness_rule,
 )
 from symkit.partitions import (
+    BUILTIN_PARTITIONS,
     BoundedBy,
     a0,
     explicit,
@@ -659,33 +662,38 @@ class TestClassifyMetric:
         ("discrete", "CaseIV"),
         ("ultra-base2", "CaseIII"),
         ("cayley-z2", "CaseIII"),
-        ("cayley-f2", "Unknown"),
+        ("cayley-f2", "CaseIII"),
         ("partition@pairs", "CaseIII"),
         ("partition@intervals-growing", "CaseII"),
     ])
     def test_cases(self, spec, case):
         rep = classify_metric(parse_metric(spec), centers=256)
-        assert rep.case == case
-        # cayley-f2's declared bound at radius 8 is 4,373, past the 4,096 cap
-        assert rep.evidence["per_radius"] or \
-            rep.evidence["over_budget"] == {"radius": "8", "bound": 4373}
+        assert rep.case == case == parse_metric(spec).case
+        assert [s["radius"] for s in rep.evidence["per_radius"]] == ["1", "2", "4", "8"]
+        # cayley-f2's declared bound at radius 8 is 4,373, past the 4,096
+        # cap at every center; a sqrt ball passes it from center 24,576 on
+        overflow = {"cayley-f2": [{"center": 0, "radius": "8"}],
+                    "sqrt": [{"center": 24576, "radius": "8"}]}.get(spec)
+        assert rep.evidence.get("overflow") == overflow
 
     @pytest.mark.parametrize("spec,radius,bound", [
         ("standard-omega", 20000, 40001), ("standard-omega", 300000, 600001),
         ("ultra-base2", 14, 8192)])
     def test_radius_past_the_cap_answers_at_budget(self, spec, radius, bound):
-        # the declared bound passes the cap: no ball is listed, so a large
-        # radius neither stretches the caps nor reads as growth
+        # the declared bound passes the cap: the first ball of that radius
+        # is refused before any point is listed, and ends its listing
+        assert bound > BALL_CAP
         start = time.perf_counter()
         rep = classify_metric(parse_metric(spec), radii=[Fraction(1), Fraction(radius)])
         assert time.perf_counter() - start < 0.5
-        assert rep.case == "Unknown" and rep.evidence["per_radius"] == []
-        assert rep.evidence["over_budget"] == {"radius": str(radius), "bound": bound}
+        assert rep.case == "CaseIII"
+        assert rep.evidence["overflow"] == [{"center": 0, "radius": str(radius)}]
+        assert rep.evidence["per_radius"][1]["max_size"] == 0
 
     def test_declared_bound_rules_out_case_ii(self):
         # under a raised cap, standard-omega's balls at radius 20000 set
         # size records up to the top of the probe range, yet never pass the
-        # declared 40,001 points: bounded, so not CaseII
+        # declared 40,001 points, so the declared case stands
         rep = classify_metric(parse_metric("standard-omega"),
                               radii=[Fraction(1), Fraction(20000)], centers=32,
                               ball_cap=65536)
@@ -698,6 +706,11 @@ class TestClassifyMetric:
         with pytest.raises(PreconditionError, match="ball cap"):
             classify_metric(parse_metric("sqrt"), ball_cap=cap)
 
+    @pytest.mark.parametrize("centers", [0, CENTERS_CAP + 1, 10**8])
+    def test_centers_outside_their_range_refused(self, centers):
+        with pytest.raises(PreconditionError, match="centers"):
+            classify_metric(parse_metric("sqrt"), centers=centers)
+
     def test_infinite_unit_ball(self):
         rep = classify_metric(UniformHalf(), centers=64)
         assert rep.case == "CaseI"
@@ -707,6 +720,39 @@ class TestClassifyMetric:
         A = explicit([[0, 1]], BoundedBy(2, 1))
         rep = classify_metric(metric_from_partition(A), centers=128)
         assert rep.case == "CaseIV"
+
+    def test_every_finite_block_builtin_declares_a_case(self):
+        cases = {"CaseI", "CaseII", "CaseIII", "CaseIV"}
+        assert all(cls.case in cases for cls in BUILTIN_METRICS.values())
+        labels = {"C_1": "CaseIV", "C_Q": "CaseIII", "C_P": "CaseII"}
+        for key, make in BUILTIN_PARTITIONS.items():
+            A = make()
+            if A.profile.label != "C_S":
+                assert metric_from_partition(A).case == labels[A.profile.label], key
+        assert refine_metric(StandardOmega(), [rule("swap-pairs")]).case is None
+
+    def test_undeclared_metric_answers_unknown_listing_no_ball(self):
+        m = refine_metric(StandardOmega(), [rule("swap-pairs")])
+        with mock.patch.object(m, "ball", side_effect=AssertionError("listed")):
+            rep = classify_metric(m)
+        assert rep.case == "Unknown" and rep.evidence["per_radius"] == []
+
+    def test_listing_runs_under_one_meter(self):
+        # 508 distinct centers at four radii: 2,032 balls of 13,173 points
+        with evaluation_budget(2032 + 13173):
+            assert classify_metric(StandardOmega()).case == "CaseIII"
+        with evaluation_budget(2032 + 13172), \
+                pytest.raises(EvaluationBudgetError) as err:
+            classify_metric(StandardOmega())
+        assert err.value.form == "metric-balls"
+
+    def test_ball_past_its_declared_bound_raises(self):
+        class Lying(StandardOmega):
+            def uniform_bound(self, r):
+                return 1
+
+        with pytest.raises(ProfileViolationError, match="declared bound 1"):
+            classify_metric(Lying())
 
 
 class TestNetFlow:

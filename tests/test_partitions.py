@@ -1,6 +1,7 @@
 import json
 import os
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +32,7 @@ from symkit.partitions import (
     pairs_shifted,
     parse_partition,
     singletons,
+    spread,
     stabilizer_membership,
     z_pair_blocks,
 )
@@ -62,6 +64,18 @@ class TestLayouts:
         A = intervals_growing()
         sizes = [len(A.block_members(b)) for b in A.blocks_within(30)]
         assert sizes[:6] == [1, 2, 3, 4, 5, 6]
+
+    def test_spread_layout_matches_a_walk(self):
+        # segment k: a block of 4 + k points, then four singletons
+        A, expect, lo, k = spread(), [], 0, 0
+        while len(expect) < 10**5:
+            expect += [lo] * (4 + k) + list(range(lo + 4 + k, lo + 8 + k))
+            lo, k = lo + 8 + k, k + 1
+        assert [A.block_of(a) for a in range(10**5)] == expect[:10**5]
+        start = time.perf_counter()
+        # 10^16 lies in segment 141421348's block, of 141421352 points
+        assert A.block_of(10**16) == 141421348 * 141421363 // 2
+        assert time.perf_counter() - start < 0.01
 
     @pytest.mark.parametrize("make", ALL_BUILTINS)
     def test_coverage_disjointness(self, make):
