@@ -394,6 +394,8 @@ def classify_group(desc: Descriptor, budgets: Optional[Budgets] = None) -> Class
 
 
 PROBED_BLOCKS = 4  # the sampled blocks of a C_Q or C_P record that it probes
+# the blocks a C_P and a C_Q record sample; a longer list is refused unread
+SAMPLED_BLOCKS = {"C_P": 6, "C_Q": 4}
 
 
 def _classify_partition_stab(desc: PartitionStab, budgets: Budgets) -> ClassLabel:
@@ -434,13 +436,13 @@ def _classify_partition_stab(desc: PartitionStab, budgets: Budgets) -> ClassLabe
         return _label("C_1", True, "partition-finite-nonsingletons", union, [],
                       budgets, {"nonsingleton_count": count})
     if label == "C_P":
-        ids = A.sample_growing_blocks(6)
-        growing = [[b, len(A.block_members(b))] for b in ids]
+        ids = A.sample_growing_blocks(SAMPLED_BLOCKS["C_P"])
+        growing = [[b, A.block_size(b)] for b in ids]
         probes = [orbit(desc, [], b, budgets.orbit_budget)
                   for b in ids[:PROBED_BLOCKS]]
         return _label("C_P", True, "partition-profile-unbounded", [], probes,
                       budgets, {"growing_blocks": growing})
-    blocks = A.sample_bounded_blocks(4)
+    blocks = A.sample_bounded_blocks(SAMPLED_BLOCKS["C_Q"])
     probes = [orbit(desc, [], b, budgets.orbit_budget)
               for b, _ in blocks[:PROBED_BLOCKS]]
     return _label("C_Q", True, "partition-profile-bounded", [], probes,
@@ -605,7 +607,8 @@ def _replay(desc: Descriptor, record: dict, budgets: Budgets) -> ClassLabel:
 
 def _check_partition(label, desc, record, budgets):
     """A record that desc's profile has class ``label``, whose claims,
-    re-read through block_of and block_members, obey the profile."""
+    re-read through block_of, block_size and block_members, obey the
+    profile."""
     A, probes = desc.A, []
     _require(A.profile.label == label)
     if label == "C_S":
@@ -626,13 +629,15 @@ def _check_partition(label, desc, record, budgets):
         _require(len(blocks) == count and all(len(m) > 1 for m in blocks.values())
                  and sorted(a for m in blocks.values() for a in m) == gamma)
         return "C_1", True, gamma, [], {"nonsingleton_count": count}
-    # sampled [id, size] blocks: increasing ids, each its block's, with sizes
-    # growing for C_P and in [2, n] for C_Q; the first few are probed
+    # at most the producer's count of sampled [id, size] blocks: increasing
+    # ids, each its block's, with sizes growing for C_P and in [2, n] for C_Q;
+    # the first few are probed
     key = "growing_blocks" if label == "C_P" else "nonsingleton_blocks"
     blocks = record["samples"][key]
+    _require(len(blocks) <= SAMPLED_BLOCKS[label])
     ids, sizes = [b for b, _ in blocks], [n for _, n in blocks]
     _require(ids == sorted(set(ids)) and all(
-        A.block_of(b) == b and len(A.block_members(b)) == n for b, n in blocks))
+        A.block_of(b) == b and A.block_size(b) == n for b, n in blocks))
     probes = [orbit(desc, [], b, budgets.orbit_budget) for b in ids[:PROBED_BLOCKS]]
     if label == "C_P":
         _require(sizes == sorted(set(sizes)))

@@ -8,7 +8,6 @@ integer arithmetic) but cannot return the distance itself.
 """
 from __future__ import annotations
 
-import bisect
 import heapq
 import math
 import threading
@@ -26,7 +25,7 @@ from .errors import (
     UnsupportedMetricError,
 )
 from .localdecomp import UniformBreakpoints, pair_crossers
-from .partitions import BoundedBy, Partition, parse_partition
+from .partitions import BoundedBy, Partition, _tri, _tri_root, parse_partition
 from .perm import (
     FiniteSupportPermutation,
     Permutation,
@@ -113,12 +112,11 @@ class StandardOmega(GeneralizedMetric):
         return abs(a - b)
 
     def ball(self, a, r, cap=BALL_CAP):
-        lo = max(0, _floor_strict(a - r) + 1) if a - r >= 0 else 0
-        hi = _ceil_strict(a + r) - 1
-        _fits(hi - lo - 1, cap, a, r)  # [lo, hi] less at most its two ends
-        out = [m for m in range(lo, hi + 1) if abs(m - a) < r]
-        _fits(len(out), cap, a, r)
-        return out
+        k = _below(r)
+        lo = max(0, a - k)
+        if not _fits(a + k + 1 - lo if r > 0 else 0, cap, a, r):
+            return []
+        return list(range(lo, a + k + 1))
 
 
 class StandardZ(GeneralizedMetric):
@@ -135,10 +133,10 @@ class StandardZ(GeneralizedMetric):
         return abs(nat_to_z(a) - nat_to_z(b))
 
     def ball(self, a, r, cap=BALL_CAP):
-        k = _ceil_int(r)
-        _fits(2 * k - 1 if r > 0 else 0, cap, a, r)
-        z = nat_to_z(a)
-        return sorted(z_to_nat(z + dz) for dz in range(-k, k + 1) if abs(dz) < r)
+        if not _fits(2 * _below(r) + 1 if r > 0 else 0, cap, a, r):
+            return []
+        k, z = _below(r), nat_to_z(a)
+        return sorted(map(z_to_nat, range(z - k, z + k + 1)))
 
 
 def _ceil_int(r) -> int:
@@ -150,17 +148,6 @@ def _below(r) -> int:
     """The largest natural strictly below r, or 0: the farthest whole
     distance inside an open ball of radius r > 0."""
     return max(0, _ceil_int(r) - 1)
-
-
-def _floor_strict(r) -> int:
-    """Largest integer strictly below r."""
-    f = Fraction(r)
-    return (f.numerator - 1) // f.denominator
-
-
-def _ceil_strict(r) -> int:
-    """Smallest integer strictly above r."""
-    return -_floor_strict(-Fraction(r))
 
 
 class SqrtMetric(GeneralizedMetric):
@@ -189,27 +176,22 @@ class SqrtMetric(GeneralizedMetric):
         return _cmp(lhs * lhs, 4 * q2 * q2 * a * b)
 
     def ball(self, a, r, cap=BALL_CAP):
-        """The interval of m with |sqrt(m) - sqrt(a)| < r, each end found by
-        galloping out from a and bisecting (unbounded search)."""
+        """The interval of m with |sqrt(m) - sqrt(a)| < r = p/q.  Its ends lie
+        just inside (sqrt(a) -+ r)^2 = (q^2 a + p^2 -+ 2pq sqrt(a)) / q^2, and
+        v = isqrt(4 p^2 q^2 a) is 2pq sqrt(a) rounded down, so each end is an
+        estimate or the point next to it, which one exact comparison tells
+        apart.  For r >= sqrt(a) the low end is 0, or 1 when r = sqrt(a)."""
         r = Fraction(r)
         if r <= 0:
             return []
-        reach = max(0, cap)   # an end at offset cap already makes cap + 1 points
-        hi = a + _last_true(lambda k: self.dist_cmp(a, a + k, r) < 0, reach)
-        lo = a - _last_true(lambda k: self.dist_cmp(a, a - k, r) < 0,
-                            min(a, reach))
+        p, q2 = r.numerator, r.denominator ** 2
+        v = math.isqrt(4 * p * p * q2 * a)
+        hi = (q2 * a + p * p + v) // q2
+        hi -= self.dist_cmp(a, hi, r) >= 0
+        lo = 0 if q2 * a <= p * p else -(-(q2 * a + p * p - v) // q2)
+        lo += self.dist_cmp(a, lo, r) >= 0
         _fits(hi - lo + 1, cap, a, r)
         return list(range(lo, hi + 1))
-
-
-def _last_true(pred: Callable[[int], bool], n: int) -> int:
-    """The largest k in [0, n] with pred(k), for pred true at 0 and then
-    false from some k on: probe 1, 2, 4, ... and bisect the last gap."""
-    good, bad = 0, 1
-    while bad <= n and pred(bad):
-        good, bad = bad, 2 * bad
-    gap = range(good + 1, min(bad, n + 1))
-    return good + bisect.bisect_left(gap, True, key=lambda k: not pred(k))
 
 
 class UltraBase2(GeneralizedMetric):
@@ -260,9 +242,10 @@ class PartitionMetric(GeneralizedMetric):
             return []
         if r <= 1:
             return [a]
-        members = self.partition.block_members(self.partition.block_of(a))
-        _fits(len(members), cap, a, r)
-        return list(members)
+        A = self.partition
+        b = A.block_of(a)
+        _fits(A.block_size(b), cap, a, r)
+        return list(A.block_members(b))
 
 
 class DiscreteInfinite(GeneralizedMetric):
@@ -313,12 +296,8 @@ class CayleyZ2(GeneralizedMetric):
 
     @staticmethod
     def decode(m: int) -> Tuple[int, int]:
-        w = (math.isqrt(8 * m + 1) - 1) // 2
-        while (w + 1) * (w + 2) // 2 <= m:
-            w += 1
-        while w * (w + 1) // 2 > m:
-            w -= 1
-        v = m - w * (w + 1) // 2
+        w = _tri_root(m)
+        v = m - _tri(w)
         u = w - v
         return nat_to_z(u), nat_to_z(v)
 

@@ -52,20 +52,27 @@ Profile = Union[BoundedBy, UnboundedFinite, HasInfiniteBlock]
 
 
 class Partition:
-    """Blocks are identified by their least element."""
+    """Blocks are identified by their least element.  ``block_size``, when
+    given, sizes a block in closed form, listing no member."""
 
     def __init__(self, key: str, block_of: Callable[[int], int],
-                 block_members: Callable[[int], List[int]], profile: Profile):
+                 block_members: Callable[[int], List[int]], profile: Profile,
+                 block_size: Optional[Callable[[int], int]] = None):
         self.key = key
         self._block_of = block_of
         self._block_members = block_members
         self.profile = profile
+        if block_size is not None:
+            self.block_size = block_size
 
     def block_of(self, alpha: int) -> int:
         return self._block_of(alpha)
 
     def block_members(self, block_id: int) -> List[int]:
         return self._block_members(block_id)
+
+    def block_size(self, block_id: int) -> int:
+        return len(self.block_members(block_id))
 
     def blocks_within(self, window: int) -> List[int]:
         """Ids of the blocks meeting [0, window), in increasing order, walked
@@ -142,7 +149,7 @@ class Partition:
             blocks = self.iter_blocks()
             while len(out) < count:
                 b = next(blocks)
-                if (s := len(self._block_members(b))) > best:
+                if (s := self.block_size(b)) > best:
                     best = s
                     out.append(b)
         return out
@@ -151,13 +158,13 @@ class Partition:
         """Ids of the first ``count`` nonsingleton blocks from id ``start`` on."""
         with metered():
             found = (b for b in self.iter_blocks()
-                     if b >= start and len(self._block_members(b)) > 1)
+                     if b >= start and self.block_size(b) > 1)
             return list(itertools.islice(found, count))
 
     def sample_bounded_blocks(self, count: int) -> List[List[int]]:
         """[id, size] of the first ``count`` nonsingleton blocks, each checked
         against the declared size bound."""
-        out = [[b, len(self._block_members(b))]
+        out = [[b, self.block_size(b)]
                for b in self.sample_nonsingleton_blocks(count)]
         for b, size in out:
             self._check_size(b, size)
@@ -263,12 +270,8 @@ def _tri(k: int) -> int:
 
 
 def _tri_root(a: int) -> int:
-    k = (math.isqrt(8 * a + 1) - 1) // 2
-    while _tri(k + 1) <= a:
-        k += 1
-    while _tri(k) > a:
-        k -= 1
-    return k
+    """The largest k with _tri(k) <= a, i.e. (2k + 1)^2 <= 8a + 1."""
+    return (math.isqrt(8 * a + 1) - 1) // 2
 
 
 def intervals_growing() -> Partition:
@@ -281,7 +284,8 @@ def intervals_growing() -> Partition:
         k = _tri_root(b)
         return list(range(_tri(k), _tri(k + 1)))
 
-    return Partition("intervals-growing", block_of, members, UnboundedFinite())
+    return Partition("intervals-growing", block_of, members, UnboundedFinite(),
+                     lambda b: _tri_root(b) + 1)
 
 
 def singletons() -> Partition:
@@ -308,14 +312,14 @@ def spread() -> Partition:
         lo = start(k)
         return lo if a < lo + 4 + k else a
 
-    def members(b):
+    def size(b):
         k = block_index(b)
-        lo = start(k)
-        if b == lo:
-            return list(range(lo, lo + 4 + k))
-        return [b]
+        return 4 + k if b == start(k) else 1
 
-    return Partition("spread", block_of, members, UnboundedFinite())
+    def members(b):
+        return list(range(b, b + size(b)))
+
+    return Partition("spread", block_of, members, UnboundedFinite(), size)
 
 
 def evens_block() -> Partition:

@@ -36,6 +36,7 @@ from .perm import (
 
 PIVOT_SCAN_CAP = 10_000
 TREE_DEPTH_CAP = 12
+JUMP_SCAN_CAP = 100_000  # the last level a jump-mode E-tree searches for a jump
 
 
 def _first_outside(avoid, n: int) -> List[int]:
@@ -632,9 +633,10 @@ def build_e_tree(family: DFamily, breakpoints: Sequence[int], depth: int,
                     if mult is None or mult >= bound:
                         break
                     i += 1
-                    if i > 10**5:
+                    if i > JUMP_SCAN_CAP:
                         raise HypothesisFailureError(
-                            f"no level with multiplicity >= {bound}")
+                            f"no level up to JUMP_SCAN_CAP = {JUMP_SCAN_CAP} "
+                            f"has multiplicity >= {bound}")
                 jumps.append(i)
                 i += 1
             next_d_level = i

@@ -22,7 +22,9 @@ from symkit.metrics import (
     CayleyZ2,
     SqrtMetric,
     StandardZ,
+    parse_metric,
 )
+from symkit.partitions import Partition
 from symkit.perm import nat_to_z, z_to_nat
 
 # --------------------------------------------------------------------------
@@ -245,6 +247,21 @@ class CountingSqrt(SqrtMetric):
         return super().dist_cmp(a, b, r)
 
 
+# a center up to 10^40, or a square up to 10^40, with r = s / (t (isqrt(a) + 1)):
+# about 4 r sqrt(a) <= 1000 points, so the scan stays short
+large_centers = st.one_of(st.integers(0, 10 ** 40),
+                          st.integers(0, 10 ** 20).map(lambda t: t * t))
+
+
+@settings(max_examples=200, deadline=None)
+@given(large_centers, st.integers(1, 250), st.integers(1, 3), caps)
+def test_sqrt_ball_at_large_centers(a, s, t, cap):
+    r = Fraction(s, t * (math.isqrt(a) + 1))
+    d = CountingSqrt()
+    assert outcome(d.ball, a, r, cap) == outcome(scan_sqrt_ball, a, r, cap)
+    assert d.calls <= 4
+
+
 def test_sqrt_refusal_respects_cap():
     # the ball holds about 10^6 points; the refusal must not scan them
     d = CountingSqrt()
@@ -283,6 +300,9 @@ def test_refusals_list_no_point(monkeypatch):
     monkeypatch.setattr(metrics, "z_to_nat", _listing)
     with pytest.raises(NotUncrowdedError, match="ball exceeds cap"):
         StandardZ().ball(0, 10 ** 7)
+    monkeypatch.setattr(Partition, "block_members", _listing)
+    with pytest.raises(NotUncrowdedError, match="ball exceeds cap"):
+        parse_metric("partition@spread").ball(10 ** 16, 2)  # 141,421,352 points
 
 
 @pytest.mark.parametrize("a", [0, 1, 4, 5, 17, 161, 10 ** 6])

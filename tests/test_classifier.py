@@ -273,6 +273,27 @@ class TestEvidence:
     def test_forged_record_rejected(self, desc, record):
         assert not check_evidence(desc, record)
 
+    def test_overlong_sample_list_refused_unread(self):
+        # 100,000 true growing blocks: more than the producer samples
+        desc = "stab:partition:intervals-growing"
+        record = copy.deepcopy(_record(desc))
+        record["samples"]["growing_blocks"] = [
+            [k * (k + 1) // 2, k + 1] for k in range(100_000)]
+        start = time.perf_counter()
+        assert not check_evidence(desc, record)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("size_delta,accepted", [(0, True), (1, False)])
+    def test_huge_sampled_block_is_sized_unlisted(self, size_delta, accepted):
+        # the last sample is the block of tri(10^8), 10^8 + 1 points
+        desc, k = "stab:partition:intervals-growing", 10 ** 8
+        record = copy.deepcopy(_record(desc))
+        record["samples"]["growing_blocks"][-1] = [
+            k * (k + 1) // 2, k + 1 + size_delta]
+        start = time.perf_counter()
+        assert check_evidence(desc, record) == accepted
+        assert time.perf_counter() - start < 1.0
+
     def test_unknown_budget_key_rejected(self):
         assert not check_evidence("full", {"label": "C_S",
                                            "basis": "full-symmetric",

@@ -161,6 +161,15 @@ class TestMetric:
         assert time.perf_counter() - start < seconds
         assert (got, json.loads(out)["case"]) == (code, case)
 
+    def test_refine_refuses_a_huge_block_unlisted(self, capsys):
+        # 10^16 lies in a spread block of 141,421,352 points
+        start = time.perf_counter()
+        code, _, err = run(capsys, "metric", "refine", "partition@spread",
+                           "--pairs", f"{10 ** 16}:0", "--radius", "2")
+        assert time.perf_counter() - start < 1.0
+        assert_error_exit(code, err)
+        assert err == "error: ball exceeds cap\n"
+
     def test_norm(self, capsys):
         code, out, _ = run(capsys, "--json", "metric", "norm",
                            "standard-omega", "--perm", "cycles:(0 5)")

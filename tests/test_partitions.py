@@ -81,6 +81,14 @@ class TestLayouts:
     def test_coverage_disjointness(self, make):
         make().spot_verify(10**4)
 
+    @pytest.mark.parametrize("key", ["intervals-growing", "spread"])
+    @settings(max_examples=100, deadline=None)
+    @given(a=st.one_of(st.integers(0, 10**4), st.integers(0, 10**9)))
+    def test_closed_form_block_size_counts_the_members(self, key, a):
+        A = parse_partition(key)
+        for b in (a, A.block_of(a)):
+            assert A.block_size(b) == len(A.block_members(b))
+
 
 class TestClassify:
     def test_pairs_in_q(self):

@@ -20,6 +20,7 @@ from symkit.perm import (
     rule,
 )
 from symkit.trees import (
+    JUMP_SCAN_CAP,
     FullSymmetricOracle,
     FullTupleFamily,
     PartitionStabilizerOracle,
@@ -192,6 +193,15 @@ class TestETree:
         with pytest.raises(HypothesisFailureError):
             build_e_tree(fam, [0, 2, 4], depth=2, mode="jump")
 
+
+    def test_jump_search_stops_at_its_cap(self):
+        class Thin(FullTupleFamily):
+            def multiplicity(self, i):
+                return 1  # never clears a bound of 2 or more
+
+        with pytest.raises(HypothesisFailureError,
+                           match=f"JUMP_SCAN_CAP = {JUMP_SCAN_CAP} "):
+            build_e_tree(Thin(), [0, 2], depth=1, mode="jump")
 
     def test_jump_mode_fills_skipped_levels(self):
         # multiplicities 1, 2, 3, 4, ...: width 2 needs 4, so the jumps skip
