@@ -133,9 +133,9 @@ class StandardZ(GeneralizedMetric):
         return abs(nat_to_z(a) - nat_to_z(b))
 
     def ball(self, a, r, cap=BALL_CAP):
-        if not _fits(2 * _below(r) + 1 if r > 0 else 0, cap, a, r):
-            return []
         k, z = _below(r), nat_to_z(a)
+        if not _fits(2 * k + 1 if r > 0 else 0, cap, a, r):
+            return []
         return sorted(map(z_to_nat, range(z - k, z + k + 1)))
 
 
