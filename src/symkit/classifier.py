@@ -28,12 +28,7 @@ from .errors import (
     ProfileViolationError,
     SymkitError,
 )
-from .metrics import (
-    GeneralizedMetric,
-    PartitionMetric,
-    classify_metric,
-    parse_metric,
-)
+from .metrics import GeneralizedMetric, PartitionMetric, parse_metric
 from .partitions import parse_partition
 from .perm import Permutation, metered, parse_perm_list, parse_points, split_top
 from .trees import FullSymmetricOracle, GroupOracle, PartitionStabilizerOracle
@@ -396,6 +391,8 @@ def classify_group(desc: Descriptor, budgets: Optional[Budgets] = None) -> Class
 PROBED_BLOCKS = 4  # the sampled blocks of a C_Q or C_P record that it probes
 # the blocks a C_P and a C_Q record sample; a longer list is refused unread
 SAMPLED_BLOCKS = {"C_P": 6, "C_Q": 4}
+# the paper's worked C_Q examples: fn(d) is C_Q when d declares CaseIII
+WORKED_EXAMPLES = ("standard-omega", "standard-z")
 
 
 def _classify_partition_stab(desc: PartitionStab, budgets: Budgets) -> ClassLabel:
@@ -479,13 +476,10 @@ def _classify_fn(desc: FNGroup, budgets: Budgets) -> ClassLabel:
     if m.discrete_infinite:
         return _label("C_1", True, "fn-discrete", [], [], budgets,
                       {"metric": m.key})
-    case = classify_metric(m)
-    if m.key in ("standard-omega", "standard-z") and case.case == "CaseIII":
-        return _label("C_Q", True, "fn-worked-example", [], [], budgets,
-                      {"metric": m.key, "metric_case": case.case})
-    return _label("Unknown", False, "fn-open", [], [], budgets,
-                  {"metric": m.key, "metric_case": case.case,
-                   "metric_evidence": case.evidence})
+    samples = {"metric": m.key, "metric_case": m.case or "Unknown"}
+    if m.key in WORKED_EXAMPLES and m.case == "CaseIII":
+        return _label("C_Q", True, "fn-worked-example", [], [], budgets, samples)
+    return _label("Unknown", False, "fn-open", [], [], budgets, samples)
 
 
 # --------------------------------------------------------------------------
@@ -620,9 +614,11 @@ def _check_partition(label, desc, record, budgets):
     if label == "C_1":
         # the declared count is true (a partition file is refused otherwise),
         # so γ is the union of every nonsingleton when that many blocks of two
-        # or more points, each inside the size bound, make it up
+        # or more points, each inside the size bound, make it up; a γ longer
+        # than they can hold is refused unread
         gamma = record["gamma"]
         count = A.profile.nonsingletons if isinstance(A.profile.nonsingletons, int) else 0
+        _require(len(gamma) <= count * A.profile.n)
         blocks = {b: A.block_members(b) for b in map(A.block_of, gamma)}
         for b, members in blocks.items():
             A._check_size(b, len(members))
@@ -661,19 +657,19 @@ def _check_window(desc, record, budgets):
 
 
 def _check_fn(desc, record, budgets):
-    """A record the metric alone settles: the discrete metric's trivial
-    group, a worked C_Q example of the paper (its class needs no ball-growth
-    probe), or fn-open, which claims nothing."""
+    """A record rebuilt from the metric's declarations alone, under the one
+    basis they select: the discrete metric's trivial group, a worked C_Q
+    example of the paper, or fn-open, which names the declared case."""
     m, basis = desc.metric, record["basis"]
     _require(not isinstance(m, PartitionMetric)
              and m.discrete_infinite == (basis == "fn-discrete"))
     if basis == "fn-discrete":
         return "C_1", True, [], [], {"metric": m.key}
-    if basis == "fn-worked-example":
-        _require(m.key in ("standard-omega", "standard-z"))
-        return "C_Q", True, [], [], {"metric": m.key, "metric_case": "CaseIII"}
-    _require(record["samples"]["metric"] == m.key)
-    return "Unknown", False, [], [], record["samples"]
+    worked = m.key in WORKED_EXAMPLES and m.case == "CaseIII"
+    _require(worked == (basis == "fn-worked-example"))
+    samples = {"metric": m.key, "metric_case": m.case or "Unknown"}
+    return ("C_Q", True, [], [], samples) if worked else \
+        ("Unknown", False, [], [], samples)
 
 
 def _check_fn_partition(desc, record, budgets):

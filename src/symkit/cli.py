@@ -23,11 +23,13 @@ def _emit(args, payload: dict, lines=None) -> None:
             print(line)
 
 
-def _fraction(text: str) -> Fraction:
+def _radius(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        if (r := Fraction(text)) > 0:
+            return r
     except (ValueError, ZeroDivisionError):
-        raise ParseError(f"expected a rational number, got {text!r}") from None
+        pass
+    raise ParseError(f"expected a positive rational radius, got {text!r}")
 
 
 def _natural_pairs(text: str) -> list:
@@ -89,7 +91,7 @@ def _cmd_orbit(args) -> int:
 def _cmd_metric(args) -> int:
     d = metrics.parse_metric(args.metric)
     if args.action == "classify":
-        radii = ([_fraction(r) for r in args.radius.split(",")]
+        radii = ([_radius(r) for r in args.radius.split(",")]
                  if args.radius else metrics.DEFAULT_RADII)
         rep = metrics.classify_metric(d, radii=radii,
                                       centers=args.centers or 512,
@@ -120,7 +122,7 @@ def _cmd_metric(args) -> int:
         base = d
         U = [perm.parse_perm(p) for p in (args.u or [])]
         refined = metrics.refine_metric(base, U)
-        radius = _fraction(args.radius or "8")
+        radius = _radius(args.radius or "8")
         out = []
         for a, b in _natural_pairs(args.pairs or "0:1"):
             res = refined.dist_budgeted(a, b, radius)

@@ -73,9 +73,9 @@ def _fits(size: int, cap: int, a, r) -> int:
 class GeneralizedMetric:
     """Distance oracle with exact comparisons and finite ball enumeration.
 
-    ``case`` is the ball-growth case the metric declares (CaseI-CaseIV), or
-    None: like a partition's profile it is declared and spot-checked
-    (:func:`classify_metric`), never inferred from finitely many balls."""
+    ``case`` is the declared ball-growth case (CaseI-CaseIV) or None: like a
+    partition's profile it is spot-checked (:func:`classify_metric`), never
+    inferred from finitely many balls; an ``fn:`` group's class is read off it."""
 
     key = "abstract"
     value_class = "rational"      # or "comparison-only"
@@ -804,7 +804,7 @@ def classify_metric(d: GeneralizedMetric, radii: Sequence[Fraction] = DEFAULT_RA
     The first ball of a radius past the cap is named under ``overflow`` and
     ends that radius's listing.  The listing runs under one meter, charging
     a step per ball and per point.  A metric that declares no case answers
-    ``Unknown`` at once, listing no ball.
+    ``Unknown`` at once, listing no ball.  Every radius must be positive.
     """
     if not 1 <= ball_cap <= 64 * BALL_CAP:
         raise PreconditionError(
@@ -812,6 +812,8 @@ def classify_metric(d: GeneralizedMetric, radii: Sequence[Fraction] = DEFAULT_RA
     if not 1 <= centers <= CENTERS_CAP:
         raise PreconditionError(
             f"centers must be in [1, {CENTERS_CAP}], got {centers}")
+    if any(Fraction(r) <= 0 for r in radii):
+        raise PreconditionError(f"radii must be positive, got {','.join(map(str, radii))}")
     probe = _probe_centers(centers)
     evidence: dict = {"radii": [str(Fraction(r)) for r in radii],
                       "centers": len(probe), "center_list": list(probe),

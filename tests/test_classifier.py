@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import symkit.chain as chain
 import symkit.classifier as classifier
+import symkit.metrics as metrics
 from symkit.classifier import (
     CLASS_ORDER,
     LAMBDA_CASE,
@@ -29,8 +30,7 @@ from symkit.classifier import (
 )
 from symkit.cli import cli_main
 from symkit.errors import ParseError, PreconditionError, ProfileViolationError
-from symkit.metrics import MetricCaseReport
-from symkit.partitions import BoundedBy, explicit
+from symkit.partitions import BoundedBy, Partition, explicit
 
 
 def classify(s, budgets=None):
@@ -283,6 +283,19 @@ class TestEvidence:
         assert not check_evidence(desc, record)
         assert time.perf_counter() - start < 1.0
 
+    def test_overlong_c1_gamma_refused_unread(self, monkeypatch):
+        # singletons declare no nonsingleton block, so any γ is too long
+        def refuse(*args):
+            raise AssertionError("a point of the forged γ was read")
+
+        desc = "stab:partition:singletons"
+        record = {**_record(desc), "gamma": list(range(10 ** 6))}
+        monkeypatch.setattr(Partition, "block_of", refuse)
+        monkeypatch.setattr(Partition, "block_members", refuse)
+        start = time.perf_counter()
+        assert not check_evidence(desc, record)
+        assert time.perf_counter() - start < 1.0
+
     @pytest.mark.parametrize("size_delta,accepted", [(0, True), (1, False)])
     def test_huge_sampled_block_is_sized_unlisted(self, size_delta, accepted):
         # the last sample is the block of tri(10^8), 10^8 + 1 points
@@ -329,8 +342,7 @@ class TestEvidence:
         assert not check_evidence("full", ev)
 
     def test_worked_example_needs_case_iii(self, monkeypatch):
-        monkeypatch.setattr(classifier, "classify_metric",
-                            lambda m: MetricCaseReport("CaseII", {}))
+        monkeypatch.setattr(metrics.StandardOmega, "case", "CaseII")
         lab = classify("fn:standard-omega")
         assert lab.label == "Unknown" and lab.basis == "fn-open"
 
@@ -547,9 +559,6 @@ BASIS_EXAMPLES = {
     "fn-open": "fn:sqrt",
 }
 
-# an fn-open record claims nothing; these samples report the metric probe
-CLAIM_FREE = {("fn-open", "metric_case"), ("fn-open", "metric_evidence")}
-
 
 def _example(basis, tmp_path):
     path = tmp_path / "few.json"
@@ -597,7 +606,7 @@ def test_no_checker_runs_the_producer(tmp_path, monkeypatch, capsys):
     def replay_alone(desc, record):
         with monkeypatch.context() as m:
             m.setattr(classifier, "classify_group", _refuse)
-            m.setattr(classifier, "classify_metric", _refuse)
+            m.setattr(metrics, "classify_metric", _refuse)
             return real(desc, record)
 
     for desc, record in records:
@@ -615,6 +624,29 @@ def test_no_checker_runs_the_producer(tmp_path, monkeypatch, capsys):
         assert json.loads(capsys.readouterr().out)["replay_ok"] is True
 
 
+def test_fn_classification_lists_no_ball(monkeypatch):
+    # an fn: record is read off the metric's declarations, both ways
+    def refuse(*args, **kwargs):
+        raise AssertionError("a ball was listed")
+
+    for cls in metrics.BUILTIN_METRICS.values():
+        monkeypatch.setattr(cls, "ball", refuse)
+    for desc in [f"fn:{key}" for key in metrics.BUILTIN_METRICS] + [
+            "fn:refine(standard-omega;U=[rule:swap-pairs])"]:
+        assert check_evidence(desc, classify(desc).evidence()), desc
+
+
+def test_fn_record_needs_the_basis_the_declarations_select():
+    sqrt, worked = _record("fn:sqrt"), _record("fn:standard-omega")
+    assert check_evidence("fn:sqrt", sqrt) and check_evidence("fn:standard-omega", worked)
+    # fn-open for a worked example, with its claims true or copied over
+    assert not check_evidence("fn:standard-omega", {**sqrt, "samples": worked["samples"]})
+    assert not check_evidence("fn:standard-omega", {**worked, "basis": "fn-open"})
+    # a plausible but forged case
+    assert not check_evidence("fn:sqrt", {**sqrt, "samples": {
+        **sqrt["samples"], "metric_case": "CaseIII"}})
+
+
 def _perturbations(record):
     """(where, forged record) for each single claim of record changed."""
     gamma = record["gamma"]
@@ -622,9 +654,8 @@ def _perturbations(record):
     if gamma:
         yield "gamma-", {**record, "gamma": gamma[:-1]}
     for key, value in record["samples"].items():
-        if (record["basis"], key) not in CLAIM_FREE:
-            yield f"samples.{key}", {**record, "samples": {
-                **record["samples"], key: _perturb(value)}}
+        yield f"samples.{key}", {**record, "samples": {
+            **record["samples"], key: _perturb(value)}}
     for i, probe in enumerate(record["probes"]):
         for key, value in (("alpha", probe["alpha"] + 1),
                            ("gamma", probe["gamma"] + [10**4]),

@@ -350,6 +350,9 @@ PARTITION_FILES = {
     ["metric", "classify", "standard-omega", "--radius", "x"],
     ["metric", "refine", "standard-omega", "--radius", "x"],
     ["metric", "refine", "standard-omega", "--radius", "1/0"],
+    ["metric", "classify", "standard-omega", "--radius=-1"],
+    ["metric", "classify", "standard-z", "--radius", "0"],
+    ["metric", "refine", "standard-omega", "--pairs", "0:5", "--radius=-3"],
     ["classify", "full", "--budget", "65"],
     ["--window", "-5", "local", "decompose", "--perm", "cycles:(0 1)"],
     ["--window", "-3", "metric", "norm", "standard-omega",
@@ -373,7 +376,8 @@ PARTITION_FILES = {
      for name in ["missing.json", *PARTITION_FILES]], ids=["rotate-size-0", "rotate-size-abc", "overlapping-cycles",
         "negative-cycle-point", "refine-pair-dash", "pattern-non-bit",
         "branch-choice", "verify-pi", "classify-radius", "refine-radius",
-        "refine-radius-zero-denominator", "budget-over-ceiling",
+        "refine-radius-zero-denominator", "classify-radius-negative",
+        "classify-radius-zero", "refine-radius-negative", "budget-over-ceiling",
         "window-negative", "norm-window-negative", "window-zero",
         "depth-zero", "depth-negative", "e-tree-depth-zero", "count-zero",
         "centers-negative", "budget-zero", "even-shift-no-partition",
@@ -400,12 +404,12 @@ CLASSIFY_SPECS = [*BUILTIN_METRICS, *(f"partition@{key}" for key in BUILTIN_PART
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.function_scoped_fixture])
 @given(st.sampled_from(CLASSIFY_SPECS),
-       st.lists(st.integers(1, 300000), min_size=1, max_size=3),
+       st.lists(st.integers(-5, 300000), min_size=1, max_size=3),
        st.integers(1, CENTERS_CAP) | st.integers(1, 10**8))
 def test_metric_classify_cli_fuzz(capsys, spec, radii, centers):
     start = time.perf_counter()
-    code, out, err = run(capsys, "--json", "metric", "classify", spec, "--radius",
-                         ",".join(map(str, radii)), "--centers", str(centers))
+    code, out, err = run(capsys, "--json", "metric", "classify", spec,
+                         "--radius=" + ",".join(map(str, radii)), "--centers", str(centers))
     assert time.perf_counter() - start < 10
     assert code in (0, 1, 2) and "Traceback" not in err
     if code == 1:

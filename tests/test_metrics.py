@@ -711,6 +711,14 @@ class TestClassifyMetric:
         with pytest.raises(PreconditionError, match="centers"):
             classify_metric(parse_metric("sqrt"), centers=centers)
 
+    @pytest.mark.parametrize("spec", ["standard-omega", "standard-z", "sqrt"])
+    @pytest.mark.parametrize("radius", [-1, 0, Fraction(-1, 2)], ids=["-1", "0", "-1/2"])
+    def test_non_positive_radius_refused(self, spec, radius):
+        # uniform_bound(-1) is -1, so a listed empty ball would look like a
+        # broken declaration
+        with pytest.raises(PreconditionError, match="radii"):
+            classify_metric(parse_metric(spec), radii=[Fraction(1), radius])
+
     def test_infinite_unit_ball(self):
         rep = classify_metric(UniformHalf(), centers=64)
         assert rep.case == "CaseI"
