@@ -143,8 +143,9 @@ def _cmd_local(args) -> int:
     if args.action == "decompose":
         g, h = localdecomp.decompose_local(f, args.count or 8)
         window = args.window or 64
-        ok = all(h.forward(g.forward(a)) == f.forward(a)
-                 for a in range(window))
+        with perm.metered():
+            ok = all(h.forward(g.forward(a)) == f.forward(a)
+                     for a in _scanned(h, window))
         payload = {"g": _finite_repr(g, window), "h": _finite_repr(h, window),
                    "product_matches_window": ok, "window": window}
         _emit(args, payload, [f"g: {payload['g']}", f"h: {payload['h']}",
@@ -158,10 +159,16 @@ def _cmd_local(args) -> int:
         return 0 if rep.answer == "yes" else 2
 
 
+def _scanned(p, window: int) -> range:
+    """[0, window), cut at p's support bound when p is certified: it fixes the rest."""
+    return range(window if p.support_bound is None else min(window, p.support_bound))
+
+
 def _finite_repr(p, window: int) -> str:
     """Cycle form when the moved points close up inside the window, else the
     raw window mapping."""
-    moved = {a: p.forward(a) for a in range(window) if p.forward(a) != a}
+    with perm.metered():
+        moved = {a: b for a in _scanned(p, window) if (b := p.forward(a)) != a}
     if set(moved.values()) == set(moved):
         return perm.format_perm(perm.FiniteSupportPermutation(moved))
     return "map:" + ",".join(f"{a}>{b}" for a, b in sorted(moved.items()))
@@ -370,6 +377,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# The least and greatest value of each size option (None: no ceiling here;
+# --centers, --budget and a tree's --depth have their own).
+SIZE_LIMITS = {"window": (1, None), "depth": (1, None), "count": (1, 65536),
+               "centers": (1, None), "budget": (1, None)}
+
 _DISPATCH = {
     "classify": _cmd_classify,
     "orbit": _cmd_orbit,
@@ -388,10 +400,12 @@ def cli_main(argv=None) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
-        for name in ("window", "depth", "count", "centers", "budget"):
+        for name, (least, most) in SIZE_LIMITS.items():
             value = getattr(args, name, None)  # None: the command's default
-            if value is not None and value < 1:
-                raise ParseError(f"--{name} must be at least 1, got {value}")
+            if value is not None and value < least:
+                raise ParseError(f"--{name} must be at least {least}, got {value}")
+            if value is not None and value > (most or value):
+                raise ParseError(f"--{name} must be at most {most}, got {value}")
         return _DISPATCH[args.command](args)
     except SymkitError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -491,7 +491,8 @@ class RefinedMetric(GeneralizedMetric):
         return settled
 
     def dist_budgeted(self, a: int, b: int, radius: Fraction) -> BudgetedDistance:
-        radius = _exact(radius)
+        if (radius := _exact(radius)) <= 0:
+            raise PreconditionError(f"radius must be positive, got {radius}")
         settled = {a: 0} if a == b else self._search(a, radius)
         if b in settled:
             return BudgetedDistance("exact", settled[b])

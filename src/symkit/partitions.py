@@ -43,7 +43,9 @@ class UnboundedFinite:
 
 @dataclass(frozen=True)
 class HasInfiniteBlock:
+    """An infinite block; a declared ``step`` makes it block, block + step, ..."""
     block: int
+    step: Optional[int] = None
 
     label = "C_S"
 
@@ -83,12 +85,18 @@ class Partition:
 
     def free_points(self, block_id: int, gamma, n: int) -> List[int]:
         """The first ``n`` points of block ``block_id`` outside the set
-        ``gamma``, found through block_of alone, so an infinite block needs
-        no member list.  Each point tested charges one step, added to the
-        meter once the scan ends: block_of charges nothing meanwhile."""
-        block_of, out, m = self._block_of, [], 0
+        ``gamma``, read off a declared progression or else found through
+        block_of alone, so an infinite block needs no member list.  Each point
+        up to the last one found charges one step, added once at the end."""
+        block_of, out, m, p = self._block_of, [], 0, self.profile
         with metered() as meter:
             stop = meter.limit - meter.spent  # the points the meter allows
+            if getattr(p, "step", None) and block_id == p.block:
+                room = -((block_id - stop) // p.step)  # its members below stop
+                out = progression_outside(block_id, p.step, gamma, min(n, room))
+                m = out[-1] + 1 if out else 0
+                if len(out) < n or m > stop:  # the scan would reach the meter
+                    out, m = [], max(stop, 0)
             while len(out) < n:
                 if m >= stop:
                     meter.spent += m
@@ -169,6 +177,18 @@ class Partition:
         for b, size in out:
             self._check_size(b, size)
         return out
+
+
+def progression_outside(start: int, step: int, avoid, n: int) -> List[int]:
+    """The first ``n`` members of start, start + step, ... outside the finite
+    set ``avoid``: one range per gap between its members in the progression."""
+    out: List[int] = []
+    holes = sorted(x for x in avoid if x >= start and (x - start) % step == 0)
+    for x in [*holes, math.inf]:  # the last gap is endless: it fills out
+        out.extend(range(start, min(x, start + (n - len(out)) * step), step))
+        if len(out) >= n:
+            return out
+        start = x + step
 
 
 def _next_block(block_of: Callable[[int], int], a: int, form: str,
@@ -336,7 +356,7 @@ def evens_block() -> Partition:
         return [b]
 
     return Partition("evens-block", lambda a: 0 if a % 2 == 0 else a,
-                     members, HasInfiniteBlock(0))
+                     members, HasInfiniteBlock(0, step=2))
 
 
 def z_pair_blocks() -> Partition:

@@ -21,7 +21,7 @@ from .errors import (
     IllFormedTreeError,
     PreconditionError,
 )
-from .partitions import BoundedBy, Partition
+from .partitions import BoundedBy, Partition, progression_outside
 from .perm import (
     ConstantTail,
     ConvergentSequence,
@@ -37,12 +37,6 @@ from .perm import (
 PIVOT_SCAN_CAP = 10_000
 TREE_DEPTH_CAP = 12
 JUMP_SCAN_CAP = 100_000  # the last level a jump-mode E-tree searches for a jump
-
-
-def _first_outside(avoid, n: int) -> List[int]:
-    """The ``n`` least naturals not in ``avoid``."""
-    return list(itertools.islice(
-        itertools.filterfalse(avoid.__contains__, itertools.count()), n))
 
 
 @dataclass
@@ -69,7 +63,7 @@ class FullSymmetricOracle(GroupOracle):
     def orbit(self, gamma, alpha, n):
         if alpha in gamma:
             return OrbitResult("full", [alpha])
-        return OrbitResult("atleast", _first_outside(gamma, n))
+        return OrbitResult("atleast", progression_outside(0, 1, gamma, n))
 
     def act(self, gamma, alpha, target):
         if alpha == target:
@@ -500,7 +494,7 @@ class FullTupleFamily(DFamily):
 
     def extensions(self, token, count, forbidden):
         return [(m, tuple(token) + (m,))
-                for m in _first_outside(set(token) | set(forbidden), count)]
+                for m in progression_outside(0, 1, set(token) | set(forbidden), count)]
 
     def realize(self, token):
         mapping = {}

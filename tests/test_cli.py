@@ -1,11 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from symkit.cli import cli_main
+import symkit
+from symkit.cli import SIZE_LIMITS, cli_main
 from symkit.metrics import BUILTIN_METRICS, CENTERS_CAP, parse_metric
 from symkit.partitions import BUILTIN_PARTITIONS
 from symkit.perm import evaluation_budget
@@ -391,6 +395,49 @@ def test_malformed_input_exit_1(capsys, tmp_path, argv):
         (tmp_path / name).write_text(text)
     code, _, err = run(capsys, *(a.replace("<dir>", str(tmp_path)) for a in argv))
     assert_error_exit(code, err)
+
+
+def run_process(*argv):
+    """Exit code, stdout, stderr and wall seconds of ``python -m symkit`` in
+    a fresh process, killed after 10 s."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(symkit.__file__))}
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "symkit", *argv], env=env,
+                          capture_output=True, text=True, timeout=10)
+    return proc.returncode, proc.stdout, proc.stderr, time.perf_counter() - start
+
+
+@pytest.mark.parametrize("argv,answer", [
+    (["local", "decompose", "--perm", "cycles:(0 1 2)", "--window", "100000000"],
+     "g: cycles:(0 2)\nh: cycles:(1 2)\nproduct ok on window 100000000: True\n"),
+    (["witness", "p-equiv", "--partition", "intervals-growing", "--window",
+      "100000000"], None),
+    (["witness", "even-shift", "--partition", "spread", "--window", "100000000"], None),
+    (["local", "decompose", "--perm", "cycles:(0 1 2)", "--count", "100000000"], None),
+    (["local", "breakpoints", "--perm", "cycles:(0 1 2)", "--count", "100000000"], None),
+], ids=["decompose-window", "p-equiv-window", "even-shift-window",
+        "decompose-count", "breakpoints-count"])
+def test_huge_window_or_count_ends(argv, answer):
+    # a certified permutation is scanned only below its support bound, each
+    # window loop runs under one meter, and --count has a ceiling.  The
+    # uncertified witnesses stop at the meter's 10^6 points, 1-3 s on a
+    # loaded 2-vCPU machine, so the bound leaves room above that.
+    code, out, err, seconds = run_process(*argv)
+    assert seconds < 5 and "Traceback" not in err
+    if answer is None:
+        assert_error_exit(code, err)
+    else:
+        assert (code, out, err) == (0, answer, "")
+
+
+def test_count_ceiling(capsys):
+    code, out, _ = run(capsys, "--json", "local", "breakpoints", "--perm",
+                       "cycles:(0 1 2)", "--count", str(SIZE_LIMITS["count"][1]))
+    assert code == 0 and json.loads(out)["breakpoints"][:4] == [0, 1, 3, 4]
+    code, _, err = run(capsys, "local", "breakpoints", "--perm", "cycles:(0 1 2)",
+                       "--count", str(SIZE_LIMITS["count"][1] + 1))
+    assert_error_exit(code, err)
+    assert err == "error: --count must be at most 65536, got 65537\n"
 
 
 CLASSIFY_SPECS = [*BUILTIN_METRICS, *(f"partition@{key}" for key in BUILTIN_PARTITIONS

@@ -250,6 +250,15 @@ class TestRefine:
                 assert (got.kind, got.value) == ("atleast", radius)
             assert len(ref._neighbor_cache) <= cache_cap
 
+    @pytest.mark.parametrize("radius", [Fraction(-3), Fraction(0), 0])
+    def test_radius_not_positive_refused(self, radius):
+        # a radius of 0 or less bounds nothing: no vacuous "atleast" answer
+        ref = refine_metric(StandardOmega(), [rule("swap-pairs")])
+        with pytest.raises(PreconditionError):
+            ref.dist_budgeted(0, 5, radius)
+        with pytest.raises(PreconditionError):
+            ref.dist_budgeted(3, 3, radius)
+
     def test_neighbor_cache_bounded(self):
         ref = refine_metric(StandardOmega(), [rule("swap-pairs")])
         rng = random.Random(4)
