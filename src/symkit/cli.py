@@ -377,11 +377,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-# The least and greatest value of each size option (None: no ceiling here;
-# --centers, --budget and a tree's --depth have their own).
-SIZE_LIMITS = {"window": (1, None), "depth": (1, None), "count": (1, 65536),
-               "centers": (1, None), "budget": (1, None)}
-
+SIZE_CEILINGS = {"count": 65536}  # the size options with a ceiling here
 _DISPATCH = {
     "classify": _cmd_classify,
     "orbit": _cmd_orbit,
@@ -400,11 +396,11 @@ def cli_main(argv=None) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
-        for name, (least, most) in SIZE_LIMITS.items():
+        for name in ("window", "depth", "count", "centers", "budget"):
             value = getattr(args, name, None)  # None: the command's default
-            if value is not None and value < least:
-                raise ParseError(f"--{name} must be at least {least}, got {value}")
-            if value is not None and value > (most or value):
+            if value is not None and value < 1:
+                raise ParseError(f"--{name} must be at least 1, got {value}")
+            if value is not None and value > (most := SIZE_CEILINGS.get(name, value)):
                 raise ParseError(f"--{name} must be at most {most}, got {value}")
         return _DISPATCH[args.command](args)
     except SymkitError as exc:

@@ -95,8 +95,8 @@ class Partition:
                 room = -((block_id - stop) // p.step)  # its members below stop
                 out = progression_outside(block_id, p.step, gamma, min(n, room))
                 m = out[-1] + 1 if out else 0
-                if len(out) < n or m > stop:  # the scan would reach the meter
-                    out, m = [], max(stop, 0)
+                if len(out) < n or m > stop or out and block_of(out[-1]) != block_id:
+                    out, m = [], 0  # the meter stops it, or the step is false: scan
             while len(out) < n:
                 if m >= stop:
                     meter.spent += m
@@ -118,10 +118,15 @@ class Partition:
             yield a
 
     def spot_verify(self, window: int) -> None:
-        """Check coverage, disjointness, and the declared profile on a window."""
+        """Check coverage, disjointness and the declared profile, step too, on a window."""
         sizes_seen: dict = {}
+        p, step = self.profile, getattr(self.profile, "step", None)
         for a in range(window):
             b = self._block_of(a)
+            if step and (b == p.block) != (a >= p.block and (a - p.block) % step == 0):
+                raise ProfileViolationError(f"{self.key}: point {a} breaks the step")
+            if step and b == p.block:
+                continue
             members = self._block_members(b)
             if a not in members:
                 raise ProfileViolationError(
@@ -180,11 +185,9 @@ class Partition:
 
 
 def progression_outside(start: int, step: int, avoid, n: int) -> List[int]:
-    """The first ``n`` members of start, start + step, ... outside the finite
-    set ``avoid``: one range per gap between its members in the progression."""
-    out: List[int] = []
-    holes = sorted(x for x in avoid if x >= start and (x - start) % step == 0)
-    for x in [*holes, math.inf]:  # the last gap is endless: it fills out
+    """The first ``n`` members of start, start + step, ... outside the finite ``avoid``."""
+    out, holes = [], sorted(x for x in avoid if x >= start and (x - start) % step == 0)
+    for x in [*holes, math.inf]:  # one range per gap; the last is endless
         out.extend(range(start, min(x, start + (n - len(out)) * step), step))
         if len(out) >= n:
             return out

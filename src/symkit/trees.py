@@ -493,8 +493,10 @@ class FullTupleFamily(DFamily):
         return i
 
     def extensions(self, token, count, forbidden):
-        return [(m, tuple(token) + (m,))
-                for m in progression_outside(0, 1, set(token) | set(forbidden), count)]
+        # a few points past a dense avoided set: a C-level scan beats a gap walk
+        avoid = set(token) | set(forbidden)
+        free = itertools.filterfalse(avoid.__contains__, itertools.count())
+        return [(m, tuple(token) + (m,)) for m in itertools.islice(free, count)]
 
     def realize(self, token):
         mapping = {}

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symkit.errors import EvaluationBudgetError
+from symkit.classifier import PartitionStab, discreteness, orbit
+from symkit.errors import EvaluationBudgetError, ProfileViolationError
 from symkit.partitions import (
     BUILTIN_PARTITIONS,
     HasInfiniteBlock,
     evens_block,
+    explicit,
     progression_outside,
 )
 from symkit.perm import _charge, evaluation_budget, metered
@@ -122,3 +124,24 @@ def test_undeclared_block_keeps_the_scan():
     liar._block_of = lambda a: calls.append(a) or block_of(a)
     assert liar.free_points(0, {0, 4}, 3) == [2, 6, 8]
     assert calls == [1, 2, 3, 5, 6, 7, 8]  # each free point up to the last
+
+
+def test_declared_block_spot_verifies():
+    evens_block().spot_verify(10 ** 4)
+
+
+def test_false_step_refused_by_spot_verify():
+    liar = explicit([[0]], HasInfiniteBlock(0, step=2), key="liar")
+    with pytest.raises(ProfileViolationError, match="point 2 breaks the step"):
+        liar.spot_verify(10)
+
+
+@pytest.mark.parametrize("step", [None, 2])
+def test_false_step_runs_out_of_budget(step):
+    # block_of denies the step's last listed point, so the block is scanned as
+    # an undeclared one: the liar stops at the meter, not at non-members
+    liar = explicit([[0]], HasInfiniteBlock(0, step=step), key="liar")
+    for probe in (lambda g: orbit(g, [], 0), discreteness):
+        with pytest.raises(EvaluationBudgetError) as err:
+            probe(PartitionStab(liar, liar.key))
+        assert err.value.form == "free-points"
