@@ -7,6 +7,7 @@ answers, 1 for errors (including malformed descriptor strings).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from fractions import Fraction
@@ -390,6 +391,20 @@ _DISPATCH = {
 
 
 def cli_main(argv=None) -> int:
+    """Run one command with the cyclic collector paused: what a command builds
+    (its parser, a tree) lives until it returns, so a collection meanwhile
+    would only move it to the oldest generation, whose collections scan the
+    whole heap of the process.  The next collection frees what it left."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _command(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _command(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -474,6 +475,30 @@ def test_budget_exhausted_exit_1(capsys):
     assert_error_exit(code, err)
     assert err == "error: evaluation step budget exhausted: limit 1, form cycles\n"
 
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_command_runs_without_collections(capsys, enabled):
+    """No cyclic collection starts inside a command, and the collector is
+    left as it was found, after an error too.  A tree build makes thousands
+    of tracked objects, so with the collector running it would start some."""
+    def inside(frame):
+        while frame is not None and frame.f_code is not cli_main.__code__:
+            frame = frame.f_back
+        return frame is not None
+
+    started = []
+    watch = lambda phase, info: started.append(inside(sys._getframe()))
+    gc.callbacks.append(watch)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        code, out, _ = run(capsys, "tree", "build", "--mode", "binary", "--depth", "6")
+        assert (code, out.splitlines()[1]) == (0, "nodes: 127")
+        assert not any(started) and gc.isenabled() == enabled
+        assert_error_exit(*run(capsys, "classify", "nonsense:")[::2])
+        assert gc.isenabled() == enabled
+    finally:
+        gc.callbacks.remove(watch)
+        gc.enable()
 
 class TestReproducibility:
     def test_same_input_same_output(self, capsys):
