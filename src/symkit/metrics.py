@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 import math
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
@@ -37,6 +38,7 @@ from .perm import (
     metered,
     nat_to_z,
     parse_perm_list,
+    split_top,
     verify_window,
     z_to_nat,
 )
@@ -430,7 +432,7 @@ class RefinedMetric(GeneralizedMetric):
         self._moves = [m for u in self.U for m in (u, u.inverse())]
         self.key = f"refine({base.key};|U|={len(self.U)})"
         self.all_finite = base.all_finite
-        self._neighbor_cache: dict = {}
+        self._neighbor_cache: OrderedDict = OrderedDict()
         if base.uniform_bound is not None:
             k, base_bound = max(1, len(self._moves)), base.uniform_bound
             # each unit-cost move adds 1 to a path's cost: fewer than r of them
@@ -453,10 +455,10 @@ class RefinedMetric(GeneralizedMetric):
         by_cost[1].pop(x, None)
         entry = (radius, tuple((c, tuple(by_cost[c])) for c in sorted(by_cost)))
         cache = self._neighbor_cache
-        cache.pop(x, None)
-        if len(cache) >= NEIGHBOR_CACHE_CAP:
-            cache.pop(next(iter(cache)), None)
-        cache[x] = entry
+        cache.pop(x, None)  # each call is atomic, so threads may share the cache
+        cache[x] = entry  # the newest
+        while len(cache) > NEIGHBOR_CACHE_CAP:
+            cache.popitem(last=False)
         return entry
 
     def _search(self, start: int, limit, cap: int = BALL_CAP) -> dict:
@@ -931,7 +933,9 @@ def parse_metric(spec: str) -> GeneralizedMetric:
         return PartitionMetric(parse_partition(s[len("partition@"):]))
     if s.startswith("refine(") and s.endswith(")"):
         inner = s[len("refine("):-1]
-        parts = inner.split(";", 1)
+        parts = split_top(inner, ";")
+        if len(parts) > 2:
+            raise ParseError(f"expected refine(base;U=[...]) in {spec!r}")
         base = parse_metric(parts[0])
         perms: List[Permutation] = []
         if len(parts) > 1:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Union
 
@@ -214,10 +215,11 @@ class BlockCursor:
     owner's ``form``: one block of a growing partition spans many points.
     An owner whose walk has another declared bound builds it uncharged.
     A block is taken once the owner's ``record(id)``, if any, returns, so a
-    block whose record raises stays next.  Pulls run under the owner's lock
-    (:func:`perm.extend_while`)."""
+    block whose record raises stays next.  A walk grows through
+    :meth:`pull_while`, one pull at a time under the cursor's lock."""
 
-    __slots__ = ("_block_of", "form", "_charge", "_record", "ids", "index", "_next")
+    __slots__ = ("_block_of", "form", "_charge", "_record", "ids", "index", "_next",
+                 "_lock")
 
     def __init__(self, A: Partition, form: str,
                  record: Optional[Callable[[int], None]] = None, charged: bool = True):
@@ -228,6 +230,7 @@ class BlockCursor:
         self.ids: List[int] = []  # the blocks pulled, in id order
         self.index: dict = {}     # block id -> its position in ids
         self._next = 0            # the first point not yet tested
+        self._lock = threading.Lock()
 
     def pull(self) -> int:
         """The next block's id."""
@@ -238,6 +241,10 @@ class BlockCursor:
         self.index[a] = len(self.ids) - 1
         self._next = a + 1
         return a
+
+    def pull_while(self, pending: Callable[[], bool]) -> None:
+        """Pull blocks while ``pending()`` (:func:`perm.extend_while`)."""
+        extend_while(self._lock, pending, self.pull)
 
     def passed(self, point: int) -> bool:
         """Whether every point up to ``point`` has been tested."""
@@ -481,27 +488,20 @@ class MembershipReport:
 
 def stabilizer_membership(f: Permutation, A: Partition, window: int) -> MembershipReport:
     """Does f preserve every block of A?  Exact for finite support."""
-    if f.support_bound is not None:
-        touched = sorted({A.block_of(a) for a in f.moved_points()})
-        for b in touched:
-            members = A.block_members(b)
-            image = sorted(f.forward(x) for x in members)
-            if image != members:
-                return MembershipReport("no", witness_block=b,
-                                        checked_blocks=len(touched),
-                                        basis="finite support, block not preserved")
-        return MembershipReport("yes", checked_blocks=len(touched),
-                                basis="finite support, all touched blocks preserved")
-    checked = 0
-    for b in A.blocks_within(window):
+    certified = f.support_bound is not None
+    blocks = sorted({A.block_of(a) for a in f.moved_points()}) if certified \
+        else A.blocks_within(window)
+    for checked, b in enumerate(blocks, 1):
         members = A.block_members(b)
-        image = sorted(f.forward(x) for x in members)
-        checked += 1
-        if image != members:
+        if sorted(f.forward(x) for x in members) != members:
+            if certified:
+                return MembershipReport("no", witness_block=b, checked_blocks=len(blocks),
+                                        basis="finite support, block not preserved")
             return MembershipReport("no", witness_block=b, checked_blocks=checked,
                                     basis="probed block not preserved")
-    return MembershipReport("unknown", checked_blocks=checked,
-                            basis="probes consistent, no certificate")
+    answer, basis = ("yes", "finite support, all touched blocks preserved") if certified \
+        else ("unknown", "probes consistent, no certificate")
+    return MembershipReport(answer, checked_blocks=len(blocks), basis=basis)
 
 
 # --------------------------------------------------------------------------

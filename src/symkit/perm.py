@@ -20,13 +20,16 @@ certificate settles: a certified word or half restriction answers from its
 support bound up uncharged, a word's ``moved_points`` tests its factors' (a
 sole inner word lends its candidates unrun, another sole factor answers for
 it), certified breakpoints, crosser pairings and norms test candidates only,
-``net_flow`` evaluates each point once, and a constant tail pulls each point
-back once.
+``net_flow`` evaluates each point once, and a constant tail checks no level
+past its last term.
 
-Values are immutable after construction and safe to share across threads;
-memo tables fill idempotently, and a block walk or the rule witness's
-far-pair walk extends under its walker's lock.  User-supplied rules must be
-pure -- that is a stated contract, not something the library can enforce.
+Values are immutable after construction and safe to share across threads:
+the tree-element and limit memos, the sequence term cache and the local
+factor's monotone frontier fill idempotently, a :class:`LazyTable`, a block
+cursor, the breakpoints and the far-pair walk grow under their own lock,
+and the refined-metric neighbor cache evicts atomically.  User-supplied
+rules must be pure -- that is a stated contract, not something the library
+can enforce.
 """
 from __future__ import annotations
 
@@ -478,8 +481,7 @@ class ConvergentSequence:
     def term(self, j: int):
         if j not in self._cache:
             g, gamma = self._producer(j)
-            self._cache[j] = (g, gamma if isinstance(gamma, (set, frozenset))
-                              else frozenset(gamma))
+            self._cache[j] = (g, frozenset(gamma))
         return self._cache[j]
 
     def verify_to(self, depth: int) -> None:
@@ -511,30 +513,18 @@ class ConvergentSequence:
 
 
 class ConstantTail(ConvergentSequence):
-    """Finitely many terms, then the last one's g forever.  The tail levels
-    share one Gamma set that their checks grow in place: level j adds j-1
-    and g^-1(j-1), so both conditions hold by construction and each point
-    is pulled back once; the set only grows, so threads may share it."""
+    """Finitely many terms, then the last one forever: a level past the last
+    repeats it, so both conditions hold there and nothing is checked."""
 
     def __init__(self, seq_terms: Callable[[int], tuple], depth: int):
         super().__init__(seq_terms)
-        self._depth = depth
-        self._gamma: set = set()
+        self._last = max(depth - 1, 0)
 
     def term(self, j: int):
-        if j < self._depth:
-            return super().term(j)
-        g, gamma = super().term(max(self._depth - 1, 0))
-        if not self._gamma:
-            self._gamma.update(gamma)
-        return g, self._gamma
+        return super().term(min(j, self._last))
 
-    def _check_level(self, j: int) -> None:
-        if j < self._depth:
-            return super()._check_level(j)
-        g, gamma = self.term(j)  # verify_to has checked every level below j
-        for m in range(j - 1 if j > self._depth else 0, j):
-            gamma.update((m, g._bwd(m)))
+    def verify_to(self, depth: int) -> None:
+        super().verify_to(min(depth, self._last))
 
 
 class LimitPermutation(Permutation):
@@ -630,20 +620,8 @@ def verify_window(p: Permutation, n: int) -> WindowReport:
 def parity(p: Permutation) -> str:
     """Sign of a certified finite-support permutation: "even" or "odd"."""
     with metered():
-        mapping = {a: p._fwd(a) for a in p.moved_points()}
-    seen: set = set()
-    transpositions = 0
-    for start in mapping:
-        if start in seen:
-            continue
-        length = 0
-        b = start
-        while b not in seen:
-            seen.add(b)
-            b = mapping[b]
-            length += 1
-        transpositions += length - 1
-    return "even" if transpositions % 2 == 0 else "odd"
+        q = FiniteSupportPermutation({a: p._fwd(a) for a in p.moved_points()})
+    return "odd" if sum(len(c) - 1 for c in q.cycles()) % 2 else "even"
 
 
 def agrees_on_window(p: Permutation, q: Permutation, n: int) -> bool:

@@ -7,7 +7,6 @@ an explicit anchor.  Constructions record exactly what was verified.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -158,7 +157,6 @@ class _HalfRestriction(Permutation):
         self.side = side
         self.support_bound = h.support_bound
         self._blocks = BlockCursor(B, self.form, charged=h.support_bound is None)
-        self._lock = threading.Lock()
 
     def _candidates(self):
         return self.h.moved_points()  # a point h fixes, this fixes
@@ -166,7 +164,7 @@ class _HalfRestriction(Permutation):
     def _mine(self, block_id: int) -> bool:
         index = self._blocks.index
         if block_id not in index:  # a reached block skips the closure
-            extend_while(self._lock, lambda: block_id not in index, self._blocks.pull)
+            self._blocks.pull_while(lambda: block_id not in index)
         return index[block_id] % 2 == self.side
 
     def _fwd(self, alpha):
@@ -211,7 +209,6 @@ class EvenShiftWitness(Permutation):
         super().__init__()
         self.A = A
         self._blocks = BlockCursor(A, self.form, self._record)
-        self._lock = threading.Lock()
         self._marked: list = []    # marked(i) for i >= 0
         self._singles: list = []   # marked(-k - 1)
         self._index_of: dict = {}  # marked point -> its index
@@ -231,12 +228,13 @@ class EvenShiftWitness(Permutation):
 
     def marked(self, i: int) -> int:
         pts, k = (self._marked, i) if i >= 0 else (self._singles, -i - 1)
-        extend_while(self._lock, lambda: len(pts) <= k, self._blocks.pull)
+        self._blocks.pull_while(lambda: len(pts) <= k)
         return pts[k]
 
     def _index(self, m: int) -> Optional[int]:
         b = self.A.block_of(m)  # once b is reached, m is marked iff recorded
-        extend_while(self._lock, lambda: not self._blocks.passed(b), self._blocks.pull)
+        if not self._blocks.passed(b):  # a passed block skips the closure
+            self._blocks.pull_while(lambda: not self._blocks.passed(b))
         return self._index_of.get(m)
 
     def _fwd(self, alpha):
@@ -288,7 +286,6 @@ class _EdgeColoring:
     def __init__(self, A: Partition):
         self.A = A
         self._blocks = BlockCursor(A, "coloring", self._record)
-        self._lock = threading.Lock()
         self._rank = 0
         self._edges: dict = {}
 
@@ -313,7 +310,7 @@ class _EdgeColoring:
     def edges_of(self, block_id: int) -> list:
         if block_id not in self._edges and self.A.block_of(block_id) != block_id:
             raise PreconditionError(f"{block_id} is not a block id of {self.A.key}")
-        extend_while(self._lock, lambda: block_id not in self._edges, self._blocks.pull)
+        self._blocks.pull_while(lambda: block_id not in self._edges)
         return self._edges[block_id]
 
     def matching_partition(self, color: str) -> Partition:

@@ -8,18 +8,20 @@ walkers must give the same ids, the same images in both directions and in
 any evaluation order, and the same exception types.  The other tests hold
 the cursor's own promises: walkers shared by two threads answer as one
 thread does (as do the two factors of a local decomposition, over their
-shared breakpoints, a branch limit and the rule witness's far-pair walk),
-every walk stops at a small step budget with its own form, and a settled
-point pulls no block.
+shared breakpoints, a branch limit, a tree element, the rule witness's
+far-pair walk and a refined metric's neighbor cache), every walk stops at
+a small step budget with its own form, and a settled point pulls no block.
 """
 import itertools
 import random
+import sys
 import threading
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import symkit.metrics as metrics
 import symkit.partitions as parts
 from symkit.errors import (
     EvaluationBudgetError,
@@ -37,7 +39,7 @@ from symkit.partitions import (
     conjugator,
 )
 from symkit.localdecomp import decompose_local
-from symkit.metrics import StandardOmega, unbounded_witness_rule
+from symkit.metrics import StandardOmega, parse_metric, unbounded_witness_rule
 from symkit.perm import (
     FiniteSupportPermutation,
     Permutation,
@@ -675,6 +677,13 @@ def _conjugator():
     return lambda a: (f.forward(a), f.backward(a))
 
 
+def _tree_element():
+    """One element's two memos, and its ancestors', filled from both sides."""
+    g = build_tree(PartitionStabilizerOracle(parts.a0()), "binary", 6).perm(
+        (1, 0) * 3)
+    return lambda a: (g.forward(a), g.backward(a))
+
+
 THREAD_CASES = {  # a point's evaluation and the window both threads evaluate
     "half-restriction": (lambda: _uncertified_half_restriction().forward, 20_000),
     # spread's block_of costs O(sqrt a), so a shorter window
@@ -683,9 +692,10 @@ THREAD_CASES = {  # a point's evaluation and the window both threads evaluate
                                           parts.intervals_growing(), 0).forward,
                20_000),
     "local-factors": (_local_factors, 3_000),
-    # a branch limit's constant tail grows one Gamma set in place
+    # a branch limit's memos, over a constant tail that repeats its last term
     "branch-limit": (lambda: branch_limit(build_tree(PartitionStabilizerOracle(
         parts.a0()), "binary", 6), (1, 0) * 3).forward, 1_500),
+    "tree-element": (_tree_element, 1_500),
     "unbounded-witness": (lambda: _far_pairs().forward, 20_000),
     "conjugator": (_conjugator, 5_000),
 }
@@ -714,6 +724,38 @@ def test_walkers_shared_by_two_threads_answer_as_one(name):
             assert not t.is_alive()
         assert not errors
         assert results == [expected, expected]
+
+
+def test_refined_metric_cache_shared_by_four_threads(monkeypatch):
+    """Threads whose searches evict from one small neighbor cache while
+    inserting into it see no error and the one-thread distances."""
+    monkeypatch.setattr(metrics, "NEIGHBOR_CACHE_CAP", 4)
+    spec = "refine(standard-omega;U=[rule:swap-pairs])"
+    queries = [(a, a + 3) for a in range(300)]
+    alone = parse_metric(spec)
+    expected = [alone.dist_budgeted(a, b, 4) for a, b in queries]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            d = parse_metric(spec)
+            results, errors = [], []
+
+            def run():
+                try:
+                    results.append([d.dist_budgeted(a, b, 4) for a, b in queries])
+                except Exception as exc:
+                    errors.append(exc)
+            threads = [threading.Thread(target=run) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+                assert not t.is_alive()
+            assert not errors
+            assert results == [expected] * 4
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # --------------------------------------------------------------------------

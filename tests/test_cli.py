@@ -158,7 +158,9 @@ class TestMetric:
         (["sqrt", "--radius", "1000"], "CaseII", 0, 1.0),
         (["refine(partition@spread)"], "Unknown", 2, 0.1),
         (["refine(discrete;U=[rule:swap-pairs])"], "Unknown", 2, 0.1),
-    ], ids=["sqrt-past-the-cap", "refine-spread", "refine-discrete"])
+        (["refine(refine(standard-omega;U=[rule:swap-pairs]);U=[rule:shift-z])"],
+         "Unknown", 2, 0.1),
+    ], ids=["sqrt-past-the-cap", "refine-spread", "refine-discrete", "refine-nested"])
     def test_classify_answers_the_declared_case(self, capsys, argv, case, code,
                                                 seconds):
         start = time.perf_counter()
@@ -377,6 +379,7 @@ PARTITION_FILES = {
     ["metric", "classify", "sqrt", "--budget", "262145"],
     ["metric", "classify", "sqrt", "--centers", "100000000"],
     ["witness", "even-shift", "--partition", "spread", "--depth", "10000000"],
+    ["classify", "fn:refine(standard-omega;U=[rule:swap-pairs];U=[rule:shift-z])"],
 ] + [["classify", f"stab:partition:explicit@<dir>/{name}"]
      for name in ["missing.json", *PARTITION_FILES]], ids=["rotate-size-0", "rotate-size-abc", "overlapping-cycles",
         "negative-cycle-point", "refine-pair-dash", "pattern-non-bit",
@@ -389,7 +392,7 @@ PARTITION_FILES = {
         "norm-no-perm", "flow-no-perm", "three-cycle-no-perm",
         "orbit-budget-over-ceiling", "metric-budget-over-ceiling",
         "centers-over-ceiling", "even-shift-past-the-meter",
-        "partition-file-missing",
+        "refine-third-part", "partition-file-missing",
         *(f"partition-file-{name[:-5]}" for name in PARTITION_FILES)])
 def test_malformed_input_exit_1(capsys, tmp_path, argv):
     for name, text in PARTITION_FILES.items():

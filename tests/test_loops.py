@@ -301,17 +301,12 @@ class PerCallSequence(ConvergentSequence):
 
 
 def per_call_constant_tail(seq_terms, depth):
-    def terms(j):
-        if j < depth:
-            return seq_terms(j)
-        g, gamma = seq_terms(depth - 1) if depth > 0 else seq_terms(0)
-        extra = set(gamma)
-        for m in range(j):
-            extra.add(m)
-            extra.add(g.backward(m))
-        return g, frozenset(extra)
-
-    return terms
+    """A sequence of the terms capped at the last, verified only that far."""
+    last = max(depth - 1, 0)
+    seq = PerCallSequence(lambda j: seq_terms(min(j, last)))
+    verify = seq.verify_to
+    seq.verify_to = lambda n: verify(min(n, last))
+    return seq
 
 
 def per_call_branch_limit(tree, choice):
@@ -325,10 +320,9 @@ def per_call_branch_limit(tree, choice):
         return frozenset(pts | {prev.backward(p) for p in pts})
 
     def base_terms(j):
-        j = min(j, depth)
         return tree.perm(prefixes[min(j + 1, depth)]), lean_gamma(j)
 
-    seq = PerCallSequence(per_call_constant_tail(base_terms, depth))
+    seq = per_call_constant_tail(base_terms, depth)
     seq.verify_to(depth)
     return LimitPermutation(seq)
 
@@ -505,9 +499,8 @@ def test_tree_loops_match_per_call_loops(oracle, mode, depth, data):
             lambda: [per_call_branch_limit(ref, choice).forward(a)
                      for a in window])
         assert images == ref_images
-        # the tail pulls each point back once; only the root element, the
-        # depth-0 limit, is not memoised, so only there is that cheaper
-        assert spent == ref_spent if choice else spent <= ref_spent
+        # both read the same capped terms and verify only to depth - 1
+        assert spent == ref_spent
 
 
 def _finite(span, max_moves=12):
@@ -705,13 +698,13 @@ def _window_cost(window):
 
 
 def test_branch_limit_cost_per_point_stays_flat():
-    """A constant-tail level checks only its new point, where each level
-    used to check every earlier one again."""
+    """A level past a constant tail's last term checks nothing, so the cost
+    per point does not grow with the window."""
     small, large = _window_cost(1000), _window_cost(8000)
     assert large[0] <= 1.05 * small[0]
     assert large[1] <= 1.05 * small[1]
-    # one pull-back per point grows the tail's Gamma, one forward answers it
-    assert small[1] <= 2.05
+    # past the last term, one forward answers each point
+    assert small[1] <= 1.05
 
 
 # --------------------------------------------------------------------------

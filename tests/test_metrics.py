@@ -339,6 +339,17 @@ class TestRefine:
         assert parse_metric("refine(partition@pairs;U=[])").key.startswith(
             "refine(partition@pairs")
 
+    def test_nested_refine_spec(self):
+        # a base that is itself refined keeps its own ';'; a nested
+        # refinement measures as one refinement by both moves
+        nested = parse_metric(
+            "refine(refine(standard-omega;U=[rule:swap-pairs]);U=[rule:shift-z])")
+        flat = parse_metric("refine(standard-omega;U=[rule:swap-pairs,rule:shift-z])")
+        for a, b in [(0, 7), (0, 3), (5, 20)]:
+            assert nested.dist_budgeted(a, b, 6) == flat.dist_budgeted(a, b, 6)
+        with pytest.raises(ParseError, match="expected refine"):
+            parse_metric("refine(standard-omega;U=[rule:swap-pairs];U=[rule:shift-z])")
+
     def test_dist_across_an_infinite_base_distance(self):
         # the discrete base puts every pair at INF: dist searches to its
         # radius, and past it asks for dist_budgeted
