@@ -26,7 +26,6 @@ from .perm import (
 )
 from .partitions import (
     Partition,
-    canonical_A0,
     conjugator,
     parse_partition,
     stabilizer_membership,
@@ -49,7 +48,6 @@ from .metrics import (
 from .localdecomp import breakpoints, decompose_local, is_local
 from .witnesses import (
     commutator_solve,
-    decompose_z2,
     even_shift_witness,
     factor_through,
     p_equiv_witness,
@@ -59,9 +57,7 @@ from .witnesses import (
 )
 from .trees import (
     FullSymmetricOracle,
-    FullTupleFamily,
     PartitionStabilizerOracle,
-    TreeDFamily,
     branch_limit,
     branch_sequence,
     build_e_tree,

@@ -43,10 +43,6 @@ LAMBDA_CASE = {
 }
 
 
-def class_lt(a: str, b: str) -> bool:
-    return CLASS_ORDER.index(a) < CLASS_ORDER.index(b)
-
-
 # The least and greatest value of each Budgets field.  A replay runs at the
 # record's own budgets, so the ceilings cap what any record can make it spend;
 # orbit_budget sets most of that cost.

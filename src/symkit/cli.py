@@ -273,7 +273,7 @@ def _cmd_tree(args) -> int:
         return 0
     if args.action in ("s", "verify"):
         bps = perm.parse_points(args.breakpoints or "0,1,3,6")
-        etree = trees.build_e_tree(trees.FullTupleFamily(), bps, depth=args.depth or 3)
+        etree = trees.build_e_tree(bps, depth=args.depth or 3)
         s = trees.build_s(etree)
         if args.action == "s":
             _emit(args, {"s": perm.format_perm(s),

@@ -470,10 +470,6 @@ def parse_partition(spec: str) -> Partition:
     raise ParseError(f"unknown partition {spec!r}")
 
 
-def canonical_A0() -> Partition:
-    return a0()
-
-
 # --------------------------------------------------------------------------
 # Membership.
 

@@ -12,7 +12,6 @@ exactly what a depth-bounded construction can observe.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -36,7 +35,7 @@ from .perm import (
 
 PIVOT_SCAN_CAP = 10_000
 TREE_DEPTH_CAP = 12
-JUMP_SCAN_CAP = 100_000  # the last level a jump-mode E-tree searches for a jump
+E_TREE_SIZE_CAP = 1 << 20  # tuple entries an E-tree's nodes may hold in all
 
 
 @dataclass
@@ -467,126 +466,28 @@ def branch_limit(tree: TreeState, choice: Sequence[int]) -> LimitPermutation:
 
 
 # --------------------------------------------------------------------------
-# D-families: prefix-extendable tuple families with realization.
-
-
-class DFamily:
-    def alpha(self, i: int) -> int:
-        raise NotImplementedError
-
-    def multiplicity(self, i: int) -> Optional[int]:
-        """A lower bound on the number of extensions at level i (None = plenty)."""
-        return None
-
-    def extensions(self, token, count: int, forbidden: set) -> List[tuple]:
-        """Up to ``count`` fresh (value, child_token) extensions of a prefix."""
-        raise NotImplementedError
-
-    def realize(self, token) -> Permutation:
-        raise NotImplementedError
-
-
-class FullTupleFamily(DFamily):
-    """All injective tuples over the naturals; realized by finite assignments."""
-
-    def alpha(self, i: int) -> int:
-        return i
-
-    def extensions(self, token, count, forbidden):
-        # a few points past a dense avoided set: a C-level scan beats a gap walk
-        avoid = set(token) | set(forbidden)
-        free = itertools.filterfalse(avoid.__contains__, itertools.count())
-        return [(m, tuple(token) + (m,)) for m in itertools.islice(free, count)]
-
-    def realize(self, token):
-        mapping = {}
-        targets = set(token)
-        sources = set(range(len(token)))
-        for i, b in enumerate(token):
-            mapping[i] = b
-        for u, v in zip(sorted(targets - sources), sorted(sources - targets)):
-            mapping[u] = v
-        return FiniteSupportPermutation(
-            {a: b for a, b in mapping.items() if a != b})
-
-
-class TreeDFamily(DFamily):
-    """Tuples realized by a stabilizer tree: values are pivot images."""
-
-    def __init__(self, tree: TreeState, grow: bool = False):
-        self.tree = tree
-        self.grow = grow
-
-    def alpha(self, i: int) -> int:
-        while i >= len(self.tree.alphas):
-            if not self.grow:
-                raise PreconditionError("tree too shallow for this level")
-            self.tree.build_round()
-        return self.tree.alphas[i]
-
-    def multiplicity(self, i: int) -> Optional[int]:
-        if self.tree.mode == "binary":
-            return 2
-        if self.tree.mode == "unbounded":
-            return self.tree.n_at(i)
-        return None
-
-    def _have_node(self, key: tuple) -> bool:
-        while key not in self.tree.nodes:
-            if not self.grow:
-                return False
-            try:
-                self.tree.build_round()
-            except HypothesisFailureError:
-                return False
-        return True
-
-    def extensions(self, token, count, forbidden):
-        level = len(token)
-        pivot = self.alpha(level)
-        out = []
-        k = 0
-        cap = self.multiplicity(level)
-        while len(out) < count:
-            if cap is not None and k >= cap:
-                break
-            child = tuple(token) + (k,)
-            if not self._have_node(child):
-                break
-            value = self.tree.perm(child).forward(pivot)
-            if value not in forbidden:
-                out.append((value, child))
-            k += 1
-        return out
-
-    def realize(self, token):
-        return branch_limit(self.tree, token)
-
-
-# --------------------------------------------------------------------------
 # E-trees: freshly-labelled tuples indexed by interval permutations.
 
 
 @dataclass
 class ENode:
     pis: tuple                 # (pi_1, ..., pi_r), each a tuple of offsets
-    token: tuple               # D-family token realizing the components
+    token: tuple               # the injective tuple: base point i goes to token[i]
     fresh: tuple               # the components added at this level
 
 
 class ETree:
-    def __init__(self, family: DFamily, breakpoints: Sequence[int], mode: str):
+    def __init__(self, breakpoints: Sequence[int]):
         bp = list(breakpoints)
         if bp and bp[0] != 0:
             raise PreconditionError("breakpoints must start at 0")
-        self.family = family
+        for lo, hi in zip(bp, bp[1:]):
+            if hi < lo:
+                raise PreconditionError(
+                    f"breakpoints must not decrease: {lo} then {hi}")
         self.breakpoints = bp
-        self.mode = mode
         self.levels: List[Dict[tuple, ENode]] = [
             {(): ENode((), (), ())}]
-        self.used_components: set = set()
-        self.positions: List[int] = []  # the D-family level of each base position
-        self.jump_bounds: List[dict] = []
 
     def interval(self, r: int) -> Tuple[int, int]:
         return self.breakpoints[r - 1], self.breakpoints[r]
@@ -598,69 +499,41 @@ class ETree:
         return len(self.levels) - 1
 
 
-def _sym(width: int):
-    return [tuple(p) for p in itertools.permutations(range(width))]
-
-
-def build_e_tree(family: DFamily, breakpoints: Sequence[int], depth: int,
-                 mode: str = "inf") -> ETree:
+def build_e_tree(breakpoints: Sequence[int], depth: int) -> ETree:
     """Grow the tuple tree along the given breakpoint chain.
 
     Each level-r node spawns one child per permutation of the interval
     [n_{r-1}, n_r); a child's new components are fresh: distinct from every
-    component of every node built so far.  In "jump" mode components are
-    drawn at jumped-forward levels whose multiplicities clear the counting
-    bound |E_{r-1}| * (w * w! + n_{r-1}).
+    component of every node built so far.  The least fresh natural is always
+    the next one, so components are labelled 0, 1, 2, ... in build order.
+    A level-r node holds r interval permutations and a tuple of n_r
+    components, so the tree is sized first and refused when its nodes would
+    hold more than E_TREE_SIZE_CAP entries.
     """
-    tree = ETree(family, breakpoints, mode)
+    tree = ETree(breakpoints)
     levels = min(depth, len(tree.breakpoints) - 1)
-    next_d_level = 0
+    size, count = 0, 1
     for r in range(1, levels + 1):
         lo, hi = tree.interval(r)
-        width = hi - lo
-        prev = tree.levels[r - 1]
-        bound = len(prev) * (width * math.factorial(width) + lo)
-        jumps: List[int] = []
-        if mode == "jump":
-            i = next_d_level
-            for _ in range(width):
-                while True:
-                    mult = family.multiplicity(i)
-                    if mult is None or mult >= bound:
-                        break
-                    i += 1
-                    if i > JUMP_SCAN_CAP:
-                        raise HypothesisFailureError(
-                            f"no level up to JUMP_SCAN_CAP = {JUMP_SCAN_CAP} "
-                            f"has multiplicity >= {bound}")
-                jumps.append(i)
-                i += 1
-            next_d_level = i
-            tree.jump_bounds.append({"level": r, "bound": bound, "jumps": jumps})
-        positions = tuple(jumps) if mode == "jump" else tuple(range(lo, hi))
-        tree.positions.extend(positions)
+        for k in range(2, hi - lo + 1):
+            count *= k
+            if count > E_TREE_SIZE_CAP:
+                break
+        size += count * (r + hi)
+        if size > E_TREE_SIZE_CAP:
+            raise PreconditionError(
+                f"the E-tree passes the cap of {E_TREE_SIZE_CAP} tuple entries "
+                f"at level {r}, the interval [{lo}, {hi})")
+    labels = itertools.count()
+    for r in range(1, levels + 1):
+        lo, hi = tree.interval(r)
+        pis = list(itertools.permutations(range(hi - lo)))
         new_level: Dict[tuple, ENode] = {}
-        for pis, parent in prev.items():
-            for pi in _sym(width):
-                token = parent.token
-                fresh: List[int] = []
-                for target in positions:  # a plain token has length lo already
-                    while len(token) < target:
-                        opts = family.extensions(token, 1, set())
-                        if not opts:
-                            raise HypothesisFailureError(
-                                f"family exhausted filling to level {target}")
-                        token = opts[0][1]
-                    opts = family.extensions(
-                        token, 1, tree.used_components | set(fresh))
-                    if not opts:
-                        raise HypothesisFailureError(
-                            f"family exhausted at level {len(token)}")
-                    value, token = opts[0]
-                    fresh.append(value)
-                node = ENode(parent.pis + (pi,), token, tuple(fresh))
+        for parent in tree.levels[r - 1].values():
+            for pi in pis:
+                fresh = tuple(itertools.islice(labels, hi - lo))
+                node = ENode(parent.pis + (pi,), parent.token + fresh, fresh)
                 new_level[node.pis] = node
-                tree.used_components.update(fresh)
         tree.levels.append(new_level)
     return tree
 
@@ -686,6 +559,18 @@ def build_s(tree: ETree) -> FiniteSupportPermutation:
         {a: b for a, b in mapping.items() if a != b})
 
 
+def realize_tuple(token: tuple) -> FiniteSupportPermutation:
+    """A finite permutation sending each base point i to token[i]; the
+    entries past the base pair off, in order, with the base points left
+    free."""
+    mapping = dict(enumerate(token))
+    targets, sources = set(token), set(range(len(token)))
+    for u, v in zip(sorted(targets - sources), sorted(sources - targets)):
+        mapping[u] = v
+    return FiniteSupportPermutation(
+        {a: b for a, b in mapping.items() if a != b})
+
+
 @dataclass
 class ConjugationReport:
     ok: bool
@@ -695,8 +580,8 @@ class ConjugationReport:
 
 def verify_conjugation(tree: ETree, s: Permutation, pi: Dict[int, int],
                        window: int) -> ConjugationReport:
-    """Check alpha_i . g . s == alpha_{i pi} . g for i < window, where g
-    realizes the branch whose interval permutations match pi."""
+    """Check i . g . s == (i pi) . g for i < window, where g realizes the
+    token of the branch whose interval permutations match pi."""
     levels = tree.level_count()
     pis = []
     for r in range(1, levels + 1):
@@ -709,16 +594,16 @@ def verify_conjugation(tree: ETree, s: Permutation, pi: Dict[int, int],
                     f"pi does not preserve the interval [{lo}, {hi}): "
                     f"{i} -> {img}")
             offsets.append(img - lo)
+        if len(set(offsets)) != len(offsets):
+            raise PreconditionError(
+                f"pi is not one-to-one on the interval [{lo}, {hi})")
         pis.append(tuple(offsets))
-    node = tree.node(tuple(pis))
-    g = tree.family.realize(node.token)
+    g = realize_tuple(tree.node(tuple(pis)).token)
     checked = []
     top = min(window, tree.breakpoints[levels] if levels else 0)
     for i in range(top):
-        a = tree.family.alpha(tree.positions[i])
-        lhs = s.forward(g.forward(a))
-        img = pi.get(i, i)
-        rhs = g.forward(tree.family.alpha(tree.positions[img]))
+        lhs = s.forward(g.forward(i))
+        rhs = g.forward(pi.get(i, i))
         if lhs != rhs:
             return ConjugationReport(False, checked,
                                      {"i": i, "lhs": lhs, "rhs": rhs})

@@ -250,27 +250,6 @@ def even_shift_witness(A: Partition) -> EvenShiftWitness:
     return EvenShiftWitness(A)
 
 
-def decompose_z2(bits: Sequence[int]) -> Tuple[List[int], List[int]]:
-    """Split a bit string a into x + y with x_{2i} = x_{2i+1}, y_0 = 0 and
-    y_{2i+1} = y_{2i+2}, by the forced left-to-right recurrence."""
-    if len(bits) % 2 != 0:
-        raise PreconditionError("prefix must have even length")
-    x: List[int] = []
-    y: List[int] = []
-    for i, a in enumerate(bits):
-        a &= 1
-        if i == 0:
-            y.append(0)
-            x.append(a)
-        elif i % 2 == 1:
-            x.append(x[i - 1])
-            y.append(a ^ x[i])
-        else:
-            y.append(y[i - 1])
-            x.append(a ^ y[i])
-    return x, y
-
-
 # --------------------------------------------------------------------------
 # Bounded-block-size witnesses: chains, alternating edge colors, factorization.
 

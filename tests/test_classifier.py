@@ -21,7 +21,6 @@ from symkit.classifier import (
     PartitionStab,
     PointwiseStab,
     check_evidence,
-    class_lt,
     classify_group,
     compactness_criterion,
     discreteness,
@@ -236,10 +235,6 @@ class TestClassify:
 class TestOrdering:
     def test_chain(self):
         assert CLASS_ORDER == ("C_1", "C_Q", "C_P", "C_S")
-        assert class_lt("C_1", "C_Q")
-        assert class_lt("C_Q", "C_P")
-        assert class_lt("C_P", "C_S")
-        assert not class_lt("C_S", "C_1")
 
 
 class TestEvidence:

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import json
 import os
 import subprocess
@@ -354,6 +355,7 @@ PARTITION_FILES = {
     ["witness", "commutator", "--pattern", "01x"],
     ["tree", "branch", "--oracle", "stab-a0", "--choice", "1x1"],
     ["tree", "verify", "--oracle", "stab-a0", "--pi", "1-2"],
+    ["tree", "verify", "--breakpoints", "0,2", "--pi", "0:1"],
     ["metric", "classify", "standard-omega", "--radius", "x"],
     ["metric", "refine", "standard-omega", "--radius", "x"],
     ["metric", "refine", "standard-omega", "--radius", "1/0"],
@@ -383,7 +385,8 @@ PARTITION_FILES = {
 ] + [["classify", f"stab:partition:explicit@<dir>/{name}"]
      for name in ["missing.json", *PARTITION_FILES]], ids=["rotate-size-0", "rotate-size-abc", "overlapping-cycles",
         "negative-cycle-point", "refine-pair-dash", "pattern-non-bit",
-        "branch-choice", "verify-pi", "classify-radius", "refine-radius",
+        "branch-choice", "verify-pi", "verify-pi-not-one-to-one",
+        "classify-radius", "refine-radius",
         "refine-radius-zero-denominator", "classify-radius-negative",
         "classify-radius-zero", "refine-radius-negative", "budget-over-ceiling",
         "window-negative", "norm-window-negative", "window-zero",
@@ -469,6 +472,36 @@ def test_metric_classify_cli_fuzz(capsys, spec, radii, centers):
         declared = parse_metric(spec).case
         assert json.loads(out)["case"] == (declared if code == 0 else "Unknown")
         assert (code == 0) == (declared is not None)
+
+
+E_CHAINS = st.lists(st.integers(0, 4), max_size=5).map(
+    lambda widths: [0, *itertools.accumulate(widths)])
+ANY_POINTS = st.lists(st.integers(0, 12) | st.integers(0, 10**18), max_size=6)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(E_CHAINS | ANY_POINTS | ANY_POINTS.map(lambda points: [0, *points]),
+       st.sampled_from(["s", "verify"]), st.none() | st.integers(-2, 8),
+       st.none() | st.integers(-2, 20) | st.integers(0, 10**18),
+       st.lists(st.tuples(st.integers(0, 20), st.integers(0, 20)), max_size=4),
+       st.booleans())
+def test_tree_cli_fuzz(capsys, breakpoints, action, depth, window, pi, as_json):
+    argv = ["--json"] * as_json + [
+        "tree", action, "--breakpoints=" + ",".join(map(str, breakpoints))]
+    if depth is not None:
+        argv.append(f"--depth={depth}")
+    if window is not None:
+        argv.append(f"--window={window}")
+    if pi:
+        argv.append("--pi=" + ",".join(f"{a}:{b}" for a, b in pi))
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 10
+    assert code in (0, 1, 2) and "Traceback" not in err
+    if code == 1 and not out:
+        assert_error_exit(code, err)
 
 
 def test_budget_exhausted_exit_1(capsys):

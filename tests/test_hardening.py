@@ -1,5 +1,10 @@
 """Cross-module checks: limits behave as permutations, alternative oracles,
-infinite-block descriptors, and lazily grown tree families."""
+infinite-block descriptors, and bounded E-trees."""
+import contextlib
+import io
+import json
+import time
+
 import pytest
 
 import symkit.partitions as parts
@@ -10,17 +15,20 @@ from symkit.classifier import (
     orbit,
     parse_descriptor,
 )
-from symkit.errors import EvaluationBudgetError, ProfileViolationError
+from symkit.cli import cli_main
+from symkit.errors import (
+    EvaluationBudgetError,
+    PreconditionError,
+    ProfileViolationError,
+)
 from symkit.perm import verify_window
 from symkit.trees import (
+    E_TREE_SIZE_CAP,
     FullSymmetricOracle,
     PartitionStabilizerOracle,
-    TreeDFamily,
     branch_limit,
     build_e_tree,
-    build_s,
     build_tree,
-    verify_conjugation,
 )
 
 
@@ -64,20 +72,38 @@ class TestUnboundedBranches:
             assert verify_window(g, 48).ok
 
 
-class TestGrowingFamily:
-    def test_extensions_grow_the_tree(self):
-        tree = build_tree(PartitionStabilizerOracle(parts.a0()), "binary", 1)
-        fam = TreeDFamily(tree, grow=True)
-        opts = fam.extensions((0,), 2, set())
-        assert len(opts) == 2
-        assert tree.depth >= 2
+class TestETreeBounds:
+    def test_size_cap(self):
+        # 1,447 one-node levels hold 1 + 2 + ... + 1447 entries; one more passes
+        assert build_e_tree([0] * 1448, depth=1448).level_count() == 1447
+        for chain in ([0, 9], [0, 10 ** 18], [0] * 1449):
+            with pytest.raises(PreconditionError,
+                               match=f"cap of {E_TREE_SIZE_CAP} tuple entries"):
+                build_e_tree(chain, depth=len(chain))
+        # levels past the depth are never sized
+        assert build_e_tree([0, 2, 100], depth=1).level_count() == 1
 
-    def test_e_tree_over_growing_family(self):
-        tree = build_tree(PartitionStabilizerOracle(parts.a0()), "binary", 2)
-        fam = TreeDFamily(tree, grow=True)
-        et = build_e_tree(fam, [0, 1, 2], depth=2, mode="jump")
-        s = build_s(et)
-        assert verify_conjugation(et, s, {}, window=2).ok
+    @pytest.mark.parametrize("chain", [
+        "0,5,3", "0,9", "0,11", "0,100000000", ",".join(["0"] * 20000)])
+    def test_cli_refuses_with_one_error_line(self, chain):
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_main(["tree", "s", "--breakpoints", chain,
+                             "--depth", "20000"])
+        assert time.perf_counter() - start < 1
+        assert code == 1 and out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+    @pytest.mark.parametrize("chain, depth, nodes", [
+        ("0,3,3", 3, 6), ("0,8", 5, 40320), ("0,8,8", 5, 40320),
+        ("0,1,3,6,10,15", 5, 34560)])
+    def test_cli_answers_up_to_the_cap(self, chain, depth, nodes):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli_main(["--json", "tree", "s", "--breakpoints", chain,
+                             "--depth", str(depth)])
+        assert code == 0 and json.loads(out.getvalue())["levels"][-1] == nodes
 
 
 class TestInfiniteBlockDescriptor:

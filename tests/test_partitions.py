@@ -24,7 +24,6 @@ from symkit.partitions import (
     BoundedBy,
     UnboundedFinite,
     a0,
-    canonical_A0,
     conjugator,
     explicit,
     intervals_growing,
@@ -50,7 +49,7 @@ ALL_BUILTINS = [pairs, pairs_shifted, a0, intervals_growing, singletons,
 
 class TestLayouts:
     def test_a0_layout(self):
-        A = canonical_A0()
+        A = a0()
         assert A.block_of(0) == A.block_of(1)
         assert A.block_members(A.block_of(2)) == [2]
         assert A.block_members(A.block_of(3)) == [3]

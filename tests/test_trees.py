@@ -1,7 +1,8 @@
 import itertools
+import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import symkit.partitions as parts
@@ -20,11 +21,9 @@ from symkit.perm import (
     rule,
 )
 from symkit.trees import (
-    JUMP_SCAN_CAP,
+    ETree,
     FullSymmetricOracle,
-    FullTupleFamily,
     PartitionStabilizerOracle,
-    TreeDFamily,
     TreeState,
     branch_limit,
     branch_sequence,
@@ -131,15 +130,15 @@ class TestInfTree:
 
 class TestETree:
     def test_level_sizes_products_of_factorials(self):
-        et = build_e_tree(FullTupleFamily(), [0, 1, 3, 6], depth=3)
+        et = build_e_tree([0, 1, 3, 6], depth=3)
         assert [len(l) for l in et.levels] == [1, 1, 2, 12]
 
     def test_empty_breakpoints(self):
-        et = build_e_tree(FullTupleFamily(), [], depth=5)
+        et = build_e_tree([], depth=5)
         assert [len(l) for l in et.levels] == [1]
 
     def test_freshness(self):
-        et = build_e_tree(FullTupleFamily(), [0, 2, 4], depth=2)
+        et = build_e_tree([0, 2, 4], depth=2)
         seen = []
         for level in et.levels[1:]:
             for node in level.values():
@@ -147,12 +146,12 @@ class TestETree:
         assert len(seen) == len(set(seen))
 
     def test_identity_pis_give_identity_s(self):
-        et = build_e_tree(FullTupleFamily(), [0, 1, 2], depth=2)
+        et = build_e_tree([0, 1, 2], depth=2)
         s = build_s(et)
         assert s.moved_points() == []
 
     def test_transposition_pi_transposes_components(self):
-        et = build_e_tree(FullTupleFamily(), [0, 2], depth=1)
+        et = build_e_tree([0, 2], depth=1)
         s = build_s(et)
         swap_node = et.node(((1, 0),))
         a, b = swap_node.fresh
@@ -161,77 +160,24 @@ class TestETree:
         assert all(s.forward(c) == c for c in id_node.fresh)
 
     def test_duplicate_component_rejected(self):
-        from symkit.errors import IllFormedTreeError
-        from symkit.trees import ENode, ETree
+        from symkit.trees import ENode
 
-        et = ETree(FullTupleFamily(), [0, 2], mode="inf")
+        et = ETree([0, 2])
         bad = ENode(((0, 1),), (3, 3), (3, 3))
         et.levels.append({bad.pis: bad})
         with pytest.raises(IllFormedTreeError):
             build_s(et)
 
-    def test_jump_mode_counting_bound(self):
-        tree = build_tree(PartitionStabilizerOracle(parts.a0()), "binary", 8)
-        fam = TreeDFamily(tree)
-        et = build_e_tree(fam, [0, 1, 2], depth=2, mode="jump")
-        for rec in et.jump_bounds:
-            r = rec["level"]
-            lo, hi = et.interval(r)
-            width = hi - lo
-            fact = 1
-            for k in range(2, width + 1):
-                fact *= k
-            expected = len(et.levels[r - 1]) * (width * fact + lo)
-            assert rec["bound"] == expected
-            assert all(fam.multiplicity(i) >= rec["bound"]
-                       for i in rec["jumps"])
-
-    def test_jump_mode_exhaustion(self):
-        tree = build_tree(PartitionStabilizerOracle(parts.a0()), "binary", 4)
-        fam = TreeDFamily(tree)
-        # interval widths 2 force bounds beyond the binary multiplicity 2
-        with pytest.raises(HypothesisFailureError):
-            build_e_tree(fam, [0, 2, 4], depth=2, mode="jump")
-
-
-    def test_jump_search_stops_at_its_cap(self):
-        class Thin(FullTupleFamily):
-            def multiplicity(self, i):
-                return 1  # never clears a bound of 2 or more
-
-        with pytest.raises(HypothesisFailureError,
-                           match=f"JUMP_SCAN_CAP = {JUMP_SCAN_CAP} "):
-            build_e_tree(Thin(), [0, 2], depth=1, mode="jump")
-
-    def test_jump_mode_fills_skipped_levels(self):
-        # multiplicities 1, 2, 3, 4, ...: width 2 needs 4, so the jumps skip
-        # levels 0-2 and each token is filled up to level 3 first
-        tree = build_tree(oracle_plugin("full-sym"), "unbounded", 1,
-                          n_sequence=[1, 2, 3, 4])
-        fam = TreeDFamily(tree, grow=True)
-        et = build_e_tree(fam, [0, 2], depth=1, mode="jump")
-        assert et.jump_bounds == [{"level": 1, "bound": 4, "jumps": [3, 4]}]
-        assert all(len(node.token) == 5 for node in et.levels[1].values())
-        s = build_s(et)
-        assert verify_conjugation(et, s, {0: 1, 1: 0}, window=2).ok
-
-    def test_multiplicity_by_mode(self):
-        unbounded = build_tree(oracle_plugin("full-sym"), "unbounded", 1,
-                               n_sequence=[1, 2, 3, 4])
-        assert [TreeDFamily(unbounded).multiplicity(i) for i in range(6)] == \
-            [1, 2, 3, 4, 5, 6]
-        inf = build_tree(oracle_plugin("full-sym"), "inf", 2)
-        assert TreeDFamily(inf).multiplicity(0) is None
 
 class TestVerifyConjugation:
     def test_identity_pi(self):
-        et = build_e_tree(FullTupleFamily(), [0, 1, 3, 6], depth=3)
+        et = build_e_tree([0, 1, 3, 6], depth=3)
         s = build_s(et)
         rep = verify_conjugation(et, s, {}, window=6)
         assert rep.ok and rep.checked == list(range(6))
 
     def test_transposing_pi(self):
-        et = build_e_tree(FullTupleFamily(), [0, 2, 4], depth=2)
+        et = build_e_tree([0, 2, 4], depth=2)
         s = build_s(et)
         rep = verify_conjugation(et, s, {0: 1, 1: 0}, window=4)
         assert rep.ok
@@ -239,7 +185,7 @@ class TestVerifyConjugation:
     def test_twenty_random_interval_preserving_pis(self):
         import random
 
-        et = build_e_tree(FullTupleFamily(), [0, 2, 5, 8], depth=3)
+        et = build_e_tree([0, 2, 5, 8], depth=3)
         s = build_s(et)
         rng = random.Random(14)
         for _ in range(20):
@@ -251,17 +197,45 @@ class TestVerifyConjugation:
             assert verify_conjugation(et, s, pi, window=8).ok
 
     def test_interval_violation(self):
-        et = build_e_tree(FullTupleFamily(), [0, 2, 4], depth=2)
+        et = build_e_tree([0, 2, 4], depth=2)
         s = build_s(et)
         with pytest.raises(PreconditionError):
             verify_conjugation(et, s, {0: 2, 2: 0}, window=4)
 
-    def test_binary_tree_backed_family(self):
-        tree = build_tree(PartitionStabilizerOracle(parts.a0()), "binary", 6)
-        fam = TreeDFamily(tree)
-        et = build_e_tree(fam, [0, 1, 2], depth=2, mode="jump")
-        s = build_s(et)
-        assert verify_conjugation(et, s, {}, window=2).ok
+
+def scan_e_tree(breakpoints, depth):
+    """Each level's (token, fresh) pairs, with every fresh component the least
+    natural outside the parent's token, every component used so far and the
+    node's earlier fresh components: the least-free scan of the tuple family
+    the counter replaced."""
+    levels = [{(): ((), ())}]
+    used = set()
+    for r in range(1, min(depth, len(breakpoints) - 1) + 1):
+        lo, hi = breakpoints[r - 1], breakpoints[r]
+        level = {}
+        for pis, (token, _) in levels[-1].items():
+            for pi in itertools.permutations(range(hi - lo)):
+                fresh = []
+                for _ in range(lo, hi):
+                    avoid = used.union(token, fresh)
+                    fresh.append(next(itertools.filterfalse(
+                        avoid.__contains__, itertools.count())))
+                level[pis + (pi,)] = (token + tuple(fresh), tuple(fresh))
+                used.update(fresh)
+        levels.append(level)
+    return levels
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 3), max_size=6), st.integers(0, 5))
+def test_counter_labels_match_the_scan(widths, depth):
+    # the scan is quadratic in the labels: keep levels to 6^4 nodes
+    assume(math.prod(math.factorial(w) for w in widths[:depth]) <= 6 ** 4)
+    bp = [0, *itertools.accumulate(widths)]
+    et = build_e_tree(bp, depth)
+    assert [{pis: (n.token, n.fresh) for pis, n in level.items()}
+            for level in et.levels] == scan_e_tree(bp, depth)
+    assert verify_conjugation(et, build_s(et), {}, window=bp[-1]).ok
 
 
 # --------------------------------------------------------------------------

@@ -2,8 +2,6 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import symkit.partitions as parts
 from symkit.errors import (
@@ -26,7 +24,6 @@ from symkit.perm import (
 from symkit.witnesses import (
     commutator_action_on_block,
     commutator_solve,
-    decompose_z2,
     even_shift_witness,
     factor_through,
     p_equiv_witness,
@@ -178,46 +175,6 @@ class TestEvenShift:
         assert all(w.forward(w.marked(i)) == w.marked(i + 2)
                    for i in range(-6, 7))
         assert verify_window(w, 200).ok
-
-
-class TestDecomposeZ2:
-    def test_zeros(self):
-        assert decompose_z2([0] * 8) == ([0] * 8, [0] * 8)
-
-    def test_frozen_pair(self):
-        # brute force over the 4 candidate pairs on length-2 prefixes
-        assert decompose_z2([1, 0]) == ([1, 1], [0, 1])
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.integers(min_value=0, max_value=1),
-                    min_size=12, max_size=12))
-    def test_constraints_hold(self, bits):
-        x, y = decompose_z2(bits)
-        assert all((xa ^ ya) == a for xa, ya, a in zip(x, y, bits))
-        assert all(x[2 * i] == x[2 * i + 1] for i in range(len(bits) // 2))
-        assert y[0] == 0
-        assert all(y[2 * i + 1] == y[2 * i + 2]
-                   for i in range((len(bits) - 2) // 2))
-
-    def test_uniqueness_exhaustive(self):
-        for n in (2, 4, 6, 8):
-            for bits in itertools.product((0, 1), repeat=n):
-                solutions = []
-                for xb in itertools.product((0, 1), repeat=n):
-                    yb = tuple(a ^ x for a, x in zip(bits, xb))
-                    if any(xb[2 * i] != xb[2 * i + 1] for i in range(n // 2)):
-                        continue
-                    if yb[0] != 0:
-                        continue
-                    if any(yb[2 * i + 1] != yb[2 * i + 2]
-                           for i in range((n - 2) // 2)):
-                        continue
-                    solutions.append((list(xb), list(yb)))
-                assert solutions == [decompose_z2(list(bits))]
-
-    def test_odd_length_rejected(self):
-        with pytest.raises(PreconditionError):
-            decompose_z2([1, 0, 1])
 
 
 class TestQEquiv:
