@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .errors import PreconditionError
-from .perm import Permutation, WordPermutation, metered
+from .perm import FiniteSupportPermutation, Permutation, WordPermutation, metered
 
 
 class Breakpoints:
@@ -60,14 +60,6 @@ class Breakpoints:
             self.ensure(len(self.a))
         return bisect.bisect_right(self.a, m) - 1
 
-    def crossing_counts(self, i: int) -> Tuple[int, int]:
-        """Elements moved up past a(i) - 1/2 from S_{i-1}, and down into it."""
-        lo, mid = self.interval(i - 1)
-        _, hi = self.interval(i)
-        ups = sum(1 for x in range(lo, mid) if self.f.forward(x) >= mid)
-        downs = sum(1 for x in range(mid, hi) if self.f.forward(x) < mid)
-        return ups, downs
-
 
 def breakpoints(f: Permutation, count: int) -> Breakpoints:
     return Breakpoints(f, count)
@@ -102,32 +94,24 @@ class _PairedExchanger(Permutation):
         self._crossers: dict = {}
         self._paired: set = set()
         self._k = self._frontier = 0
-        self._points = None  # a certified f's candidates: no other point crosses
-        if f.support_bound is not None:
-            shared = getattr(bp, "f", None) is f  # f's breakpoints have read them
-            self._points = bp._points if shared else f._candidates()
-            i = 0
-            while bp.value(2 * i) < f.support_bound:
-                i += 1
-            self.support_bound = bp.value(2 * i)
 
-    def _pairing(self, i: int) -> dict:
-        """The crosser table, with block i paired."""
-        if i in self._paired:
-            return self._crossers
-        lo, mid, hi = (self.bp.value(2 * i + k) for k in range(3))
-        f, xs = self.f, self._points
-        xs = range(lo, hi) if xs is None else \
-            xs[bisect.bisect_left(xs, lo):bisect.bisect_left(xs, hi)]
-        split = bisect.bisect_left(xs, mid)
-        ups = [x for x in xs[:split] if f.forward(x) >= mid]
-        downs = [x for x in xs[split:] if f.forward(x) < mid]
+    def _exchange(self, mid: int, ups: list, downs: list) -> None:
+        """Pair the upward crossers of the boundary mid with the downward ones."""
         if len(ups) != len(downs):
             raise PreconditionError(
                 f"crossing counts differ at boundary {mid}: {len(ups)} up vs "
                 f"{len(downs)} down")
         self._crossers.update(zip(ups, downs))
         self._crossers.update(zip(downs, ups))
+
+    def _pairing(self, i: int) -> dict:
+        """The crosser table, with block i paired."""
+        if i in self._paired:
+            return self._crossers
+        lo, mid, hi = (self.bp.value(2 * i + k) for k in range(3))
+        f = self.f
+        self._exchange(mid, [x for x in range(lo, mid) if f.forward(x) >= mid],
+                       [x for x in range(mid, hi) if f.forward(x) < mid])
         self._paired.add(i)
         k = self._k  # a(2k) is known once block k - 1 is paired
         while k in self._paired:
@@ -138,8 +122,6 @@ class _PairedExchanger(Permutation):
     def _fwd(self, alpha):
         if alpha < self._frontier:
             return self._crossers.get(alpha, alpha)
-        if self.support_bound is not None and alpha >= self.support_bound:
-            return alpha  # the blocks from support_bound up have no crossers
         return self._pairing(self.bp.index_of(alpha) // 2).get(alpha, alpha)
 
     _bwd = _fwd
@@ -148,13 +130,65 @@ class _PairedExchanger(Permutation):
         return self
 
 
+class _SettledExchanger(_PairedExchanger):
+    """The first local factor of a certified f, settled when built: every
+    block below its support bound a(2k) is paired in one pass over f's
+    candidates (those f's breakpoints read), evaluating each once and keeping
+    its image in ``images``.  No other point crosses: one lookup, no step."""
+
+    def __init__(self, f: Permutation, bp):
+        super().__init__(f, bp)
+        xs = bp._points if getattr(bp, "f", None) is f else f._candidates()
+        sb = f.support_bound  # a(2k) is the least even breakpoint >= sb
+        k = bp.index_of(sb - 1) // 2 + 1 if sb else 0
+        self.support_bound = bp.value(2 * k)
+        self.images = images = {}
+        mid = end = 0
+        ups, downs = [], []
+        with metered():
+            for x in xs:
+                if x >= end:  # x opens the next block holding a candidate
+                    if ups or downs:
+                        self._exchange(mid, ups, downs)
+                        ups, downs = [], []
+                    i = bp.index_of(x) // 2
+                    mid, end = bp.value(2 * i + 1), bp.value(2 * i + 2)
+                y = images[x] = f._fwd(x)
+                if x < mid:
+                    if y >= mid:
+                        ups.append(x)
+                elif y < mid:
+                    downs.append(x)
+            self._exchange(mid, ups, downs)
+
+    def _fwd(self, alpha):
+        return self._crossers.get(alpha, alpha)
+
+    _bwd = forward = backward = _fwd
+
+
+class _PaidTable(FiniteSupportPermutation):
+    """A finite table whose steps were charged when it was built: it charges none."""
+
+    _fwd = forward = FiniteSupportPermutation._f
+    _bwd = backward = FiniteSupportPermutation._b
+    inverse = Permutation.inverse
+
+
 def pair_crossers(f: Permutation, bp) -> Tuple[Permutation, Permutation]:
     """f = g . h with g preserving each [a(2i), a(2i+2)) and h = g^-1 f
-    preserving each [a(2i-1), a(2i+1)), where a(i) = bp.value(i).
+    preserving each [a(2i-1), a(2i+1)), where a(i) = bp.value(i).  For a
+    certified f, h is the table x -> f(g(x)) read off g's images of f.
 
     Needs f and f^-1 to map [0, a(i-1)) into [0, a(i)) for every i."""
-    g = _PairedExchanger(f, bp)
-    return g, WordPermutation([g.inverse(), f])  # certified when f is
+    if f.support_bound is None:
+        g = _PairedExchanger(f, bp)
+        return g, WordPermutation([g.inverse(), f])
+    g = _SettledExchanger(f, bp)
+    pairs, images = g._crossers, g.images
+    h = _PaidTable({x: images[pairs.get(x, x)] for x in images})
+    h.support_bound = g.support_bound
+    return g, h
 
 
 def decompose_local(f: Permutation, count: int = 8) -> Tuple[Permutation, Permutation]:

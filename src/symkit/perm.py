@@ -9,11 +9,12 @@ search.  Evaluation is lazy and budgeted: each top-level ``forward`` or
 nested calls; a finite or rule leaf's one step needs no meter installed.
 The metered loops: ``moved_points``, ``conjugate``, ``verify_window``,
 ``agrees_on_window``, ``parity``, ``verify_to``, tree rounds,
-``verify_invariants``, ``Breakpoints.ensure``, ``is_local``, ``net_flow``,
-``norm``'s probes, the refined-metric search, and a partition's block
-walks (``iter_blocks`` and the lazy witnesses' cursors) and free-point
-scans, which charge one step per point tested, and the unbounded witnesses'
-far-pair scans, which charge one per distance tested.
+``verify_invariants``, ``Breakpoints.ensure``, a certified permutation's
+crosser pairing, ``is_local``, ``net_flow``, ``norm``'s probes, the
+refined-metric search, and a partition's block walks (``iter_blocks`` and
+the lazy witnesses' cursors) and free-point scans, which charge one step
+per point tested, and the unbounded witnesses' far-pair scans, which
+charge one per distance tested.
 :func:`evaluation_budget` yields a meter for a block, and an exhausted meter
 stays exhausted until it exits.  Loops test a point once and skip what a
 certificate settles: a certified word or half restriction answers from its
@@ -24,8 +25,9 @@ it), certified breakpoints, crosser pairings and norms test candidates only,
 past its last term.
 
 Values are immutable after construction and safe to share across threads:
-the tree-element and limit memos, the sequence term cache and the local
-factor's monotone frontier fill idempotently, a :class:`LazyTable`, a block
+the tree-element and limit memos, the sequence term cache and the monotone
+frontier of an uncertified permutation's local factor (a certified one's
+are settled when built) fill idempotently, a :class:`LazyTable`, a block
 cursor, the breakpoints and the far-pair walk grow under their own lock,
 and the refined-metric neighbor cache evicts atomically.  User-supplied
 rules must be pure -- that is a stated contract, not something the library

@@ -660,10 +660,11 @@ def _uncertified_half_restriction():
     return _HalfRestriction(h, parts.pairs(), 0)
 
 
-def _local_factors():
-    """Both factors of a local decomposition, which share one lazy
-    breakpoint sequence, in both directions."""
-    p, q = decompose_local(word(rule("swap-pairs"), rule("shift-z")), 8)
+def _local_factors(f):
+    """Both factors of a local decomposition, in both directions: for an
+    uncertified f they share one lazy breakpoint sequence, for a certified
+    one they are settled when built."""
+    p, q = decompose_local(f, 8)
     return lambda a: (p.forward(a), q.forward(a), p.backward(a), q.backward(a))
 
 
@@ -691,7 +692,10 @@ THREAD_CASES = {  # a point's evaluation and the window both threads evaluate
     "packer": (lambda: _PackerPermutation(parts.intervals_growing(),
                                           parts.intervals_growing(), 0).forward,
                20_000),
-    "local-factors": (_local_factors, 3_000),
+    "local-factors": (lambda: _local_factors(
+        word(rule("swap-pairs"), rule("shift-z"))), 3_000),
+    "local-factors-certified": (lambda: _local_factors(
+        word(FiniteSupportPermutation({0: 7, 7: 3, 3: 0}), rule("identity"))), 3_000),
     # a branch limit's memos, over a constant tail that repeats its last term
     "branch-limit": (lambda: branch_limit(build_tree(PartitionStabilizerOracle(
         parts.a0()), "binary", 6), (1, 0) * 3).forward, 1_500),

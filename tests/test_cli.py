@@ -1,7 +1,12 @@
+import contextlib
 import gc
+import io
 import itertools
 import json
 import os
+import pathlib
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -541,3 +546,52 @@ class TestReproducibility:
         a = run(capsys, "--json", "classify", "stab:partition:a0")
         b = run(capsys, "--json", "classify", "stab:partition:a0")
         assert a == b
+
+
+# --------------------------------------------------------------------------
+# README CLI goldens: a spec change edits a file under tests/golden/ in plain
+# sight.  ``python tests/test_cli.py`` rewrites them from the current code.
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+README = pathlib.Path(__file__).parents[1] / "README.md"
+
+
+def _readme_examples():
+    """Each README ``symkit …`` line's arguments, without ``--json``, by name."""
+    lines = [line for line in README.read_text(encoding="utf-8").splitlines()
+             if line.startswith("symkit ")]
+    examples = {}
+    for k, line in enumerate(lines, 1):
+        argv = [a for a in shlex.split(line.split("#")[0])[1:] if a != "--json"]
+        examples[f"{k:02d}-" + re.sub(r"[^a-z0-9]+", "-", " ".join(argv[:2]))] = argv
+    return examples
+
+
+def _golden_text(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    return (f"$ symkit {shlex.join(argv)}\nexit: {code}\n"
+            f"--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}")
+
+
+GOLDEN_CASES = [(f"{name}{suffix}", flags + argv)
+                for name, argv in _readme_examples().items()
+                for suffix, flags in (("", []), (".json", ["--json"]))]
+
+
+def test_readme_examples_cover_the_cli_block():
+    assert len(GOLDEN_CASES) == 2 * 16
+    assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == \
+        sorted(name for name, _ in GOLDEN_CASES)
+
+
+@pytest.mark.parametrize("name,argv", GOLDEN_CASES, ids=[n for n, _ in GOLDEN_CASES])
+def test_readme_example_matches_golden(name, argv):
+    assert _golden_text(argv) == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in GOLDEN_CASES:
+        (GOLDEN / f"{name}.txt").write_text(_golden_text(argv), encoding="utf-8")

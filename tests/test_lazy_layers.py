@@ -52,7 +52,8 @@ def metered_cost(fn):
 
 class BlockPairedExchanger(Permutation):
     """The local factor with one crosser dict per paired block; a block pair
-    of a certified f scans only f's candidates there."""
+    of a certified f scans only f's candidates there, and a certified f has
+    every block below the bound paired, in order, before the first query."""
 
     def __init__(self, f, bp):
         super().__init__()
@@ -67,6 +68,8 @@ class BlockPairedExchanger(Permutation):
             while bp.value(2 * i) < f.support_bound:
                 i += 1
             self.support_bound = bp.value(2 * i)
+            for block in range(i):
+                self._pairing(block)
 
     def _pairing(self, i):
         if i in self._cache:
@@ -277,22 +280,33 @@ def _counting(monkeypatch, cls, name, calls):
     monkeypatch.setattr(cls, name, call)
 
 
+def _two_passes(g, calls):
+    """The block lookups of a descending then an ascending pass over
+    [0, 1000) of the local factor g, which must answer the same both times."""
+    calls.clear()
+    first = [g.forward(a) for a in reversed(range(1000))][::-1]
+    first_calls = calls[:]
+    calls.clear()
+    assert [g.forward(a) for a in range(1000)] == first
+    return first_calls, calls
+
+
 def test_settled_local_factor_points_make_no_block_lookups(monkeypatch):
     rng = random.Random(21)
     pts = rng.sample(range(200), 60)
     images = pts[:]
     rng.shuffle(images)
-    f = FiniteSupportPermutation(dict(zip(pts, images)))
-    g, _ = decompose_local(f, 8)
+    settled, _ = decompose_local(FiniteSupportPermutation(dict(zip(pts, images))), 8)
+    lazy, _ = decompose_local(word(rule("swap-pairs"), rule("shift-z")), 8)
     calls = []
     _counting(monkeypatch, Breakpoints, "index_of", calls)
     _counting(monkeypatch, _PairedExchanger, "_pairing", calls)
-    # pairing the blocks from the top down, the frontier moves only last
-    first = [g.forward(a) for a in reversed(range(1000))][::-1]
-    assert calls
-    calls.clear()
-    assert [g.forward(a) for a in range(1000)] == first
-    assert calls == []
+    # a certified f's blocks are all paired when its factor is built
+    assert _two_passes(settled, calls) == ([], [])
+    # an uncertified f's blocks pair on request; from the top down, the
+    # frontier moves only last, and then covers the window
+    first, second = _two_passes(lazy, calls)
+    assert first and second == []
 
 
 def test_half_restriction_looks_up_blocks_only_below_the_bound(monkeypatch):

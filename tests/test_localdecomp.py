@@ -1,15 +1,19 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symkit.localdecomp import breakpoints, decompose_local, is_local
+from symkit.errors import PreconditionError
+from symkit.localdecomp import _PairedExchanger, breakpoints, decompose_local, is_local
 from symkit.metrics import factor_fn_omega
 from symkit.perm import (
     FiniteSupportPermutation,
+    WordPermutation,
     evaluation_budget,
     identity,
     rule,
+    word,
 )
 
 
@@ -45,12 +49,20 @@ class TestBreakpoints:
                     assert f.backward(x) < hi
 
     def test_crossing_balance(self):
+        def crossing_counts(f, bp, i):
+            """Elements moved up past a(i) - 1/2 from S_{i-1}, and down into it."""
+            lo, mid = bp.interval(i - 1)
+            _, hi = bp.interval(i)
+            ups = sum(1 for x in range(lo, mid) if f.forward(x) >= mid)
+            downs = sum(1 for x in range(mid, hi) if f.forward(x) < mid)
+            return ups, downs
+
         rng = random.Random(18)
         for _ in range(10):
             f = random_finite(rng, 60, 16)
             bp = breakpoints(f, 8)
             for i in range(1, 8):
-                ups, downs = bp.crossing_counts(i)
+                ups, downs = crossing_counts(f, bp, i)
                 assert ups == downs
 
 
@@ -162,10 +174,54 @@ def test_local_factors_fix_the_region_above_support_bound(f, by_norm):
 def test_decompose_step_count():
     """Primitive steps for a finite decompose_local and its 1000-point h.g
     window: 3,998 before the local factor returned points at or above its
-    support bound unchanged, 1,606 with it."""
+    support bound unchanged, 1,606 with it, 377 with blocks paired on
+    request.  Settled when built, the factors cost the breakpoints' two steps
+    per moved point and the pairing's one, and the window none."""
     f = random_finite(random.Random(21), 200, 60)
+    moved = len(f.moved_points())
     with evaluation_budget(10**9) as m:
         g, h = decompose_local(f, 8)
+        built = m.spent
         hg = [h.forward(g.forward(a)) for a in range(1000)]
-    assert hg == [f.forward(a) for a in range(1000)]
-    assert m.spent <= 2_500
+        nested = [word(g, h).forward(a) for a in range(1000)]  # through _fwd
+    assert hg == nested == [f.forward(a) for a in range(1000)]
+    assert (moved, built) == (59, 3 * 59)
+    assert m.spent == built
+
+
+certified = finite_perms() | st.lists(finite_perms() | st.just(rule("identity")),
+                                      min_size=1, max_size=3).map(lambda fs: word(*fs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(certified, st.booleans())
+def test_settled_factors_match_the_pairing_on_request(f, by_norm):
+    """A certified f's factors, settled when built, give the images of the
+    factors that pair blocks on request on the same breakpoints: below
+    2 support_bound + 64 both ways, and far points fixed, free of charge."""
+    g, h = factor_fn_omega(f) if by_norm else decompose_local(f, 8)
+    if not isinstance(g, _PairedExchanger):
+        return  # a zero norm: factor_fn_omega returns two identities
+    lazy_g = _PairedExchanger(f, g.bp)
+    lazy_h = WordPermutation([lazy_g, f])
+    bound = g.support_bound
+    assert h.support_bound == bound
+    for p, q in ((g, lazy_g), (h, lazy_h)):
+        for a in range(2 * bound + 64):
+            assert (p.forward(a), p.backward(a)) == (q.forward(a), q.backward(a))
+    with evaluation_budget(10**9) as m:
+        far = [bound + 10**6 + k for k in range(5)] + [10**18]
+        assert [(g.forward(a), h.forward(a), g.backward(a), h.backward(a))
+                for a in far] == [(a,) * 4 for a in far]
+    assert m.spent == 0
+
+
+@pytest.mark.parametrize("cycles,message", [
+    ([[0, 5]], "boundary 1: 1 up vs 0 down"),
+    ([[1, 3, 2], [10, 11]], "boundary 3: 0 up vs 1 down")])
+def test_unbalanced_certified_pairing_raises_when_built(cycles, message):
+    """Width 1 is below these norms, so some boundary has more crossers one
+    way than the other; the pairing on request raised this on the first
+    evaluation there."""
+    with pytest.raises(PreconditionError, match=rf"^crossing counts differ at {message}$"):
+        factor_fn_omega(cyc(*cycles), bound=1)
