@@ -54,7 +54,9 @@ class GroupOracle:
         raise NotImplementedError
 
     def act(self, gamma: frozenset, alpha: int, target: int) -> Permutation:
-        """An element fixing gamma pointwise and sending alpha to target."""
+        """An element fixing gamma pointwise and sending alpha to target,
+        with a finite-support certificate: the tree gammas read its moved
+        points (NoSupportCertificateError without one)."""
         raise NotImplementedError
 
 
@@ -160,9 +162,10 @@ class TreeState:
       "inf":       elements g(k_0..k_{r-1}) grouped by r + sum(k) = j; every
                    pivot needs an orbit larger than everything built so far.
 
-    Elements are evaluated through their parents.  Gammas grow incrementally:
-    ``_swept`` lists the base points and pivots pulled back so far, and
-    ``_gamma_acc`` holds them with their preimages under every element.
+    Elements are evaluated through their parents.  A round's gamma grows
+    from each new node's factor, one evaluation of the node's element per
+    point the factor moves: ``_swept`` holds the base points and pivots so
+    far, and ``_gamma_acc`` them with their preimages under every element.
     """
 
     def __init__(self, mode: str, oracle: GroupOracle,
@@ -177,9 +180,12 @@ class TreeState:
             (): TreeNode((), [], identity(), None, frozenset())}
         self._perms: Dict[tuple, Permutation] = {(): identity()}
         self._used_targets: set = set()
-        self._swept: List[int] = []
+        # inf mode: level -> (its pivot's images under the first n nodes, n)
+        self._images: Dict[int, Tuple[set, int]] = {}
+        self._swept: set = set()
         self._gamma_acc: set = set()
-        self._gamma_mark = (0, 0)  # node and swept-point counts at last call
+        self._waiting: Dict[int, List[int]] = {}
+        self._gamma_nodes = 0  # nodes whose factors the gamma has read
         self.rounds = 0
 
     # -- shared plumbing ----------------------------------------------------
@@ -194,20 +200,31 @@ class TreeState:
         return list(range(j)) + self.alphas[:j] + self.betas[:j]
 
     def _gamma(self, j: int) -> frozenset:
-        """The points of round j and their preimages under every element:
-        new points on old elements, all points on new ones.  A point already
-        in the gamma as a preimage is still swept once it is a base point."""
-        swept, acc = self._swept, self._gamma_acc
+        """The points of round j and their preimages under every element.
+
+        A child's element is its factor h, then its parent's element g, so
+        it pulls a swept s back to g^-1(s) unless h moves that point.  The
+        preimages are thus the swept points and, for each node, the points
+        m its factor moves whose image under the node's element is swept.
+        Each node is read once; ``_waiting`` keeps an image not yet swept
+        with its points m."""
+        swept, acc, waiting = self._swept, self._gamma_acc, self._waiting
+        with metered():
+            for key, node in itertools.islice(
+                    self.nodes.items(), self._gamma_nodes, None):
+                e = self.perm(key)
+                for m in node.factor.moved_points():
+                    image = e._fwd(m)
+                    if image in swept:
+                        acc.add(m)
+                    else:
+                        waiting.setdefault(image, []).append(m)
+        self._gamma_nodes = len(self.nodes)
         for p in self._points(j):
             if p not in swept:
-                swept.append(p)
-        acc.update(swept)
-        old_nodes, old_swept = self._gamma_mark
-        with metered():
-            for i, key in enumerate(self.nodes):
-                acc.update(map(self.perm(key)._bwd,
-                               swept[old_swept if i < old_nodes else 0:]))
-        self._gamma_mark = (len(self.nodes), len(swept))
+                swept.add(p)
+                acc.add(p)
+                acc.update(waiting.pop(p, ()))
         return frozenset(acc)
 
     def level_keys(self, j: int) -> List[tuple]:
@@ -330,8 +347,10 @@ class TreeState:
                     f"pivot {pivot} pinned by the event set of {key}",
                     level=j, gamma=frozenset(lam))
             avoid = set(lam) | set(self.alphas) | self._used_targets
-            forbidden_images = {self.perm(k)._fwd(pivot)
-                                for k in self.nodes}
+            forbidden_images, read = self._images.get(level, (set(), 0))
+            forbidden_images.update(self.perm(k)._fwd(pivot) for k in
+                                    itertools.islice(self.nodes, read, None))
+            self._images[level] = forbidden_images, len(self.nodes)
             chosen = None
             n = 16
             while chosen is None:

@@ -549,8 +549,9 @@ class TestReproducibility:
 
 
 # --------------------------------------------------------------------------
-# README CLI goldens: a spec change edits a file under tests/golden/ in plain
-# sight.  ``python tests/test_cli.py`` rewrites them from the current code.
+# CLI goldens for the README lines and TREE_EXAMPLES: a spec change edits a
+# file under tests/golden/ in plain sight.  ``python tests/test_cli.py``
+# rewrites them from the current code.
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 README = pathlib.Path(__file__).parents[1] / "README.md"
@@ -575,13 +576,24 @@ def _golden_text(argv):
             f"--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}")
 
 
+# Tree cases the README does not show: deeper builds of every mode.
+TREE_EXAMPLES = {name: shlex.split(line) for name, line in {
+    "tree-build-inf-8": "tree build --mode inf --depth 8 --oracle full-sym",
+    "tree-build-unbounded-5":
+        "tree build --mode unbounded --depth 5 --oracle full-sym",
+    "tree-build-binary-8":
+        "tree build --mode binary --depth 8 --oracle stab-pairs",
+    "tree-branch-inf-6":
+        "tree branch --mode inf --depth 6 --oracle full-sym --choice 000000",
+}.items()}
+
 GOLDEN_CASES = [(f"{name}{suffix}", flags + argv)
-                for name, argv in _readme_examples().items()
+                for name, argv in {**_readme_examples(), **TREE_EXAMPLES}.items()
                 for suffix, flags in (("", []), (".json", ["--json"]))]
 
 
 def test_readme_examples_cover_the_cli_block():
-    assert len(GOLDEN_CASES) == 2 * 16
+    assert len(GOLDEN_CASES) == 2 * (16 + 4)
     assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == \
         sorted(name for name, _ in GOLDEN_CASES)
 

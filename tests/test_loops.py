@@ -96,20 +96,26 @@ def metered_cost(fn, *args):
 
 
 class PerCallTree(TreeState):
-    """Rounds, gammas and invariant checks with a public call per point."""
+    """Rounds, gammas and invariant checks with a public call per point.
+    The gamma reads each new node's factor once, and an inf round keeps each
+    pivot's images over the nodes read so far, as the library does."""
 
     def _gamma(self, j):
-        swept, acc = self._swept, self._gamma_acc
+        swept, acc, waiting = self._swept, self._gamma_acc, self._waiting
+        for key, node in list(self.nodes.items())[self._gamma_nodes:]:
+            e = self.perm(key)
+            for m in node.factor.moved_points():
+                image = e.forward(m)
+                if image in swept:
+                    acc.add(m)
+                else:
+                    waiting.setdefault(image, []).append(m)
+        self._gamma_nodes = len(self.nodes)
         for p in self._points(j):
             if p not in swept:
-                swept.append(p)
-        acc.update(swept)
-        old_nodes, old_swept = self._gamma_mark
-        for i, key in enumerate(self.nodes):
-            e = self.perm(key)
-            acc.update(e.backward(p) for p in
-                       swept[old_swept if i < old_nodes else 0:])
-        self._gamma_mark = (len(self.nodes), len(swept))
+                swept.add(p)
+                acc.add(p)
+                acc.update(waiting.pop(p, ()))
         return frozenset(acc)
 
     def build_round(self):
@@ -218,8 +224,10 @@ class PerCallTree(TreeState):
                     f"pivot {pivot} pinned by the event set of {key}",
                     level=j, gamma=frozenset(lam))
             avoid = set(lam) | set(self.alphas) | self._used_targets
-            forbidden_images = {self.perm(k).forward(pivot)
-                                for k in self.nodes}
+            forbidden_images, read = self._images.get(level, (set(), 0))
+            forbidden_images.update(self.perm(k).forward(pivot)
+                                    for k in list(self.nodes)[read:])
+            self._images[level] = forbidden_images, len(self.nodes)
             chosen = None
             n = 16
             while chosen is None:

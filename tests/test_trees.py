@@ -10,6 +10,7 @@ from symkit.classifier import oracle_plugin
 from symkit.errors import (
     HypothesisFailureError,
     IllFormedTreeError,
+    NoSupportCertificateError,
     PreconditionError,
     SymkitError,
 )
@@ -70,6 +71,18 @@ class TestBinaryTree:
     def test_needs_bounded_oracle(self):
         with pytest.raises(PreconditionError):
             build_tree(FullSymmetricOracle(), "binary", 3)
+
+    def test_uncertified_factor_refused(self):
+        """An oracle's factors must carry a finite-support certificate: the
+        next round's gamma reads their moved points."""
+        class Uncertified(PartitionStabilizerOracle):
+            def act(self, gamma, alpha, target):
+                return rule("swap-pairs")
+
+        oracle = Uncertified(parts.pairs())
+        with pytest.raises(NoSupportCertificateError) as err:
+            build_tree(oracle, "binary", 2)
+        assert isinstance(err.value, SymkitError)
 
 
 class TestUnboundedTree:
@@ -400,15 +413,26 @@ class TestStepCounts:
     Before elements were evaluated through their parents and gammas grew
     incrementally, the depth-8 stab-a0 binary tree cost 28,024 steps to
     build, 10,970 to verify and 514 for the branch limit below; with them it
-    costs 4,883, 256 and 26."""
+    cost 4,883, 256 and 17.  Since each round's gamma reads each new node's
+    factor once, one step per point the factor moves, the build costs 1,274.
+    The gamma no longer pulls every swept point back through every element,
+    so it leaves fewer memos filled: verifying now costs 384 and the branch
+    limit 86."""
 
     def test_depth8_tree(self):
         with evaluation_budget(10**9) as m:
             tree = build_tree(PartitionStabilizerOracle(parts.a0()), "binary", 8)
-        assert m.spent <= 6_000
+        assert m.spent <= 1_300
         with evaluation_budget(10**9) as m:
             tree.verify_invariants()
         assert m.spent <= 2_000
         with evaluation_budget(10**9) as m:
             branch_limit(tree, (1, 0, 1, 1, 0, 1, 0, 1))
         assert m.spent <= 100
+
+    def test_depth10_inf_tree(self):
+        """20,629 steps while every key re-evaluated every node at its
+        pivot; 17,766 with one image set per pivot, grown over new nodes."""
+        with evaluation_budget(10**9) as m:
+            build_tree(FullSymmetricOracle(), "inf", 10)
+        assert m.spent <= 18_000
