@@ -9,12 +9,15 @@ preserves each [a(2i), a(2i+2)) and a cofactor preserving each
 from __future__ import annotations
 
 import bisect
+import math
 import threading
 from dataclasses import dataclass
+from itertools import chain
 from typing import List, Optional, Tuple
 
 from .errors import PreconditionError
-from .perm import FiniteSupportPermutation, Permutation, WordPermutation, metered
+from .perm import (FiniteSupportPermutation, Permutation, WordPermutation, _charge,
+                   extend_while, metered)
 
 
 class Breakpoints:
@@ -23,41 +26,35 @@ class Breakpoints:
     Only the images and preimages of [a(i-1), a(i)) can lift a(i+1) past
     a(i) + 1, so extending costs one pass over the points, or for a certified
     f over its candidate points, since a fixed x lifts it only to x + 1.
-    Extension holds the object's lock and appends each breakpoint whole."""
+    Each breakpoint appended is one step, form ``breakpoints``, taken whole
+    under the object's lock (:func:`perm.extend_while`); a known one takes
+    neither lock nor meter."""
 
     def __init__(self, f: Permutation, count: int = 1):
         self.f = f
         self.a: List[int] = [0]
         self._points = f._candidates() if f.support_bound is not None else None
         self._lock = threading.Lock()
-        self.ensure(count)
+        self.value(count)
 
-    def ensure(self, count: int) -> None:
-        if len(self.a) > count:
-            return
+    def _step(self) -> None:
+        _charge("breakpoints")
         f, a, points = self.f, self.a, self._points
-        with self._lock, metered():
-            while len(a) <= count:
-                lo, hi = a[-2] if len(a) > 1 else 0, a[-1]
-                top = hi + 1  # points below lo lift the maximum to at most hi
-                for x in range(lo, hi) if points is None else points[
-                        bisect.bisect_left(points, lo):bisect.bisect_left(points, hi)]:
-                    top = max(top, f._fwd(x) + 1, f._bwd(x) + 1)
-                a.append(top)
+        lo, hi = a[-2] if len(a) > 1 else 0, a[-1]
+        top = hi + 1  # points below lo lift the maximum to at most hi
+        for x in range(lo, hi) if points is None else points[
+                bisect.bisect_left(points, lo):bisect.bisect_left(points, hi)]:
+            top = max(top, f._fwd(x) + 1, f._bwd(x) + 1)
+        a.append(top)
 
     def value(self, i: int) -> int:
-        self.ensure(i)
+        if len(self.a) <= i:
+            extend_while(self._lock, lambda: len(self.a) <= i, self._step)
         return self.a[i]
 
-    def interval(self, i: int) -> Tuple[int, int]:
-        """The half-open interval S_i = [a(i), a(i+1)); S_{-1} is empty."""
-        if i < 0:
-            return (0, 0)
-        return (self.value(i), self.value(i + 1))
-
     def index_of(self, m: int) -> int:
-        while self.a[-1] <= m:
-            self.ensure(len(self.a))
+        if self.a[-1] <= m:
+            extend_while(self._lock, lambda: self.a[-1] <= m, self._step)
         return bisect.bisect_right(self.a, m) - 1
 
 
@@ -82,8 +79,12 @@ class _PairedExchanger(Permutation):
     """The first local factor: swaps paired crossers inside [a(2i), a(2i+2)).
 
     The breakpoints ``bp`` supply ``value(i)`` = a(i) and ``index_of(m)``,
-    the i with a(i) <= m < a(i+1).  Blocks pair on request into one flat
-    table; below a(2k), blocks 0..k-1 are all paired: one comparison, one get."""
+    the i with a(i) <= m < a(i+1).  Blocks pair into one flat table; below
+    a(2k), the frontier, blocks 0..k-1 are all paired and a point is one
+    comparison and one get, with no meter.  A certified f has every block
+    below its support bound a(2k) paired when built, over f's candidates,
+    and keeps their images in ``images``; no other point crosses.  An
+    uncertified f pairs block i on request, over [a(2i), a(2i+2))."""
 
     form = "local-factor"
 
@@ -92,79 +93,70 @@ class _PairedExchanger(Permutation):
         self.f = f
         self.bp = bp
         self._crossers: dict = {}
-        self._paired: set = set()
+        self._paired: set = set()  # blocks paired on request
         self._k = self._frontier = 0
+        sb = f.support_bound
+        if sb is not None:  # a(2k) is the least even breakpoint >= sb
+            k = bp.index_of(sb - 1) // 2 + 1 if sb else 0
+            self.support_bound = bp.value(2 * k)
+            with metered():
+                self.images = self._pair(bp._points if getattr(bp, "f", None) is f
+                                         else f._candidates())
+            self._k, self._frontier = k, self.support_bound
 
-    def _exchange(self, mid: int, ups: list, downs: list) -> None:
-        """Pair the upward crossers of the boundary mid with the downward ones."""
-        if len(ups) != len(downs):
-            raise PreconditionError(
-                f"crossing counts differ at boundary {mid}: {len(ups)} up vs "
-                f"{len(downs)} down")
-        self._crossers.update(zip(ups, downs))
-        self._crossers.update(zip(downs, ups))
-
-    def _pairing(self, i: int) -> dict:
-        """The crosser table, with block i paired."""
-        if i in self._paired:
-            return self._crossers
-        lo, mid, hi = (self.bp.value(2 * i + k) for k in range(3))
-        f = self.f
-        self._exchange(mid, [x for x in range(lo, mid) if f.forward(x) >= mid],
-                       [x for x in range(mid, hi) if f.forward(x) < mid])
-        self._paired.add(i)
-        k = self._k  # a(2k) is known once block k - 1 is paired
-        while k in self._paired:
-            k += 1
-        self._k, self._frontier = k, self.bp.value(2 * k)
-        return self._crossers
+    def _pair(self, xs) -> dict:
+        """Pair the blocks holding the ascending points xs, which hold every
+        point there that f moves, and return f's images of xs.  Each point is
+        evaluated once, under the caller's meter; a block's crossing counts are
+        checked and its crossers written before the next block's first point
+        is read."""
+        bp, f, crossers = self.bp, self.f, self._crossers
+        images: dict = {}
+        mid = end = 0
+        ups, downs = [], []
+        for x in chain(xs, (math.inf,)):
+            if x >= end:  # x opens the next block holding a point, or ends xs
+                if len(ups) != len(downs):
+                    raise PreconditionError(
+                        f"crossing counts differ at boundary {mid}: {len(ups)} up vs "
+                        f"{len(downs)} down")
+                if ups:
+                    crossers.update(zip(ups, downs))
+                    crossers.update(zip(downs, ups))
+                    ups, downs = [], []
+                if x == math.inf:
+                    return images
+                i = bp.index_of(x) // 2
+                mid, end = bp.value(2 * i + 1), bp.value(2 * i + 2)
+            y = images[x] = f._fwd(x)
+            if x < mid:
+                if y >= mid:
+                    ups.append(x)
+            elif y < mid:
+                downs.append(x)
 
     def _fwd(self, alpha):
         if alpha < self._frontier:
             return self._crossers.get(alpha, alpha)
-        return self._pairing(self.bp.index_of(alpha) // 2).get(alpha, alpha)
-
-    _bwd = _fwd
-
-    def inverse(self):
-        return self
-
-
-class _SettledExchanger(_PairedExchanger):
-    """The first local factor of a certified f, settled when built: every
-    block below its support bound a(2k) is paired in one pass over f's
-    candidates (those f's breakpoints read), evaluating each once and keeping
-    its image in ``images``.  No other point crosses: one lookup, no step."""
-
-    def __init__(self, f: Permutation, bp):
-        super().__init__(f, bp)
-        xs = bp._points if getattr(bp, "f", None) is f else f._candidates()
-        sb = f.support_bound  # a(2k) is the least even breakpoint >= sb
-        k = bp.index_of(sb - 1) // 2 + 1 if sb else 0
-        self.support_bound = bp.value(2 * k)
-        self.images = images = {}
-        mid = end = 0
-        ups, downs = [], []
-        with metered():
-            for x in xs:
-                if x >= end:  # x opens the next block holding a candidate
-                    if ups or downs:
-                        self._exchange(mid, ups, downs)
-                        ups, downs = [], []
-                    i = bp.index_of(x) // 2
-                    mid, end = bp.value(2 * i + 1), bp.value(2 * i + 2)
-                y = images[x] = f._fwd(x)
-                if x < mid:
-                    if y >= mid:
-                        ups.append(x)
-                elif y < mid:
-                    downs.append(x)
-            self._exchange(mid, ups, downs)
-
-    def _fwd(self, alpha):
+        if self.support_bound is not None:  # past a certified f's bound
+            return alpha
+        bp = self.bp
+        with metered():  # pair alpha's block i on request
+            bp.value(2 * self._k + 2)  # any alpha at or past a(2k) needs it
+            i = bp.index_of(alpha) // 2
+            if i not in self._paired:
+                self._pair(range(bp.value(2 * i), bp.value(2 * i + 2)))
+                self._paired.add(i)
+                k = self._k  # a(2k) is known once block k - 1 is paired
+                while k in self._paired:
+                    k += 1
+                self._k, self._frontier = k, bp.value(2 * k)
         return self._crossers.get(alpha, alpha)
 
     _bwd = forward = backward = _fwd
+
+    def inverse(self):
+        return self
 
 
 class _PaidTable(FiniteSupportPermutation):
@@ -181,10 +173,9 @@ def pair_crossers(f: Permutation, bp) -> Tuple[Permutation, Permutation]:
     certified f, h is the table x -> f(g(x)) read off g's images of f.
 
     Needs f and f^-1 to map [0, a(i-1)) into [0, a(i)) for every i."""
+    g = _PairedExchanger(f, bp)
     if f.support_bound is None:
-        g = _PairedExchanger(f, bp)
         return g, WordPermutation([g.inverse(), f])
-    g = _SettledExchanger(f, bp)
     pairs, images = g._crossers, g.images
     h = _PaidTable({x: images[pairs.get(x, x)] for x in images})
     h.support_bound = g.support_bound
@@ -221,6 +212,7 @@ def is_local(f: Permutation, probe_prefix: int) -> LocalityReport:
     running_max = -1
     with metered():
         for j in range(1, probe_prefix + 1):
+            _charge("prefixes")  # past a certified word's bound nothing else does
             running_max = max(running_max, f._fwd(j - 1), f._bwd(j - 1))
             if running_max < j:
                 witnesses.append(j)

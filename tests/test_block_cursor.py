@@ -730,6 +730,41 @@ def test_walkers_shared_by_two_threads_answer_as_one(name):
         assert results == [expected, expected]
 
 
+def test_local_factor_paired_on_request_by_four_threads():
+    """Four threads pair one uncertified local factor's blocks in one
+    shuffled order, so they meet in the same blocks, with a short switch
+    interval: a block's crossers are in the table before the block is marked
+    paired or the frontier passes it, so every thread reads the one-thread
+    images."""
+    f = word(rule("block-rotate", size=8), rule("shift-z"))
+    points = random.Random(23).sample(range(2_000), 2_000)
+    alone, _ = decompose_local(f, 8)
+    expected = {a: alone.forward(a) for a in points}
+    orders = [points] * 4
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            g, _ = decompose_local(f, 8)
+            results, errors = [], []
+
+            def run(order):
+                try:
+                    results.append({a: g.forward(a) for a in order})
+                except Exception as exc:
+                    errors.append(exc)
+            threads = [threading.Thread(target=run, args=(o,)) for o in orders]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+                assert not t.is_alive()
+            assert not errors
+            assert results == [expected] * 4
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_refined_metric_cache_shared_by_four_threads(monkeypatch):
     """Threads whose searches evict from one small neighbor cache while
     inserting into it see no error and the one-thread distances."""

@@ -12,7 +12,7 @@ import sys
 import time
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import symkit
@@ -427,13 +427,19 @@ def run_process(*argv):
     (["witness", "even-shift", "--partition", "spread", "--window", "100000000"], None),
     (["local", "decompose", "--perm", "cycles:(0 1 2)", "--count", "100000000"], None),
     (["local", "breakpoints", "--perm", "cycles:(0 1 2)", "--count", "100000000"], None),
+    (["local", "decompose", "--perm", "cycles:(0 1)(30000000 30000001)"], None),
+    (["local", "check", "--perm", "word:[cycles:(0 1)]", "--window", "100000000"], None),
 ], ids=["decompose-window", "p-equiv-window", "even-shift-window",
-        "decompose-count", "breakpoints-count"])
+        "decompose-count", "breakpoints-count", "decompose-far-support",
+        "check-certified-word-window"])
 def test_huge_window_or_count_ends(argv, answer):
     # a certified permutation is scanned only below its support bound, each
     # window loop runs under one meter, and --count has a ceiling.  The
-    # uncertified witnesses stop at the meter's 10^6 points; without these
-    # bounds each call runs for minutes, past run_process's 10 s kill.
+    # uncertified witnesses stop at the meter's 10^6 points, and so do the
+    # breakpoint walk below a far support and the locality probe past a
+    # certified word's bound, which charge a step per breakpoint or prefix;
+    # without these bounds each call runs for minutes, past run_process's
+    # 10 s kill.
     code, out, err, _ = run_process(*argv)
     assert "Traceback" not in err
     if answer is None:
@@ -509,6 +515,43 @@ def test_tree_cli_fuzz(capsys, breakpoints, action, depth, window, pi, as_json):
         assert_error_exit(code, err)
 
 
+FAR_POINTS = st.integers(0, 12) | st.integers(0, 10**8)
+LOCAL_PERMS = st.recursive(
+    st.lists(st.lists(FAR_POINTS, min_size=2, max_size=3, unique=True), max_size=3).map(
+        lambda cycles: "cycles:" + "".join(f"({' '.join(map(str, c))})" for c in cycles))
+    | st.sampled_from(["rule:swap-pairs", "rule:shift-z", "rule:block-rotate;size=3",
+                       "rule:identity"]),
+    lambda inner: st.lists(inner, min_size=1, max_size=3).map(
+        lambda specs: f"word:[{','.join(specs)}]")
+    | inner.map(lambda spec: f"word:[{spec}]^-1" if spec.endswith("^-1") else spec + "^-1"),
+    max_leaves=4)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(["decompose", "breakpoints", "check"]), LOCAL_PERMS,
+       st.none() | st.integers(-2, 20) | st.integers(0, 10**5),
+       st.none() | st.integers(-2, 300) | st.integers(0, 10**8), st.booleans())
+@example("decompose", "cycles:(0 1)(30000000 30000001)", None, None, False)
+def test_local_cli_fuzz(capsys, action, spec, count, window, as_json):
+    # far-support cycles, huge windows and counts end at the meter, which a
+    # small budget makes cheap; before the breakpoint walk charged, a cycle
+    # far out ran one unmetered step per natural number below it
+    argv = ["--json"] * as_json + ["local", action, "--perm", spec]
+    if count is not None:
+        argv.append(f"--count={count}")
+    if window is not None:
+        argv.append(f"--window={window}")
+    start = time.perf_counter()
+    with evaluation_budget(20_000):
+        code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 10
+    assert code in (0, 1, 2) and "Traceback" not in err
+    if code == 1:
+        assert_error_exit(code, err)
+
+
 def test_budget_exhausted_exit_1(capsys):
     with evaluation_budget(1):
         code, _, err = run(capsys, "perm", "eval", "--perm",
@@ -549,9 +592,9 @@ class TestReproducibility:
 
 
 # --------------------------------------------------------------------------
-# CLI goldens for the README lines and TREE_EXAMPLES: a spec change edits a
-# file under tests/golden/ in plain sight.  ``python tests/test_cli.py``
-# rewrites them from the current code.
+# CLI goldens for the README lines, TREE_EXAMPLES and LOCAL_EXAMPLES: a spec
+# change edits a file under tests/golden/ in plain sight.
+# ``python tests/test_cli.py`` rewrites them from the current code.
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 README = pathlib.Path(__file__).parents[1] / "README.md"
@@ -587,13 +630,26 @@ TREE_EXAMPLES = {name: shlex.split(line) for name, line in {
         "tree branch --mode inf --depth 6 --oracle full-sym --choice 000000",
 }.items()}
 
+# Local factors the README does not show: blocks paired on request for an
+# uncertified f, and a certified word's blocks paired when g is built.
+LOCAL_EXAMPLES = {f"local-{action}-{name}": ["local", action, "--perm", spec]
+                  for name, spec in {
+                      "block-rotate-3": "rule:block-rotate;size=3",
+                      "rotate-swap-word": "word:[rule:block-rotate;size=3,rule:swap-pairs]",
+                      "shift-z": "rule:shift-z",
+                      "swap-pairs-inverse": "rule:swap-pairs^-1",
+                      "certified-word": "word:[cycles:(0 7 2)(10 13),cycles:(1 12)(20 25)]",
+                  }.items()
+                  for action in ("decompose", "breakpoints")}
+
 GOLDEN_CASES = [(f"{name}{suffix}", flags + argv)
-                for name, argv in {**_readme_examples(), **TREE_EXAMPLES}.items()
+                for name, argv in {**_readme_examples(), **TREE_EXAMPLES,
+                                   **LOCAL_EXAMPLES}.items()
                 for suffix, flags in (("", []), (".json", ["--json"]))]
 
 
 def test_readme_examples_cover_the_cli_block():
-    assert len(GOLDEN_CASES) == 2 * (16 + 4)
+    assert len(GOLDEN_CASES) == 2 * (16 + 4 + 10)
     assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == \
         sorted(name for name, _ in GOLDEN_CASES)
 

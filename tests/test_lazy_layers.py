@@ -300,7 +300,7 @@ def test_settled_local_factor_points_make_no_block_lookups(monkeypatch):
     lazy, _ = decompose_local(word(rule("swap-pairs"), rule("shift-z")), 8)
     calls = []
     _counting(monkeypatch, Breakpoints, "index_of", calls)
-    _counting(monkeypatch, _PairedExchanger, "_pairing", calls)
+    _counting(monkeypatch, _PairedExchanger, "_pair", calls)
     # a certified f's blocks are all paired when its factor is built
     assert _two_passes(settled, calls) == ([], [])
     # an uncertified f's blocks pair on request; from the top down, the

@@ -9,6 +9,7 @@ from symkit.localdecomp import _PairedExchanger, breakpoints, decompose_local, i
 from symkit.metrics import factor_fn_omega
 from symkit.perm import (
     FiniteSupportPermutation,
+    Permutation,
     WordPermutation,
     evaluation_budget,
     identity,
@@ -51,8 +52,7 @@ class TestBreakpoints:
     def test_crossing_balance(self):
         def crossing_counts(f, bp, i):
             """Elements moved up past a(i) - 1/2 from S_{i-1}, and down into it."""
-            lo, mid = bp.interval(i - 1)
-            _, hi = bp.interval(i)
+            lo, mid, hi = bp.value(i - 1), bp.value(i), bp.value(i + 1)
             ups = sum(1 for x in range(lo, mid) if f.forward(x) >= mid)
             downs = sum(1 for x in range(mid, hi) if f.forward(x) < mid)
             return ups, downs
@@ -138,12 +138,31 @@ class TestIsLocal:
 
 
 # --------------------------------------------------------------------------
-# The fixed region above support_bound, against the unshortcut pairing.
+# The fixed region above support_bound, against the pairing on request.
 
 
-def _unshortcut(g, alpha):
-    """The local factor's value through its block's crosser pairing."""
-    return g._pairing(g.bp.index_of(alpha) // 2).get(alpha, alpha)
+class OnRequestPairing(Permutation):
+    """The first local factor with block i paired when a point of it is
+    asked for, over all of [a(2i), a(2i+2)) with the public ``f.forward``,
+    into one dict per block; it knows no support bound."""
+
+    def __init__(self, f, bp):
+        super().__init__()
+        self.f, self.bp, self._blocks = f, bp, {}
+
+    def _pairing(self, i):
+        if i not in self._blocks:
+            lo, mid, hi = (self.bp.value(2 * i + k) for k in range(3))
+            ups = [x for x in range(lo, mid) if self.f.forward(x) >= mid]
+            downs = [x for x in range(mid, hi) if self.f.forward(x) < mid]
+            assert len(ups) == len(downs)
+            self._blocks[i] = {**dict(zip(ups, downs)), **dict(zip(downs, ups))}
+        return self._blocks[i]
+
+    def _fwd(self, alpha):
+        return self._pairing(self.bp.index_of(alpha) // 2).get(alpha, alpha)
+
+    _bwd = _fwd
 
 
 @st.composite
@@ -165,8 +184,9 @@ def test_local_factors_fix_the_region_above_support_bound(f, by_norm):
                    for a in range(bound, 2 * bound + 64))
     if f.support_bound == 0:
         return  # factor_fn_omega returns two identities
+    reference = OnRequestPairing(f, g.bp)
     for a in range(2 * g.support_bound):
-        pa = _unshortcut(g, a)
+        pa = reference.forward(a)
         assert g.forward(a) == g.backward(a) == pa
         assert h.forward(a) == f.forward(pa)
 
@@ -176,7 +196,8 @@ def test_decompose_step_count():
     window: 3,998 before the local factor returned points at or above its
     support bound unchanged, 1,606 with it, 377 with blocks paired on
     request.  Settled when built, the factors cost the breakpoints' two steps
-    per moved point and the pairing's one, and the window none."""
+    per moved point and one per breakpoint, the pairing's one per moved
+    point, and the window none."""
     f = random_finite(random.Random(21), 200, 60)
     moved = len(f.moved_points())
     with evaluation_budget(10**9) as m:
@@ -185,7 +206,7 @@ def test_decompose_step_count():
         hg = [h.forward(g.forward(a)) for a in range(1000)]
         nested = [word(g, h).forward(a) for a in range(1000)]  # through _fwd
     assert hg == nested == [f.forward(a) for a in range(1000)]
-    assert (moved, built) == (59, 3 * 59)
+    assert (moved, len(g.bp.a) - 1, built) == (59, 8, 3 * 59 + 8)
     assert m.spent == built
 
 
@@ -202,7 +223,7 @@ def test_settled_factors_match_the_pairing_on_request(f, by_norm):
     g, h = factor_fn_omega(f) if by_norm else decompose_local(f, 8)
     if not isinstance(g, _PairedExchanger):
         return  # a zero norm: factor_fn_omega returns two identities
-    lazy_g = _PairedExchanger(f, g.bp)
+    lazy_g = OnRequestPairing(f, g.bp)
     lazy_h = WordPermutation([lazy_g, f])
     bound = g.support_bound
     assert h.support_bound == bound

@@ -60,6 +60,7 @@ from symkit.perm import (
     RulePermutation,
     WindowReport,
     WordPermutation,
+    _charge,
     agrees_on_window,
     conjugate,
     evaluation_budget,
@@ -340,21 +341,22 @@ class PerCallBreakpoints(Breakpoints):
         self._scanned = self._max_seen = 0
         super().__init__(f, count)
 
-    def ensure(self, count):
-        while len(self.a) <= count:
-            prev = self.a[-1]
-            while self._scanned < prev:
-                x = self._scanned
-                self._max_seen = max(self._max_seen, self.f.forward(x) + 1,
-                                     self.f.backward(x) + 1)
-                self._scanned += 1
-            self.a.append(max(prev + 1, self._max_seen))
+    def _step(self):
+        _charge("breakpoints")  # one step per breakpoint, as Breakpoints takes
+        prev = self.a[-1]
+        while self._scanned < prev:
+            x = self._scanned
+            self._max_seen = max(self._max_seen, self.f.forward(x) + 1,
+                                 self.f.backward(x) + 1)
+            self._scanned += 1
+        self.a.append(max(prev + 1, self._max_seen))
 
 
 def per_call_is_local(f, probe_prefix):
     witnesses = []
     running_max = -1
     for j in range(1, probe_prefix + 1):
+        _charge("prefixes")  # one step per prefix, as is_local takes
         running_max = max(running_max, f.forward(j - 1), f.backward(j - 1))
         if running_max < j:
             witnesses.append(j)
@@ -628,7 +630,8 @@ def test_certified_breakpoints_test_candidate_points_only():
              FiniteSupportPermutation({1: 3_000_000, 3_000_000: 1}))
     a, spent = metered_cost(lambda: Breakpoints(f, 8).a)
     assert a == [0, 1] + list(range(3_000_001, 3_000_008))
-    assert spent <= 3 * 4  # each moved point once each way through two factors
+    # each moved point once each way through two factors, and each breakpoint
+    assert spent <= 3 * 4 + 8
     assert (f.forward(0), f.backward(0)) == (1, 3_000_000)
 
 
